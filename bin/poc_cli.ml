@@ -386,11 +386,11 @@ let no_feas_cache_arg =
   Arg.(
     value & flag
     & info [ "no-feas-cache" ]
-        ~doc:"Disable the shared feasibility/cost cache (see \
+        ~doc:"Turn off all memoization of feasibility verdicts and \
+              selection costs, the shared cache included (see \
               docs/SCALING.md).  Outcomes, payments and journal bytes \
-              are identical either way; only the \
-              $(b,poc_feascache_*_total) metrics and wall-clock time \
-              change.")
+              are identical either way; only the work counters and \
+              wall-clock time change.")
 
 let market_cmd =
   let run verbose seed sites bps epochs jobs journal resume segment_bytes

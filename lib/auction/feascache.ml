@@ -15,6 +15,7 @@ type shard = {
 
 type t = {
   digest : string;
+  on : bool; (* the switch as it stood at [create] *)
   merged : shard; (* written only by [join]; read-only between joins *)
   mu : Mutex.t; (* guards [shards] registration and [join] *)
   shards : (int, shard) Hashtbl.t; (* domain id -> private shard *)
@@ -33,6 +34,7 @@ let mk_shard () = { feas = Hashtbl.create 512; cost = Hashtbl.create 64 }
 let create ~digest =
   {
     digest;
+    on = enabled ();
     merged = mk_shard ();
     mu = Mutex.create ();
     shards = Hashtbl.create 8;
@@ -65,25 +67,26 @@ let count_result t = function
     Metrics.Counter.inc m_misses;
     None
 
-let find_feas t key =
-  let r =
-    match Hashtbl.find_opt t.merged.feas key with
-    | Some _ as r -> r
-    | None -> Hashtbl.find_opt (my_shard t).feas key
-  in
-  count_result t r
+(* A cache created with the switch off keeps nothing and counts
+   nothing, so every probe falls through to a fresh evaluation. *)
+let find table t key =
+  if not t.on then None
+  else
+    count_result t
+      (match Hashtbl.find_opt (table t.merged) key with
+      | Some _ as r -> r
+      | None -> Hashtbl.find_opt (table (my_shard t)) key)
 
-let add_feas t key v = Hashtbl.replace (my_shard t).feas key v
+let add table t key v =
+  if t.on then Hashtbl.replace (table (my_shard t)) key v
 
-let find_cost t key =
-  let r =
-    match Hashtbl.find_opt t.merged.cost key with
-    | Some _ as r -> r
-    | None -> Hashtbl.find_opt (my_shard t).cost key
-  in
-  count_result t r
+let find_feas t key = find (fun s -> s.feas) t key
 
-let add_cost t key v = Hashtbl.replace (my_shard t).cost key v
+let add_feas t key v = add (fun s -> s.feas) t key v
+
+let find_cost t key = find (fun s -> s.cost) t key
+
+let add_cost t key v = add (fun s -> s.cost) t key v
 
 let join t =
   Mutex.protect t.mu (fun () ->

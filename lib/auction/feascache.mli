@@ -2,8 +2,10 @@
 
     The optimizer's two expensive pure functions of a candidate link
     set — the acceptability verdict and the selection cost — are keyed
-    on (problem digest, enabled-set bit-string) and memoized here so
-    the memo survives across the Clarke pivots of one settle loop:
+    on (problem digest, enabled-set bit-string) and memoized here, and
+    only here: a selector called without a cache memoizes into a
+    private one.  The memo survives across the Clarke pivots of one
+    settle loop:
     pivot selections revisit many of the same candidate sets the cold
     selection already probed (the problem itself is identical, only the
     banned set changes), and under {!Vcg.run} each hit saves a full
@@ -23,24 +25,26 @@
     {2 Concurrency}
 
     Reads go to a merged table plus a per-domain private shard; writes
-    go only to the writer's own shard, so pool workers never contend on
-    a lock in the probe hot path.  {!join} folds all shards into the
-    merged table — {!Vcg.run} calls it at its pool-join points, where
-    workers are quiescent, making each settle round's discoveries
-    visible to the next round.  Hit/miss totals are exported through
-    {!Poc_obs.Metrics} as [poc_feascache_hits_total] /
+    go only to the writer's own shard.  A hit in the merged table takes
+    no lock; a probe that misses it, and every write, takes the shard
+    registry's mutex for the shard lookup only.  {!join} folds all
+    shards into the merged table — {!Vcg.run} calls it at its pool-join
+    points, where workers are quiescent, making each settle round's
+    discoveries visible to the next round.  Hit/miss totals are
+    exported through {!Poc_obs.Metrics} as [poc_feascache_hits_total] /
     [poc_feascache_misses_total] and per-cache via {!stats}. *)
 
 type t
 
 val enabled : unit -> bool
-(** Global switch consulted by {!Vcg.run} when deciding whether to
-    create a cache.  Defaults to [true]. *)
+(** The global switch.  Defaults to [true]. *)
 
 val set_enabled : bool -> unit
 (** Flip the global switch ([poc-cli market --no-feas-cache] and the
-    cache-equivalence tests use this).  Affects only subsequently
-    created caches. *)
+    cache-equivalence tests use this).  A cache created while the
+    switch is off never stores an entry, never hits and counts
+    nothing, so turning it off turns off all memoization in the
+    auction.  Affects only subsequently created caches. *)
 
 val create : digest:string -> t
 (** Fresh empty cache for the problem identified by [digest]

@@ -20,14 +20,6 @@ let m_auctions =
   Metrics.counter ~help:"Full VCG mechanism runs" Metrics.default
     "poc_vcg_auctions_total"
 
-let m_feas_hits =
-  Metrics.counter ~help:"Feasibility probes answered from the memo table"
-    Metrics.default "poc_vcg_feasibility_cache_hits_total"
-
-let m_feas_misses =
-  Metrics.counter ~help:"Feasibility probes that required a full rule check"
-    Metrics.default "poc_vcg_feasibility_cache_misses_total"
-
 (* Ordered map over an optional pool: [None] is the serial path.  Both
    paths visit elements in list order and return results in list order,
    so for the pure functions the auction hands over the result is
@@ -194,8 +186,30 @@ let satisfied ?pool problem ~enabled =
   Acceptability.satisfied ?pool problem.graph ~demands:problem.demands ~enabled
     problem.rule
 
+(* The one memo layer over the two pure functions of a candidate set
+   (its acceptability verdict and its selection cost): a {!Feascache}
+   probe keyed on the set's bit-string, one character per link. *)
+let memoized find add cache in_set compute =
+  let key =
+    String.init (Array.length in_set) (fun i -> if in_set.(i) then '1' else '0')
+  in
+  match find cache key with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    add cache key v;
+    v
+
 let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
     ?cache ?pool problem =
+  (* Without a caller's cache, a private one still keeps this call from
+     evaluating any candidate set twice.  It never outlives the call, so
+     it serves exactly one problem. *)
+  let cache =
+    match cache with
+    | Some c -> c
+    | None -> Feascache.create ~digest:"optimize_from"
+  in
   let table = ownership problem in
   let m = Array.length table in
   let offered =
@@ -226,39 +240,12 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
   let current_links () =
     List.filter (fun id -> in_set.(id)) (List.init m Fun.id)
   in
-  (* Memo tables for the two pure functions of the enabled set that the
-     pruning stages re-evaluate constantly: the acceptability probe and
-     the selection cost.  Keyed on the canonical bit-string of [in_set].
-     The call-local tables are checked first (no lock, no shard walk);
-     behind them sits the optional shared {!Feascache.t}, which carries
-     verdicts across calls — in particular across the Clarke pivots of
-     one settle loop.  Both layers memoize the same pure functions, so
-     results are identical with either, both, or neither. *)
-  let key_of_set () =
-    String.init m (fun i -> if in_set.(i) then '1' else '0')
-  in
-  let feas_cache : (string, bool) Hashtbl.t = Hashtbl.create 512 in
-  let cost_cache : (string, float) Hashtbl.t = Hashtbl.create 64 in
+  (* The pruning stages re-probe the same sets constantly.  Nested
+     submissions from a pool worker run inline, so passing the pool down
+     is safe wherever an evaluation happens. *)
   let rule_ok () =
-    let key = key_of_set () in
-    match Hashtbl.find_opt feas_cache key with
-    | Some ok ->
-      Metrics.Counter.inc m_feas_hits;
-      ok
-    | None -> (
-      match Option.bind cache (fun c -> Feascache.find_feas c key) with
-      | Some ok ->
-        Metrics.Counter.inc m_feas_hits;
-        Hashtbl.add feas_cache key ok;
-        ok
-      | None ->
-        Metrics.Counter.inc m_feas_misses;
-        (* Nested submissions from a pool worker run inline, so passing
-           the pool down is safe wherever this evaluation happens. *)
-        let ok = satisfied ?pool problem ~enabled in
-        Hashtbl.add feas_cache key ok;
-        Option.iter (fun c -> Feascache.add_feas c key ok) cache;
-        ok)
+    memoized Feascache.find_feas Feascache.add_feas cache in_set (fun () ->
+        satisfied ?pool problem ~enabled)
   in
   let check_prefix k =
     set_prefix k;
@@ -512,19 +499,8 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
        which matters because the Clarke pivots are differences of two
        such costs. *)
     let current_cost () =
-      let key = key_of_set () in
-      match Hashtbl.find_opt cost_cache key with
-      | Some c -> c
-      | None -> (
-        match Option.bind cache (fun c -> Feascache.find_cost c key) with
-        | Some c ->
-          Hashtbl.add cost_cache key c;
-          c
-        | None ->
-          let c = selection_cost_with_table problem table (current_links ()) in
-          Hashtbl.add cost_cache key c;
-          Option.iter (fun sc -> Feascache.add_cost sc key c) cache;
-          c)
+      memoized Feascache.find_cost Feascache.add_cost cache in_set (fun () ->
+          selection_cost_with_table problem table (current_links ()))
     in
     let snapshot () = Array.copy in_set in
     let restore saved = Array.blit saved 0 in_set 0 m in
@@ -660,16 +636,9 @@ let select_exact ?(banned = fun _ -> false) ?cache ?pool problem =
         let ok =
           match cache with
           | None -> satisfied problem ~enabled
-          | Some c -> (
-            let key =
-              String.init m (fun i -> if in_set.(i) then '1' else '0')
-            in
-            match Feascache.find_feas c key with
-            | Some ok -> ok
-            | None ->
-              let ok = satisfied problem ~enabled in
-              Feascache.add_feas c key ok;
-              ok)
+          | Some c ->
+            memoized Feascache.find_feas Feascache.add_feas c in_set (fun () ->
+                satisfied problem ~enabled)
         in
         if ok then best := Some (cost, mask, links)
       end
@@ -712,12 +681,8 @@ let run ?select ?pool problem =
      Clarke pivot probe the same problem (only the banned set varies),
      so verdicts and costs keyed on the enabled bit-string carry over.
      Purely an evaluation-count optimization — outcomes are identical
-     with the cache disabled. *)
-  let cache =
-    if Feascache.enabled () then
-      Some (Feascache.create ~digest:(problem_digest problem))
-    else None
-  in
+     with the cache switched off. *)
+  let cache = Some (Feascache.create ~digest:(problem_digest problem)) in
   (* Fold worker-shard discoveries into the merged table whenever the
      workers are known quiescent, so the next round reads them
      lock-free. *)
@@ -863,11 +828,7 @@ let run ?select ?pool problem =
     finish_with (Some { selection = sl; virtual_cost; bp_results; total_payment })
 
 let run_pay_as_bid ?select ?pool problem =
-  let cache =
-    if Feascache.enabled () then
-      Some (Feascache.create ~digest:(problem_digest problem))
-    else None
-  in
+  let cache = Some (Feascache.create ~digest:(problem_digest problem)) in
   let select =
     match select with
     | Some s -> fun p -> s ?banned:None ?cache p

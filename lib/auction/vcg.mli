@@ -93,7 +93,8 @@ val select_greedy :
     With [?pool] the two ranking arms run concurrently.  [?cache]
     (a {!Feascache.t} created for this problem's {!problem_digest})
     shares feasibility verdicts and selection costs with other
-    selections over the same problem; it never changes the result. *)
+    selections over the same problem; without one, each arm memoizes
+    into a private cache of its own.  It never changes the result. *)
 
 val select_greedy_single :
   ranking:[ `Unit_price | `Absolute_price ] ->
@@ -158,12 +159,12 @@ val run :
     (pivot clamped at 0) and the condition is reported via logs.
     [None] when no acceptable selection exists at all.
 
-    When {!Feascache.enabled}, [run] creates one {!Feascache.t} for the
-    problem and hands it to every selection — the cold one, each pivot,
-    and any caller-supplied [?select] (forward it to the [Vcg.select_*]
-    entry points to benefit) — merging worker shards at each pool-join
-    point.  The cache memoizes pure functions, so outcomes, payments,
-    and journal bytes are identical with it on or off. *)
+    [run] creates one {!Feascache.t} for the problem and hands it to
+    every selection — the cold one, each pivot, and any caller-supplied
+    [?select] (forward it to the [Vcg.select_*] entry points to
+    benefit) — merging worker shards at each pool-join point.  The
+    cache memoizes pure functions, so outcomes, payments, and journal
+    bytes are identical with it on or off ({!Feascache.set_enabled}). *)
 
 val run_pay_as_bid :
   ?select:

@@ -183,11 +183,6 @@ let manifest_read root =
 
 (* --- engine lifecycle ------------------------------------------------------ *)
 
-let spec_fired ~epoch ~phase = function
-  | Fault.Crash { at_epoch; phase = p } -> at_epoch = epoch && p = phase
-  | Fault.Storage { at_epoch; phase = p; _ } -> at_epoch = epoch && p = phase
-  | _ -> false
-
 let compile_schedule t specs =
   match Fault.compile t.plan.Planner.wan ~seed:t.fault_seed specs with
   | Ok s -> Ok s
@@ -669,7 +664,9 @@ let route t ~now_us run req =
            loop is dead, the journal is closed (and, for a storage spec,
            damaged).  Absorb it here — other runs keep settling. *)
         slot.specs <-
-          List.filter (fun sp -> not (spec_fired ~epoch ~phase sp)) slot.specs;
+          List.filter
+            (fun sp -> not (Fault.spec_fired ~epoch ~phase sp))
+            slot.specs;
         let line =
           fail_slot t slot ~now_us
             ~cause:

@@ -413,11 +413,6 @@ let manifest_mismatches a b =
 
 (* The supervisor fires the earliest live kill point; [fired] picks the
    spec behind an [Injected_crash] so the chain can consume it. *)
-let spec_fired ~epoch ~phase = function
-  | Fault.Crash { at_epoch; phase = p } -> at_epoch = epoch && p = phase
-  | Fault.Storage { at_epoch; phase = p; _ } -> at_epoch = epoch && p = phase
-  | _ -> false
-
 let add_recovery rc = function
   | Fault.Crash _ -> { rc with r_crash = rc.r_crash + 1 }
   | Fault.Storage { fault = Disk.Short_write _; _ } ->
@@ -485,11 +480,13 @@ let run_one cfg ?flight (scen : scenario) (plan : Planner.plan) =
         Metrics.Counter.inc m_kills;
         List.iter
           (fun sp ->
-            if spec_fired ~epoch ~phase sp then
+            if Fault.spec_fired ~epoch ~phase sp then
               recovered := add_recovery !recovered sp)
           specs;
         let remaining =
-          List.filter (fun sp -> not (spec_fired ~epoch ~phase sp)) specs
+          List.filter
+            (fun sp -> not (Fault.spec_fired ~epoch ~phase sp))
+            specs
         in
         let resumable =
           match Journal.scrub ~disk:(Disk.real ()) dir with

@@ -6,19 +6,17 @@ module Planner = Poc_core.Planner
 module Trace = Poc_obs.Trace
 module Metrics = Poc_obs.Metrics
 module Clock = Poc_obs.Clock
+module Phase = Poc_obs.Phase
 
-(* Per-phase wall-clock histograms and epoch counters.  The phase
-   series are shared by name with the supervised loop, so "how long
-   does an auction take" reads the same whichever loop ran it. *)
-let h_epoch =
+let epoch_seconds =
   Metrics.histogram ~help:"Whole-epoch wall clock (seconds)" Metrics.default
     "poc_epoch_seconds"
 
-let h_drift =
+let drift_seconds =
   Metrics.histogram ~help:"Market drift + bid construction phase (seconds)"
     Metrics.default "poc_phase_drift_seconds"
 
-let h_auction =
+let auction_seconds =
   Metrics.histogram ~help:"Auction phase wall clock (seconds)" Metrics.default
     "poc_phase_auction_seconds"
 
@@ -186,72 +184,100 @@ let strategy_of config bp =
   | Some s -> s
   | None -> Truthful
 
+type state = {
+  rng : Prng.t;
+  cost_level : float array;
+  mutable matrix : Matrix.t;
+}
+
+let initial_state (plan : Planner.plan) config =
+  {
+    rng = Prng.create config.seed;
+    cost_level = Array.make (Array.length plan.Planner.problem.Vcg.bids) 1.0;
+    matrix = plan.Planner.matrix;
+  }
+
+let restore_state (plan : Planner.plan) config ~epoch ~prng_state ~cost_level =
+  (* Demand grows by scaling the matrix once per epoch.  Replaying the
+     same number of scalings from the base matrix repeats the same float
+     operations in the same order, so the restored matrix is
+     bit-identical to the live one — a stored cumulative scalar would
+     not be (float multiplication does not reassociate). *)
+  let matrix = ref plan.Planner.matrix in
+  for _ = 1 to epoch do
+    matrix := Matrix.scale !matrix config.demand_growth
+  done;
+  {
+    rng = Prng.of_state prng_state;
+    cost_level = Array.copy cost_level;
+    matrix = !matrix;
+  }
+
+let advance config (plan : Planner.plan) st =
+  let base_bids = plan.Planner.problem.Vcg.bids in
+  (* Drift costs. *)
+  for bp = 0 to Array.length st.cost_level - 1 do
+    let noise =
+      1.0 +. (config.cost_volatility *. ((2.0 *. Prng.float st.rng) -. 1.0))
+    in
+    st.cost_level.(bp) <-
+      Float.max 0.05 (st.cost_level.(bp) *. (1.0 +. config.cost_trend) *. noise)
+  done;
+  (* Recalls: strategy-driven withdrawal of offered links. *)
+  let recalled = Hashtbl.create 64 in
+  Array.iteri
+    (fun bp bid ->
+      match strategy_of config bp with
+      | Recallable fraction ->
+        List.iter
+          (fun id ->
+            if Prng.bernoulli st.rng fraction then
+              Hashtbl.replace recalled id ())
+          (Bid.links bid)
+      | Truthful | Markup _ -> ())
+    base_bids;
+  (* Epoch bids: cost level times strategy markup. *)
+  let bids =
+    Array.mapi
+      (fun bp bid ->
+        let markup =
+          match strategy_of config bp with
+          | Markup m -> 1.0 +. m
+          | Truthful | Recallable _ -> 1.0
+        in
+        Bid.scale bid (st.cost_level.(bp) *. markup))
+      base_bids
+  in
+  st.matrix <- Matrix.scale st.matrix config.demand_growth;
+  (bids, recalled)
+
 let run ?pool (plan : Planner.plan) config =
   (match validate_config config with
   | Ok () -> ()
   | Error msg -> invalid_arg msg);
-  let rng = Prng.create config.seed in
-  let base_problem = plan.Planner.problem in
-  let n_bps = Array.length base_problem.Vcg.bids in
-  (* Per-BP cost level, drifting each epoch. *)
-  let cost_level = Array.make n_bps 1.0 in
+  let st = initial_state plan config in
   let results = ref [] in
-  let matrix = ref plan.Planner.matrix in
   for epoch = 1 to config.epochs do
     let ep_sp = Trace.span "epoch" in
     if Trace.enabled () then Trace.add_attr ep_sp "epoch" (Trace.Int epoch);
     let ep_t0 = Clock.now_us () in
-    let drift_sp = Trace.span "drift" in
-    let drift_t0 = Clock.now_us () in
-    (* Drift costs. *)
-    for bp = 0 to n_bps - 1 do
-      let noise =
-        1.0 +. (config.cost_volatility *. ((2.0 *. Prng.float rng) -. 1.0))
-      in
-      cost_level.(bp) <-
-        Float.max 0.05 (cost_level.(bp) *. (1.0 +. config.cost_trend) *. noise)
-    done;
-    (* Recalls: strategy-driven withdrawal of offered links. *)
-    let recalled = Hashtbl.create 64 in
-    Array.iteri
-      (fun bp bid ->
-        match strategy_of config bp with
-        | Recallable fraction ->
-          List.iter
-            (fun id ->
-              if Prng.bernoulli rng fraction then Hashtbl.replace recalled id ())
-            (Bid.links bid)
-        | Truthful | Markup _ -> ())
-      base_problem.Vcg.bids;
-    (* Epoch bids: cost level times strategy markup. *)
-    let bids =
-      Array.mapi
-        (fun bp bid ->
-          let markup =
-            match strategy_of config bp with
-            | Markup m -> 1.0 +. m
-            | Truthful | Recallable _ -> 1.0
-          in
-          Bid.scale bid (cost_level.(bp) *. markup))
-        base_problem.Vcg.bids
+    let bids, recalled, problem =
+      Phase.run ~flight:None ~epoch drift_seconds "drift" (fun _ ->
+          let bids, recalled = advance config plan st in
+          ( bids,
+            recalled,
+            {
+              plan.Planner.problem with
+              Vcg.bids;
+              demands = Matrix.undirected_pair_demands st.matrix;
+            } ))
     in
-    matrix := Matrix.scale !matrix config.demand_growth;
-    let problem =
-      {
-        base_problem with
-        Vcg.bids;
-        demands = Matrix.undirected_pair_demands !matrix;
-      }
-    in
-    Metrics.Histogram.observe h_drift
-      ((Clock.now_us () -. drift_t0) *. 1e-6);
-    Trace.finish drift_sp;
     let select ?(banned = fun _ -> false) ?cache p =
       Vcg.select_greedy
         ~banned:(fun id -> banned id || Hashtbl.mem recalled id)
         ?cache ?pool p
     in
-    let volume = Matrix.total !matrix in
+    let volume = Matrix.total st.matrix in
     let pool_nonempty =
       problem.Vcg.virtual_prices <> []
       || Array.exists
@@ -276,32 +302,28 @@ let run ?pool (plan : Planner.plan) config =
         }
         :: !results
     in
-    let auction_sp = Trace.span "auction" in
-    let auction_t0 = Clock.now_us () in
-    (if not pool_nonempty then fail Empty_offer_pool
-     else begin
-       match Vcg.run ~select ?pool problem with
-       | None -> fail No_acceptable_selection
-       | Some outcome ->
-         results :=
-           {
-             epoch;
-             spend = outcome.Vcg.total_payment;
-             price_per_gbps =
-               (if volume > 0.0 then outcome.Vcg.total_payment /. volume
-                else 0.0);
-             selected_links = List.length outcome.Vcg.selection.selected;
-             recalled_links = Hashtbl.length recalled;
-             supplier_hhi = supplier_hhi outcome;
-             failure = None;
-           }
-           :: !results
-     end);
-    Metrics.Histogram.observe h_auction
-      ((Clock.now_us () -. auction_t0) *. 1e-6);
-    Trace.finish auction_sp;
+    Phase.run ~flight:None ~epoch auction_seconds "auction" (fun _ ->
+        if not pool_nonempty then fail Empty_offer_pool
+        else
+          match Vcg.run ~select ?pool problem with
+          | None -> fail No_acceptable_selection
+          | Some outcome ->
+            results :=
+              {
+                epoch;
+                spend = outcome.Vcg.total_payment;
+                price_per_gbps =
+                  (if volume > 0.0 then outcome.Vcg.total_payment /. volume
+                   else 0.0);
+                selected_links = List.length outcome.Vcg.selection.selected;
+                recalled_links = Hashtbl.length recalled;
+                supplier_hhi = supplier_hhi outcome;
+                failure = None;
+              }
+              :: !results);
     Metrics.Counter.inc m_epochs;
-    Metrics.Histogram.observe h_epoch ((Clock.now_us () -. ep_t0) *. 1e-6);
+    Metrics.Histogram.observe epoch_seconds
+      ((Clock.now_us () -. ep_t0) *. 1e-6);
     Trace.finish ep_sp
   done;
   List.rev !results

@@ -69,6 +69,40 @@ val decode_result : string -> (epoch_result, string) result
     torn, truncated or checksum-corrupted record, and on trailing
     bytes after the record — one record is exactly one frame. *)
 
+(** {2 The market core}
+
+    {!run} loops over {!advance}; the supervised loop
+    ([Poc_resilience.Supervisor]) embeds the same {!state} and calls
+    the same {!advance}, so a fault-free supervised run replays the
+    plain market draw for draw. *)
+
+type state = {
+  rng : Poc_util.Prng.t;
+  cost_level : float array;  (** per-BP cost multiplier, from 1 *)
+  mutable matrix : Poc_traffic.Matrix.t;  (** grown once per epoch *)
+}
+
+val initial_state : Poc_core.Planner.plan -> config -> state
+
+val restore_state :
+  Poc_core.Planner.plan -> config -> epoch:int -> prng_state:int64 ->
+  cost_level:float array -> state
+(** The state after [epoch] epochs, from a checkpointed PRNG cursor and
+    cost levels; the matrix is re-grown bit-identically. *)
+
+val advance :
+  config -> Poc_core.Planner.plan -> state ->
+  Poc_auction.Bid.t array * (int, unit) Hashtbl.t
+(** One epoch of drift, in this draw order: cost drift, recall draws,
+    the epoch's bids, then demand growth.  Returns the bids and the
+    recalled link ids. *)
+
+val epoch_seconds : Poc_obs.Metrics.Histogram.t
+val drift_seconds : Poc_obs.Metrics.Histogram.t
+val auction_seconds : Poc_obs.Metrics.Histogram.t
+(** [poc_epoch_seconds], [poc_phase_drift_seconds] and
+    [poc_phase_auction_seconds], observed by both loops. *)
+
 val run :
   ?pool:Poc_util.Pool.t -> Poc_core.Planner.plan -> config -> epoch_result list
 (** Replays [config.epochs] auctions over the plan's offer pool with

@@ -1,0 +1,19 @@
+(** One producer for a timed phase of a market epoch: a {!Trace} span,
+    one observation of the phase's latency histogram and, when a flight
+    ring is attached, an open/close pair in the {!Flight} recorder.
+    Both epoch loops run their phases through {!run}. *)
+
+val run :
+  flight:(Flight.t * (unit -> unit)) option ->
+  epoch:int ->
+  Metrics.Histogram.t ->
+  string ->
+  (Trace.span -> 'a) ->
+  'a
+(** [run ~flight ~epoch hist name body] runs [body] inside a span named
+    [name] and observes its wall clock, in seconds, in [hist].  With
+    [flight = Some (ring, flush)] it emits a [Span_open] into [ring] and
+    calls [flush] before [body] — so a process killed inside [body]
+    leaves a durable record naming the phase — and a [Span_close] with
+    the duration after it; records carry [epoch] and phase [name].
+    [body] gets the open span for attributes. *)

@@ -23,6 +23,11 @@ type spec =
   | Crash of { at_epoch : int; phase : phase }
   | Storage of { at_epoch : int; phase : phase; fault : Disk.fault }
 
+let spec_fired ~epoch ~phase = function
+  | Crash { at_epoch; phase = p } -> at_epoch = epoch && p = phase
+  | Storage { at_epoch; phase = p; _ } -> at_epoch = epoch && p = phase
+  | _ -> false
+
 type event =
   | Link_down of int
   | Link_up of int

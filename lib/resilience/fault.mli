@@ -48,6 +48,11 @@ type spec =
           Like [Crash], compiling one draws no randomness and a
           resumed run ignores it. *)
 
+val spec_fired : epoch:int -> phase:phase -> spec -> bool
+(** The spec is the [Crash] or [Storage] point that kills the process
+    at [epoch]'s [phase] — the one a recovery loop drops before it
+    resumes, so the same kill does not fire again. *)
+
 type event =
   | Link_down of int
   | Link_up of int

@@ -1,7 +1,6 @@
 module Prng = Poc_util.Prng
 module Pool = Poc_util.Pool
 module Vcg = Poc_auction.Vcg
-module Bid = Poc_auction.Bid
 module Matrix = Poc_traffic.Matrix
 module Router = Poc_mcf.Router
 module Planner = Poc_core.Planner
@@ -12,22 +11,11 @@ module Trace = Poc_obs.Trace
 module Metrics = Poc_obs.Metrics
 module Clock = Poc_obs.Clock
 module Flight = Poc_obs.Flight
+module Phase = Poc_obs.Phase
 
-(* Phase histograms share names with the plain market loop where the
-   phases coincide (drift, auction, whole epoch); routing, settlement
-   and journal appends exist only here. *)
-let h_epoch =
-  Metrics.histogram ~help:"Whole-epoch wall clock (seconds)" Metrics.default
-    "poc_epoch_seconds"
-
-let h_drift =
-  Metrics.histogram ~help:"Market drift + bid construction phase (seconds)"
-    Metrics.default "poc_phase_drift_seconds"
-
-let h_auction =
-  Metrics.histogram ~help:"Auction phase wall clock (seconds)" Metrics.default
-    "poc_phase_auction_seconds"
-
+(* The epoch, drift and auction histograms are the plain market loop's
+   ([Epochs.epoch_seconds] and friends); routing, settlement and journal
+   appends exist only here. *)
 let h_routing =
   Metrics.histogram ~help:"Delivered-fraction routing phase (seconds)"
     Metrics.default "poc_phase_routing_seconds"
@@ -107,34 +95,25 @@ let status_to_string = function
   | Carried -> "carried_forward"
   | Blackout -> "blackout"
 
-let strategy_of (market : Epochs.config) bp =
-  match List.assoc_opt bp market.Epochs.strategies with
-  | Some s -> s
-  | None -> Epochs.Truthful
-
 (* Carry-forward state between epochs: exactly what a snapshot record
    persists, so checkpoint/resume is a matter of copying this out and
-   back in. *)
+   back in.  [market] is the plain loop's drifting state, advanced by
+   the same [Epochs.advance]. *)
 type state = {
-  rng : Prng.t;
-  cost_level : float array;
+  market : Epochs.state;
   down : (int, unit) Hashtbl.t; (* heals on Link_up *)
   gone : (int, unit) Hashtbl.t; (* never heals *)
   mutable surge : float;
-  mutable matrix : Matrix.t;
   mutable demand_scale : float; (* cumulative growth, journaled *)
   mutable last_good : Vcg.selection option;
 }
 
 let initial_state (plan : Planner.plan) (market : Epochs.config) =
-  let n_bps = Array.length plan.Planner.problem.Vcg.bids in
   {
-    rng = Prng.create market.Epochs.seed;
-    cost_level = Array.make n_bps 1.0;
+    market = Epochs.initial_state plan market;
     down = Hashtbl.create 64;
     gone = Hashtbl.create 64;
     surge = 1.0;
-    matrix = plan.Planner.matrix;
     demand_scale = 1.0;
     last_good = Some plan.Planner.outcome.Vcg.selection;
   }
@@ -144,23 +123,13 @@ let state_of_snapshot (plan : Planner.plan) (market : Epochs.config)
   let down = Hashtbl.create 64 and gone = Hashtbl.create 64 in
   List.iter (fun id -> Hashtbl.replace down id ()) s.Journal.down;
   List.iter (fun id -> Hashtbl.replace gone id ()) s.Journal.gone;
-  (* The live loop grows demand by scaling the matrix once per epoch.
-     Replaying the same number of scalings from the base matrix repeats
-     the same float operations in the same order, so the resumed matrix
-     is bit-identical to the one a crash interrupted — a stored
-     cumulative scalar would not be (float multiplication does not
-     reassociate). *)
-  let matrix = ref plan.Planner.matrix in
-  for _ = 1 to s.Journal.at_epoch do
-    matrix := Matrix.scale !matrix market.Epochs.demand_growth
-  done;
   {
-    rng = Prng.of_state s.Journal.prng_state;
-    cost_level = Array.copy s.Journal.cost_level;
+    market =
+      Epochs.restore_state plan market ~epoch:s.Journal.at_epoch
+        ~prng_state:s.Journal.prng_state ~cost_level:s.Journal.cost_level;
     down;
     gone;
     surge = s.Journal.surge;
-    matrix = !matrix;
     demand_scale = s.Journal.demand_scale;
     last_good =
       Option.map
@@ -174,8 +143,8 @@ let snapshot_of_state ~epoch st : Journal.snapshot =
   in
   {
     Journal.at_epoch = epoch;
-    prng_state = Prng.state st.rng;
-    cost_level = Array.copy st.cost_level;
+    prng_state = Prng.state st.market.Epochs.rng;
+    cost_level = Array.copy st.market.Epochs.cost_level;
     down = ids st.down;
     gone = ids st.gone;
     surge = st.surge;
@@ -317,7 +286,8 @@ let apply_update st ~n_bps u =
   | Error msg -> invalid_arg ("Supervisor: " ^ msg));
   match u with
   | Scale_bid { bp; factor } ->
-    st.cost_level.(bp) <- st.cost_level.(bp) *. factor
+    let level = st.market.Epochs.cost_level in
+    level.(bp) <- level.(bp) *. factor
   | Scale_demand { factor } -> st.surge <- st.surge *. factor
 
 (* An open supervised run, steppable one epoch at a time.  [run] and
@@ -417,6 +387,10 @@ let step ?(updates = []) loop =
   in
   let epoch = loop.l_next in
   let femit ?flush phase kind = femit ?flush ~epoch phase kind in
+  let flight =
+    Option.map (fun b -> (Black_box.ring b, fun () -> Black_box.flush b)) fb
+  in
+  let phase h name body = Phase.run ~flight ~epoch h name body in
   begin
     List.iter (fun u -> apply_update st ~n_bps u) updates;
     if fon then femit ~flush:true "epoch" (Flight.Span_open { name = "epoch" });
@@ -453,51 +427,26 @@ let step ?(updates = []) loop =
     (match crash_info with
     | Some (Fault.Pre_auction, fault) -> crash epoch Fault.Pre_auction fault
     | _ -> ());
-    if fon then femit ~flush:true "drift" (Flight.Span_open { name = "drift" });
-    let drift_sp = Trace.span "drift" in
-    let drift_t0 = Clock.now_us () in
-    (* Market drift: the same draws, in the same order, as Epochs.run,
-       so a fault-free supervised run replays the plain market. *)
-    for bp = 0 to n_bps - 1 do
-      let noise =
-        1.0
-        +. (market.Epochs.cost_volatility *. ((2.0 *. Prng.float st.rng) -. 1.0))
-      in
-      st.cost_level.(bp) <-
-        Float.max 0.05
-          (st.cost_level.(bp) *. (1.0 +. market.Epochs.cost_trend) *. noise)
-    done;
-    let recalled = Hashtbl.create 64 in
-    Array.iteri
-      (fun bp bid ->
-        match strategy_of market bp with
-        | Epochs.Recallable fraction ->
-          List.iter
-            (fun id ->
-              if Prng.bernoulli st.rng fraction then
-                Hashtbl.replace recalled id ())
-            (Bid.links bid)
-        | Epochs.Truthful | Epochs.Markup _ -> ())
-      base_problem.Vcg.bids;
-    let bids =
-      Array.mapi
-        (fun bp bid ->
-          let markup =
-            match strategy_of market bp with
-            | Epochs.Markup m -> 1.0 +. m
-            | Epochs.Truthful | Epochs.Recallable _ -> 1.0
+    (* Market drift through the plain loop's core; the surge and the
+       down/gone bans are this loop's own. *)
+    let recalled, epoch_matrix, problem =
+      phase Epochs.drift_seconds "drift" (fun _ ->
+          let bids, recalled = Epochs.advance market plan st.market in
+          st.demand_scale <- st.demand_scale *. market.Epochs.demand_growth;
+          let grown = st.market.Epochs.matrix in
+          let epoch_matrix =
+            if st.surge = 1.0 then grown else Matrix.scale grown st.surge
           in
-          Bid.scale bid (st.cost_level.(bp) *. markup))
-        base_problem.Vcg.bids
+          ( recalled,
+            epoch_matrix,
+            {
+              base_problem with
+              Vcg.bids;
+              demands = Matrix.undirected_pair_demands epoch_matrix;
+            } ))
     in
-    st.matrix <- Matrix.scale st.matrix market.Epochs.demand_growth;
-    st.demand_scale <- st.demand_scale *. market.Epochs.demand_growth;
-    let epoch_matrix =
-      if st.surge = 1.0 then st.matrix else Matrix.scale st.matrix st.surge
-    in
-    let demands = Matrix.undirected_pair_demands epoch_matrix in
+    let demands = problem.Vcg.demands in
     let volume = Matrix.total epoch_matrix in
-    let problem = { base_problem with Vcg.bids; demands } in
     let banned id =
       Hashtbl.mem recalled id || Hashtbl.mem st.down id
       || Hashtbl.mem st.gone id
@@ -505,90 +454,61 @@ let step ?(updates = []) loop =
     let select ?banned:(extra = fun _ -> false) ?cache p =
       Vcg.select_greedy ~banned:(fun id -> banned id || extra id) ?cache ?pool p
     in
-    Metrics.Histogram.observe h_drift
-      ((Clock.now_us () -. drift_t0) *. 1e-6);
-    Trace.finish drift_sp;
-    if fon then
-      femit "drift"
-        (Flight.Span_close
-           { name = "drift"; dur_us = Clock.now_us () -. drift_t0 });
-    if fon then
-      femit ~flush:true "auction" (Flight.Span_open { name = "auction" });
-    let auction_sp = Trace.span "auction" in
-    let auction_t0 = Clock.now_us () in
     (* Auction; on failure, the ladder; then carry-forward; then blackout. *)
     let status, outcome_opt, ladder_attempts =
-      match Vcg.run ~select ?pool problem with
-      | Some outcome -> (Healthy, Some outcome, 0)
-      | None -> (
-        let rung_budget =
-          List.length (Ladder.rungs ~rule:problem.Vcg.rule ladder)
-        in
-        match Ladder.engage ~banned ?pool ladder problem with
-        | Some e -> (Degraded e.Ladder.step, Some e.Ladder.outcome, e.Ladder.attempts)
-        | None -> (
-          match st.last_good with
-          | None -> (Blackout, None, rung_budget)
-          | Some sel -> (
-            let surviving =
-              List.filter (fun id -> not (banned id)) sel.Vcg.selected
-            in
-            match Ladder.pay_as_bid problem surviving with
-            | Some outcome -> (Carried, Some outcome, rung_budget)
-            | None -> (Blackout, None, rung_budget))))
+      phase Epochs.auction_seconds "auction" (fun _ ->
+          let ((status, _, ladder_attempts) as decision) =
+            match Vcg.run ~select ?pool problem with
+            | Some outcome -> (Healthy, Some outcome, 0)
+            | None -> (
+              let rung_budget =
+                List.length (Ladder.rungs ~rule:problem.Vcg.rule ladder)
+              in
+              match Ladder.engage ~banned ?pool ladder problem with
+              | Some e ->
+                ( Degraded e.Ladder.step,
+                  Some e.Ladder.outcome,
+                  e.Ladder.attempts )
+              | None -> (
+                match st.last_good with
+                | None -> (Blackout, None, rung_budget)
+                | Some sel -> (
+                  let surviving =
+                    List.filter (fun id -> not (banned id)) sel.Vcg.selected
+                  in
+                  match Ladder.pay_as_bid problem surviving with
+                  | Some outcome -> (Carried, Some outcome, rung_budget)
+                  | None -> (Blackout, None, rung_budget))))
+          in
+          (* Any response but Healthy is one incident: a trace event and
+             a flushed flight record, named after the response. *)
+          let incident =
+            match status with
+            | Healthy -> None
+            | Degraded step ->
+              Some ("ladder_engaged", "ladder", [ Ladder.step_to_string step ])
+            | Carried -> Some ("carry_forward", "carry_forward", [])
+            | Blackout -> Some ("blackout", "blackout", [])
+          in
+          Option.iter
+            (fun (event, incident, step) ->
+              let attempts = Printf.sprintf "attempts=%d" ladder_attempts in
+              Metrics.Counter.inc m_ladder;
+              if Trace.enabled () then
+                Trace.event event
+                  ~attrs:
+                    (List.map (fun s -> ("step", Trace.Str s)) step
+                    @ [ ("attempts", Trace.Int ladder_attempts) ]);
+              if fon then
+                femit ~flush:true "auction"
+                  (Flight.Incident
+                     {
+                       incident;
+                       detail = String.concat " " (step @ [ attempts ]);
+                     }))
+            incident;
+          decision)
     in
-    (match status with
-    | Healthy -> ()
-    | Degraded step ->
-      Metrics.Counter.inc m_ladder;
-      if Trace.enabled () then
-        Trace.event "ladder_engaged"
-          ~attrs:
-            [
-              ("step", Trace.Str (Ladder.step_to_string step));
-              ("attempts", Trace.Int ladder_attempts);
-            ];
-      if fon then
-        femit ~flush:true "auction"
-          (Flight.Incident
-             {
-               incident = "ladder";
-               detail =
-                 Printf.sprintf "%s attempts=%d"
-                   (Ladder.step_to_string step)
-                   ladder_attempts;
-             })
-    | Carried ->
-      Metrics.Counter.inc m_ladder;
-      if Trace.enabled () then
-        Trace.event "carry_forward"
-          ~attrs:[ ("attempts", Trace.Int ladder_attempts) ];
-      if fon then
-        femit ~flush:true "auction"
-          (Flight.Incident
-             {
-               incident = "carry_forward";
-               detail = Printf.sprintf "attempts=%d" ladder_attempts;
-             })
-    | Blackout ->
-      Metrics.Counter.inc m_ladder;
-      if Trace.enabled () then
-        Trace.event "blackout"
-          ~attrs:[ ("attempts", Trace.Int ladder_attempts) ];
-      if fon then
-        femit ~flush:true "auction"
-          (Flight.Incident
-             {
-               incident = "blackout";
-               detail = Printf.sprintf "attempts=%d" ladder_attempts;
-             }));
-    Metrics.Histogram.observe h_auction
-      ((Clock.now_us () -. auction_t0) *. 1e-6);
-    Trace.finish auction_sp;
-    if fon then
-      femit "auction"
-        (Flight.Span_close
-           { name = "auction"; dur_us = Clock.now_us () -. auction_t0 });
     (match crash_info with
     | Some (Fault.Pre_settle, fault) ->
       (* The auction decided but nothing settled: what hits the disk
@@ -604,34 +524,28 @@ let step ?(updates = []) loop =
     | Degraded _ | Carried | Blackout -> ());
     (* Delivered fraction: route the full (unrelaxed) demand over the
        surviving selected links. *)
-    if fon then
-      femit ~flush:true "routing" (Flight.Span_open { name = "routing" });
-    let routing_sp = Trace.span "routing" in
-    let routing_t0 = Clock.now_us () in
     let routing_opt, delivered =
-      match outcome_opt with
-      | None -> (None, 0.0)
-      | Some o ->
-        let in_sel = Hashtbl.create 64 in
-        List.iter
-          (fun id -> Hashtbl.replace in_sel id ())
-          o.Vcg.selection.Vcg.selected;
-        let enabled id = Hashtbl.mem in_sel id && not (banned id) in
-        let r = Router.route ~enabled problem.Vcg.graph ~demands in
-        let total =
-          List.fold_left (fun acc (_, _, d) -> acc +. d) 0.0 demands
-        in
-        (Some r, if total <= 0.0 then 1.0 else Router.total_routed r /. total)
+      phase h_routing "routing" (fun sp ->
+          let ((_, delivered) as r) =
+            match outcome_opt with
+            | None -> (None, 0.0)
+            | Some o ->
+              let in_sel = Hashtbl.create 64 in
+              List.iter
+                (fun id -> Hashtbl.replace in_sel id ())
+                o.Vcg.selection.Vcg.selected;
+              let enabled id = Hashtbl.mem in_sel id && not (banned id) in
+              let r = Router.route ~enabled problem.Vcg.graph ~demands in
+              let total =
+                List.fold_left (fun acc (_, _, d) -> acc +. d) 0.0 demands
+              in
+              ( Some r,
+                if total <= 0.0 then 1.0 else Router.total_routed r /. total )
+          in
+          if Trace.enabled () then
+            Trace.add_attr sp "delivered_fraction" (Trace.Float delivered);
+          r)
     in
-    Metrics.Histogram.observe h_routing
-      ((Clock.now_us () -. routing_t0) *. 1e-6);
-    if Trace.enabled () then
-      Trace.add_attr routing_sp "delivered_fraction" (Trace.Float delivered);
-    Trace.finish routing_sp;
-    if fon then
-      femit "routing"
-        (Flight.Span_close
-           { name = "routing"; dur_us = Clock.now_us () -. routing_t0 });
     let spend =
       match outcome_opt with Some o -> o.Vcg.total_payment | None -> 0.0
     in
@@ -641,57 +555,64 @@ let step ?(updates = []) loop =
       | Some _ | None -> 0.0
     in
     (* Cross-layer invariants, checked every epoch. *)
-    if fon then
-      femit ~flush:true "settlement" (Flight.Span_open { name = "settlement" });
-    let settle_sp = Trace.span "settlement" in
-    let settle_t0 = Clock.now_us () in
-    let epoch_violations = ref [] in
-    let violate invariant detail =
-      Metrics.Counter.inc m_violations;
-      if Trace.enabled () then
-        Trace.event "violation"
-          ~attrs:
-            [ ("invariant", Trace.Str invariant); ("detail", Trace.Str detail) ];
-      if fon then
-        femit ~flush:true "settlement"
-          (Flight.Incident
-             { incident = "violation"; detail = invariant ^ ": " ^ detail });
-      epoch_violations := { epoch; invariant; detail } :: !epoch_violations
+    let conservation, posted, epoch_violations =
+      phase h_settlement "settlement" (fun _ ->
+          let epoch_violations = ref [] in
+          let violate invariant detail =
+            Metrics.Counter.inc m_violations;
+            if Trace.enabled () then
+              Trace.event "violation"
+                ~attrs:
+                  [
+                    ("invariant", Trace.Str invariant);
+                    ("detail", Trace.Str detail);
+                  ];
+            if fon then
+              femit ~flush:true "settlement"
+                (Flight.Incident
+                   {
+                     incident = "violation";
+                     detail = invariant ^ ": " ^ detail;
+                   });
+            epoch_violations :=
+              { epoch; invariant; detail } :: !epoch_violations
+          in
+          let conservation, posted =
+            match (outcome_opt, routing_opt) with
+            | Some outcome, Some routing ->
+              let pseudo =
+                {
+                  plan with
+                  Planner.matrix = epoch_matrix;
+                  problem;
+                  outcome;
+                  routing;
+                }
+              in
+              let ledger = Settlement.of_plan pseudo () in
+              loop.l_final_plan <- Some pseudo;
+              (match Settlement.check ledger with
+              | Ok () -> ()
+              | Error msg -> violate "settlement-ledger" msg);
+              ( Some (Settlement.conservation ledger),
+                Some ledger.Settlement.usage_price )
+            | _, _ -> (None, None)
+          in
+          if not (Float.is_finite price) then
+            violate "epoch-price-finite" (Printf.sprintf "price %f" price);
+          (match routing_opt with
+          | Some r
+            when Router.total_routed r > r.Router.enabled_capacity +. 1e-6 ->
+            violate "delivered-within-capacity"
+              (Printf.sprintf "routed %.3f over capacity %.3f"
+                 (Router.total_routed r) r.Router.enabled_capacity)
+          | Some _ | None -> ());
+          let epoch_violations = List.rev !epoch_violations in
+          List.iter
+            (fun v -> loop.l_violations <- v :: loop.l_violations)
+            epoch_violations;
+          (conservation, posted, epoch_violations))
     in
-    let conservation, posted =
-      match (outcome_opt, routing_opt) with
-      | Some outcome, Some routing ->
-        let pseudo =
-          { plan with Planner.matrix = epoch_matrix; problem; outcome; routing }
-        in
-        let ledger = Settlement.of_plan pseudo () in
-        loop.l_final_plan <- Some pseudo;
-        (match Settlement.check ledger with
-        | Ok () -> ()
-        | Error msg -> violate "settlement-ledger" msg);
-        ( Some (Settlement.conservation ledger),
-          Some ledger.Settlement.usage_price )
-      | _, _ -> (None, None)
-    in
-    if not (Float.is_finite price) then
-      violate "epoch-price-finite" (Printf.sprintf "price %f" price);
-    (match routing_opt with
-    | Some r when Router.total_routed r > r.Router.enabled_capacity +. 1e-6 ->
-      violate "delivered-within-capacity"
-        (Printf.sprintf "routed %.3f over capacity %.3f"
-           (Router.total_routed r) r.Router.enabled_capacity)
-    | Some _ | None -> ());
-    let epoch_violations = List.rev !epoch_violations in
-    List.iter
-      (fun v -> loop.l_violations <- v :: loop.l_violations)
-      epoch_violations;
-    Metrics.Histogram.observe h_settlement
-      ((Clock.now_us () -. settle_t0) *. 1e-6);
-    Trace.finish settle_sp;
-    if fon then
-      femit "settlement"
-        (Flight.Span_close
-           { name = "settlement"; dur_us = Clock.now_us () -. settle_t0 });
     let er =
       {
         epoch;
@@ -713,49 +634,40 @@ let step ?(updates = []) loop =
     loop.l_reports <- er :: loop.l_reports;
     (match journal with
     | Some t ->
-      if fon then
-        femit ~flush:true "journal" (Flight.Span_open { name = "journal" });
-      let journal_sp = Trace.span "journal" in
-      let journal_t0 = Clock.now_us () in
-      Journal.append_epoch t
-        {
-          Journal.report = er;
-          events;
-          selected =
-            (match outcome_opt with
-            | Some o -> o.Vcg.selection.Vcg.selected
-            | None -> []);
-          violations = epoch_violations;
-        };
-      if
-        epoch mod loop.l_snapshot_every = 0 && epoch < market.Epochs.epochs
-      then Journal.append_snapshot t (snapshot_of_state ~epoch st);
-      (* Rotation is driven here, not inside the journal, because only
-         the supervisor can checkpoint the live market state for the
-         new segment's carry.  The trigger depends only on bytes
-         appended so far, so an uninterrupted run and a resumed one
-         rotate at the same epochs with the same carries. *)
-      if Journal.wants_rotation t && epoch < market.Epochs.epochs then
-        Journal.rotate t
-          {
-            Journal.at = snapshot_of_state ~epoch st;
-            carry_reports = List.rev loop.l_reports;
-            carry_violations = List.rev loop.l_violations;
-          };
-      Metrics.Histogram.observe h_journal
-        ((Clock.now_us () -. journal_t0) *. 1e-6);
-      Trace.finish journal_sp;
-      if fon then
-        femit "journal"
-          (Flight.Span_close
-             { name = "journal"; dur_us = Clock.now_us () -. journal_t0 })
+      phase h_journal "journal" (fun _ ->
+          Journal.append_epoch t
+            {
+              Journal.report = er;
+              events;
+              selected =
+                (match outcome_opt with
+                | Some o -> o.Vcg.selection.Vcg.selected
+                | None -> []);
+              violations = epoch_violations;
+            };
+          if
+            epoch mod loop.l_snapshot_every = 0 && epoch < market.Epochs.epochs
+          then Journal.append_snapshot t (snapshot_of_state ~epoch st);
+          (* Rotation is driven here, not inside the journal, because only
+             the supervisor can checkpoint the live market state for the
+             new segment's carry.  The trigger depends only on bytes
+             appended so far, so an uninterrupted run and a resumed one
+             rotate at the same epochs with the same carries. *)
+          if Journal.wants_rotation t && epoch < market.Epochs.epochs then
+            Journal.rotate t
+              {
+                Journal.at = snapshot_of_state ~epoch st;
+                carry_reports = List.rev loop.l_reports;
+                carry_violations = List.rev loop.l_violations;
+              })
     | None -> ());
     if Trace.enabled () then begin
       Trace.add_attr ep_sp "status" (Trace.Str (status_to_string status));
       Trace.add_attr ep_sp "spend" (Trace.Float spend)
     end;
     Metrics.Counter.inc m_epochs;
-    Metrics.Histogram.observe h_epoch ((Clock.now_us () -. ep_t0) *. 1e-6);
+    Metrics.Histogram.observe Epochs.epoch_seconds
+      ((Clock.now_us () -. ep_t0) *. 1e-6);
     (* Epoch-boundary flush: the completed epoch's records are durable
        before any post-settle crash fires or the next epoch opens. *)
     if fon then

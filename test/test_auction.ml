@@ -586,6 +586,28 @@ let qcheck_select_exact_pooled_matches_serial =
           selections_equal serial pooled && selections_equal serial warm)
         (Lazy.force shared_pools))
 
+(* The switch lives in the cache: one created while it is off stores
+   nothing, hits nothing and counts nothing, even after the switch is
+   back on. *)
+let test_feascache_off_never_stores () =
+  let module Feascache = Poc_auction.Feascache in
+  let was = Feascache.enabled () in
+  Feascache.set_enabled false;
+  let cache =
+    Fun.protect
+      ~finally:(fun () -> Feascache.set_enabled was)
+      (fun () -> Feascache.create ~digest:"switched-off")
+  in
+  Feascache.add_feas cache "101" true;
+  Feascache.add_cost cache "101" 1.0;
+  Feascache.join cache;
+  Alcotest.(check (option bool)) "no verdict stored" None
+    (Feascache.find_feas cache "101");
+  Alcotest.(check (option (float 0.0))) "no cost stored" None
+    (Feascache.find_cost cache "101");
+  Alcotest.(check (pair int int)) "stats stay (0, 0)" (0, 0)
+    (Feascache.stats cache)
+
 let suite =
   [
     Alcotest.test_case "additive bid" `Quick test_additive_bid;
@@ -627,5 +649,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_strategyproof_random;
     QCheck_alcotest.to_alcotest qcheck_parallel_matches_serial;
     QCheck_alcotest.to_alcotest qcheck_cache_off_matches_on;
+    Alcotest.test_case "feascache created off never stores or hits" `Quick
+      test_feascache_off_never_stores;
     QCheck_alcotest.to_alcotest qcheck_select_exact_pooled_matches_serial;
   ]

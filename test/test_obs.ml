@@ -889,6 +889,57 @@ let test_prometheus_conformance () =
   Alcotest.(check int) "two count lines (one per series)" 2
     (count (starts_with "poc_conf_seconds_count"))
 
+(* Both epoch loops time their phases through [Phase.run]: one trace
+   span, one histogram observation and, with a ring attached, a flushed
+   open before the body and a close carrying the duration after it. *)
+let test_phase_producer () =
+  let reg = Metrics.create_registry () in
+  let h = Metrics.histogram reg "poc_test_phase_seconds" in
+  let ring = Flight.create () in
+  let flushed_at = ref [] in
+  let flush () = flushed_at := Flight.seq ring :: !flushed_at in
+  let seen_by_body = ref (-1) in
+  let traced = Trace.Ring.create () in
+  Trace.set_sink (Some (Trace.Ring.sink traced));
+  let v =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_sink None)
+      (fun () ->
+        Poc_obs.Phase.run ~flight:(Some (ring, flush)) ~epoch:3 h "auction"
+          (fun _ ->
+            seen_by_body := Flight.seq ring;
+            42))
+  in
+  Alcotest.(check int) "body's value returned" 42 v;
+  Alcotest.(check (list int)) "one flush, right after the open" [ 1 ]
+    !flushed_at;
+  Alcotest.(check int) "open emitted before the body ran" 1 !seen_by_body;
+  (match Flight.records ring with
+  | [ o; c ] ->
+    Alcotest.(check bool) "span open names the phase" true
+      (o.Flight.kind = Flight.Span_open { name = "auction" });
+    (match c.Flight.kind with
+    | Flight.Span_close { name; dur_us } ->
+      Alcotest.(check string) "close names the phase" "auction" name;
+      Alcotest.(check bool) "close carries a duration" true (dur_us >= 0.0)
+    | _ -> Alcotest.fail "second record must be a span close");
+    List.iter
+      (fun (r : Flight.record) ->
+        Alcotest.(check int) "stamped with the epoch" 3 r.Flight.epoch;
+        Alcotest.(check string) "stamped with the phase" "auction"
+          r.Flight.phase)
+      [ o; c ]
+  | rs ->
+    Alcotest.failf "expected open+close, got %d records" (List.length rs));
+  Alcotest.(check int) "one histogram observation" 1
+    (Metrics.Histogram.count h);
+  Alcotest.(check (list string)) "one trace span" [ "auction" ]
+    (List.map (fun (r : Trace.record) -> r.Trace.name)
+       (Trace.Ring.records traced));
+  Poc_obs.Phase.run ~flight:None ~epoch:4 h "drift" (fun _ -> ());
+  Alcotest.(check int) "no ring attached: no records" 2 (Flight.seq ring);
+  Alcotest.(check int) "still observed" 2 (Metrics.Histogram.count h)
+
 let suite =
   [
     Alcotest.test_case "clock is monotonic" `Quick test_clock_monotonic;
@@ -929,4 +980,6 @@ let suite =
       test_flight_drain_appends_compose;
     Alcotest.test_case "prometheus exposition conformance" `Quick
       test_prometheus_conformance;
+    Alcotest.test_case "phase producer: span, histogram, flight pair" `Quick
+      test_phase_producer;
   ]

@@ -206,7 +206,38 @@ let test_faultfree_supervised_run_matches_epochs () =
         pr.Epochs.spend er.Supervisor.spend)
     report.Supervisor.epochs plain;
   Alcotest.(check int) "no incidents without faults" 0
-    (List.length report.Supervisor.incidents)
+    (List.length report.Supervisor.incidents);
+  (* Recall draws and markups come out of the same PRNG stream as the
+     cost drift, so both loops must draw them in the same order. *)
+  let market =
+    {
+      market with
+      Epochs.strategies =
+        [ (0, Epochs.Recallable 0.3); (1, Epochs.Markup 0.25) ];
+    }
+  in
+  let report = Supervisor.run plan ~market ~schedule in
+  let plain = Epochs.run plan market in
+  List.iter2
+    (fun (er : Supervisor.epoch_report) (pr : Epochs.epoch_result) ->
+      let what claim =
+        Printf.sprintf "strategic epoch %d: %s" er.Supervisor.epoch claim
+      in
+      Alcotest.(check bool) (what "healthy") true
+        (er.Supervisor.status = Supervisor.Healthy);
+      Alcotest.(check (float 0.0)) (what "same spend") pr.Epochs.spend
+        er.Supervisor.spend;
+      Alcotest.(check (float 0.0)) (what "same price")
+        pr.Epochs.price_per_gbps er.Supervisor.price_per_gbps;
+      Alcotest.(check int) (what "same selected links")
+        pr.Epochs.selected_links er.Supervisor.selected_links;
+      Alcotest.(check int) (what "same recalled links")
+        pr.Epochs.recalled_links er.Supervisor.recalled_links)
+    report.Supervisor.epochs plain;
+  Alcotest.(check bool) "the recallable BP recalled some link" true
+    (List.exists
+       (fun (pr : Epochs.epoch_result) -> pr.Epochs.recalled_links > 0)
+       plain)
 
 let test_total_blackout_reports_never () =
   let plan = plan () in
