@@ -1,5 +1,6 @@
 module Codec = Poc_util.Codec
 module Disk = Poc_resilience.Disk
+module Log = Poc_resilience.Log
 module Supervisor = Poc_resilience.Supervisor
 
 type record = {
@@ -8,13 +9,11 @@ type record = {
 }
 
 type t = {
-  disk : Disk.t;
+  log : Log.t;
   log_path : string;
   retry : Disk.retry_policy;
   sleep : float -> unit;
   on_retry : attempt:int -> delay:float -> string -> unit;
-  mutable file : Disk.file;
-  mutable good : int;  (* bytes known durable *)
 }
 
 let encode ({ entry; displaces } : record) =
@@ -53,95 +52,68 @@ let decode payload =
   let displaces = Codec.get_option r Codec.get_int in
   { entry = { Admission.seq; apply_epoch; priority; payload }; displaces }
 
-let make ~disk ~retry ~sleep ~on_retry ~log_path ~file ~good =
+let make ~retry ~sleep ~on_retry ~log_path log =
   (* Validate the policy eagerly so a malformed one fails at open, not
      at the first transient fault. *)
   ignore (Disk.retry_delays retry : float list);
-  { disk; log_path; retry; sleep; on_retry; file; good }
+  { log; log_path; retry; sleep; on_retry }
 
 let create ?(disk = Disk.real ()) ?(retry = Disk.default_retry_policy)
     ?(sleep = Unix.sleepf) ?(on_retry = fun ~attempt:_ ~delay:_ _ -> ())
     log_path =
-  make ~disk ~retry ~sleep ~on_retry ~log_path
-    ~file:(Disk.open_trunc disk log_path) ~good:0
+  make ~retry ~sleep ~on_retry ~log_path (Log.create disk log_path)
+
+(* A checksum-valid record that does not decode is version skew, not
+   damage: [reopen] lets it escape the scan instead of truncating. *)
+exception Undecodable of string
 
 let reopen ?(disk = Disk.real ()) ?(retry = Disk.default_retry_policy)
     ?(sleep = Unix.sleepf) ?(on_retry = fun ~attempt:_ ~delay:_ _ -> ())
     log_path =
-  let make file good =
-    make ~disk ~retry ~sleep ~on_retry ~log_path ~file ~good
+  let make = make ~retry ~sleep ~on_retry ~log_path in
+  let strict payload =
+    try decode payload with Codec.Corrupt msg -> raise (Undecodable msg)
   in
   if not (Disk.exists disk log_path) then
-    Ok (make (Disk.open_append disk log_path) 0, [])
+    Ok (make (Log.reopen disk log_path ~at:0 ~truncate:false), [])
   else
-    let data = Disk.read_file disk log_path in
-    let rec walk pos acc =
-      match Codec.next_frame data ~pos with
-      | Codec.End -> Ok (pos, List.rev acc)
-      | Codec.Torn -> Ok (pos, List.rev acc)
-      | Codec.Frame { payload; next } -> (
-        match decode payload with
-        | r -> walk next (r :: acc)
-        | exception Codec.Corrupt msg ->
-          Error (Printf.sprintf "intake %s: undecodable record: %s" log_path msg))
-    in
-    match walk 0 [] with
-    | Error _ as e -> e
-    | Ok (valid, records) ->
-      if valid < String.length data then
-        Disk.truncate_file disk log_path valid;
-      Ok (make (Disk.open_append disk log_path) valid, records)
+    match Log.replay disk log_path ~decode:strict with
+    | exception Undecodable msg ->
+      Error (Printf.sprintf "intake %s: undecodable record: %s" log_path msg)
+    | s ->
+      (* A torn or corrupt frame ends the log: it and everything after
+         it are the bytes of OKs that never reached a client. *)
+      Ok
+        ( make
+            (Log.reopen disk log_path ~at:s.Codec.valid
+               ~truncate:(s.Codec.verdict <> Codec.Clean)),
+          List.map fst s.Codec.frames )
 
 let read ?(disk = Disk.real ()) log_path =
-  match Disk.read_file disk log_path with
+  match Log.replay disk log_path ~decode with
   | exception Sys_error e -> Error e
-  | data ->
-    let rec walk pos acc =
-      match Codec.next_frame data ~pos with
-      | Codec.End -> Ok (List.rev acc, false)
-      | Codec.Torn -> Ok (List.rev acc, true)
-      | Codec.Frame { payload; next } -> (
-        match decode payload with
-        | r -> walk next (r :: acc)
-        | exception Codec.Corrupt _ -> Ok (List.rev acc, true))
-    in
-    walk 0 []
-
-(* Self-heal after a failed append: never leave a torn frame mid-log
-   while the process lives.  Truncate back to the last durable record
-   and reopen, so the next attempt lands on a clean tail. *)
-let heal t =
-  (try Disk.close_file t.disk t.file with Sys_error _ -> ());
-  (try Disk.truncate_file t.disk t.log_path t.good with Sys_error _ -> ());
-  t.file <- Disk.open_append t.disk t.log_path
+  | s -> Ok (List.map fst s.Codec.frames, s.Codec.verdict <> Codec.Clean)
 
 let append t r =
   let bytes = encode r in
-  let try_once () =
-    Disk.append t.disk t.file bytes;
-    Disk.sync t.disk t.file;
-    t.good <- t.good + String.length bytes
-  in
   (* The fsync-before-OK path rides the same jittered-backoff
      discipline as [Disk.retrying]: a transiently failing device (a
      lying fsync caught by the flush, a short write surfacing as
      [Sys_error]) heals and retries instead of failing the admission;
      a persistently failing one exhausts the schedule and re-raises
      with the log restored to its last durable length. *)
-  let rec go attempt = function
-    | delays -> (
-      match try_once () with
-      | () -> ()
-      | exception Sys_error msg -> (
-        heal t;
-        match delays with
-        | [] -> raise (Sys_error msg)
-        | delay :: rest ->
-          t.on_retry ~attempt ~delay msg;
-          if delay > 0.0 then t.sleep delay;
-          go (attempt + 1) rest))
+  let rec go attempt delays =
+    match Log.append t.log bytes with
+    | () -> ()
+    | exception Sys_error msg -> (
+      match delays with
+      | [] -> raise (Sys_error msg)
+      | delay :: rest ->
+        t.on_retry ~attempt ~delay msg;
+        if delay > 0.0 then t.sleep delay;
+        go (attempt + 1) rest)
   in
   go 1 (Disk.retry_delays t.retry)
 
-let close t = try Disk.close_file t.disk t.file with Sys_error _ -> ()
+let close t = Log.close t.log
 let path t = t.log_path

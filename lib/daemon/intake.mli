@@ -12,15 +12,17 @@
     atomic on disk — a torn tail can never shed a victim while losing
     its displacer.
 
-    On restart, {!reopen} replays the log (truncating a torn tail, the
-    bytes of an [OK] that never reached the client) and the engine
-    re-applies every surviving, unshed entry at its recorded epoch —
-    which, against the journal's restored checkpoint, reproduces the
-    uninterrupted run byte for byte.
+    The file is a {!Poc_resilience.Log}.  On restart, {!reopen} replays
+    it (truncating at the first torn or corrupt frame: its bytes and
+    everything after are [OK]s that never reached a client) and the
+    engine re-applies every surviving, unshed entry at its recorded
+    epoch — which, against the journal's restored checkpoint,
+    reproduces the uninterrupted run byte for byte.
 
-    A failed append self-heals and retries: the channel is reopened and
-    the file truncated back to the last durable record, then the append
-    is retried under the same deterministic jittered-backoff schedule
+    A failed append self-heals and retries: {!Poc_resilience.Log.append}
+    truncates the file back to the last durable record and reopens it,
+    then the append is retried under the same deterministic
+    jittered-backoff schedule
     {!Poc_resilience.Disk.retrying} uses ([retry], default
     {!Poc_resilience.Disk.default_retry_policy}) — so a transient fault
     on the fsync-before-OK path costs latency, not the admission.  Only

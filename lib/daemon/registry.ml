@@ -8,6 +8,7 @@ module Epochs = Poc_market.Epochs
 module Metrics = Poc_obs.Metrics
 module Clock = Poc_obs.Clock
 module Codec = Poc_util.Codec
+module Log = Poc_resilience.Log
 
 type run_state =
   | Starting
@@ -62,6 +63,7 @@ type t = {
   disk_for : run:int -> Disk.t;
   max_runs : int;
   slots : (int, slot) Hashtbl.t;
+  manifest : Log.t;  (* root/RUNS *)
   mutable flush : unit -> unit;
 }
 
@@ -114,8 +116,10 @@ let set_state_gauges slot =
 (* [root/RUNS]: an append-only frame log of run lifecycle facts — which
    ids are open (and with what horizon/seed), which closed, which were
    quarantined.  It is the daemon's resume root: a restart replays it
-   to learn what to bring back.  Torn tails are tolerated exactly like
-   every other frame log in the tree. *)
+   to learn what to bring back.  A torn tail is cut away like every
+   other frame log's; a corrupt frame with records after it refuses
+   the resume, since the runs those records name would silently
+   vanish. *)
 
 type manifest_event =
   | M_opened of { run : int; epochs : int; seed : int }
@@ -156,30 +160,42 @@ let decode_event payload =
     M_quarantined { run; reason }
   | n -> raise (Codec.Corrupt (Printf.sprintf "manifest tag %d" n))
 
-let manifest_append t ev =
-  let oc =
-    open_out_gen
-      [ Open_append; Open_creat; Open_binary ]
-      0o644 (manifest_path t.root)
-  in
-  output_string oc (encode_event ev);
-  Stdlib.flush oc;
-  close_out oc
+let manifest_append t ev = Log.append t.manifest (encode_event ev)
 
-let manifest_read root =
+(* The final fact per recorded run id, and the scan the log reopens
+   from.  An old root written before the manifest existed resumes as
+   run 0 under the base market config. *)
+let manifest_read disk root (market : Epochs.config) =
   let path = manifest_path root in
-  if not (Sys.file_exists path) then []
-  else
-    let data = In_channel.with_open_bin path In_channel.input_all in
-    let rec walk pos acc =
-      match Codec.next_frame data ~pos with
-      | Codec.End | Codec.Torn -> List.rev acc
-      | Codec.Frame { payload; next } -> (
-        match decode_event payload with
-        | ev -> walk next (ev :: acc)
-        | exception Codec.Corrupt _ -> List.rev acc)
-    in
-    walk 0 []
+  let s =
+    if Disk.exists disk path then Log.replay disk path ~decode:decode_event
+    else { Codec.frames = []; valid = 0; verdict = Codec.Clean }
+  in
+  match s.Codec.verdict with
+  | Codec.Corrupt_at off ->
+    Error
+      (Printf.sprintf
+         "%s: corrupt record at byte %d with records after it; refusing to \
+          resume without the runs they name"
+         path off)
+  | Codec.Clean | Codec.Torn_tail ->
+    let opened = Hashtbl.create 8 in
+    List.iter
+      (fun (ev, _) ->
+        match ev with
+        | M_opened { run; epochs; seed } ->
+          Hashtbl.replace opened run (`Open (epochs, seed))
+        | M_closed { run } -> Hashtbl.replace opened run `Closed
+        | M_quarantined { run; reason } ->
+          Hashtbl.replace opened run (`Quarantined reason))
+      s.Codec.frames;
+    if Hashtbl.length opened = 0 then
+      if Sys.file_exists (Filename.concat root "store") then
+        Hashtbl.replace opened 0
+          (`Open (market.Epochs.epochs, market.Epochs.seed));
+    if Hashtbl.length opened = 0 then
+      Error (Printf.sprintf "%s: nothing to resume" root)
+    else Ok (opened, s)
 
 (* --- engine lifecycle ------------------------------------------------------ *)
 
@@ -311,6 +327,83 @@ let open_count t =
       | Quarantined _ | Closed -> n)
     t.slots 0
 
+(* Bring back every run [RUNS] recorded, in its recorded state. *)
+let resume_runs t opened =
+  let market = t.base_market in
+  let now_us = Clock.now_us () in
+  Hashtbl.iter
+    (fun id fact ->
+      match fact with
+      | `Closed -> ()
+      | `Quarantined reason ->
+        let slot =
+          make_slot t id ~epochs:market.Epochs.epochs ~seed:market.Epochs.seed
+        in
+        slot.state <- Quarantined { cause = reason };
+        slot.failures <- t.attempt_cap + 1;
+        Hashtbl.replace t.slots id slot;
+        set_state_gauges slot
+      | `Open (epochs, seed) -> (
+        let slot = make_slot t id ~epochs ~seed in
+        Hashtbl.replace t.slots id slot;
+        match
+          start_slot t slot ~resume:true ~honor_crashes:(slot.specs <> [])
+        with
+        | Ok _ -> ()
+        | Error msg ->
+          (* A run whose horizon already completed has nothing to
+             resume; close it rather than spinning the retry ladder
+             against an immutable store. *)
+          let completed =
+            let lower = String.lowercase_ascii msg in
+            let has needle =
+              let nl = String.length needle and ll = String.length lower in
+              let rec at i =
+                i + nl <= ll && (String.sub lower i nl = needle || at (i + 1))
+              in
+              at 0
+            in
+            has "complete"
+          in
+          if completed then begin
+            slot.state <- Closed;
+            manifest_append t (M_closed { run = id });
+            set_state_gauges slot
+          end
+          else
+            ignore
+              (fail_slot t slot ~now_us ~cause:("startup resume failed: " ^ msg)
+                : string)))
+    opened;
+  if Hashtbl.length t.slots = 0 then
+    Error (Printf.sprintf "%s: every recorded run is closed" t.root)
+  else Ok t
+
+(* A fresh daemon is a fresh world: open [runs] runs under the base
+   config. *)
+let open_runs t runs =
+  let market = t.base_market in
+  let rec open_ids id =
+    if id >= runs then Ok t
+    else
+      let slot =
+        make_slot t id ~epochs:market.Epochs.epochs ~seed:market.Epochs.seed
+      in
+      Hashtbl.replace t.slots id slot;
+      match start_slot t slot ~resume:false ~honor_crashes:false with
+      | Ok _ ->
+        manifest_append t
+          (M_opened
+             {
+               run = id;
+               epochs = market.Epochs.epochs;
+               seed = market.Epochs.seed;
+             });
+        open_ids (id + 1)
+      | Error msg -> Error (Printf.sprintf "run %d: %s" id msg)
+  in
+  open_ids 0
+
 let create ?(snapshot_every = 4) ?(segment_bytes = 65536) ?pool
     ?(flight = false) ?(high_water = 64) ?(attempt_cap = 3)
     ?(retry_policy = Disk.default_retry_policy)
@@ -333,134 +426,56 @@ let create ?(snapshot_every = 4) ?(segment_bytes = 65536) ?pool
       | ds -> Array.of_list ds
       | exception Invalid_argument msg -> invalid_arg msg
     in
-    let t =
-      {
-        root;
-        plan;
-        base_market = market;
-        snapshot_every;
-        segment_bytes;
-        pool;
-        flight;
-        high_water;
-        attempt_cap;
-        delays;
-        fault_seed;
-        fault_run;
-        fault_specs;
-        disk_for =
-          (match disk_for with
-          | Some f -> f
-          | None -> fun ~run:_ -> Engine.retrying_disk ());
-        max_runs;
-        slots = Hashtbl.create 8;
-        flush = (fun () -> ());
-      }
-    in
     mkdir_p root;
-    if resume then begin
-      (* Fold the manifest into the final per-run fact.  An old root
-         written before the manifest existed resumes as run 0 under the
-         base market config. *)
-      let events = manifest_read root in
-      let opened = Hashtbl.create 8 in
-      List.iter
-        (fun ev ->
-          match ev with
-          | M_opened { run; epochs; seed } ->
-            Hashtbl.replace opened run (`Open (epochs, seed))
-          | M_closed { run } -> Hashtbl.replace opened run `Closed
-          | M_quarantined { run; reason } ->
-            Hashtbl.replace opened run (`Quarantined reason))
-        events;
-      if Hashtbl.length opened = 0 then
-        if Sys.file_exists (Filename.concat root "store") then
-          Hashtbl.replace opened 0
-            (`Open (market.Epochs.epochs, market.Epochs.seed));
-      if Hashtbl.length opened = 0 then
-        Error (Printf.sprintf "%s: nothing to resume" root)
-      else begin
-        let now_us = Clock.now_us () in
-        Hashtbl.iter
-          (fun id fact ->
-            match fact with
-            | `Closed -> ()
-            | `Quarantined reason ->
-              let slot =
-                make_slot t id ~epochs:market.Epochs.epochs
-                  ~seed:market.Epochs.seed
-              in
-              slot.state <- Quarantined { cause = reason };
-              slot.failures <- t.attempt_cap + 1;
-              Hashtbl.replace t.slots id slot;
-              set_state_gauges slot
-            | `Open (epochs, seed) -> (
-              let slot = make_slot t id ~epochs ~seed in
-              Hashtbl.replace t.slots id slot;
-              match
-                start_slot t slot ~resume:true
-                  ~honor_crashes:(slot.specs <> [])
-              with
-              | Ok _ -> ()
-              | Error msg ->
-                (* A run whose horizon already completed has nothing to
-                   resume; close it rather than spinning the retry
-                   ladder against an immutable store. *)
-                let completed =
-                  let lower = String.lowercase_ascii msg in
-                  let has needle =
-                    let nl = String.length needle and ll = String.length lower in
-                    let rec at i =
-                      i + nl <= ll
-                      && (String.sub lower i nl = needle || at (i + 1))
-                    in
-                    at 0
-                  in
-                  has "complete"
-                in
-                if completed then begin
-                  slot.state <- Closed;
-                  manifest_append t (M_closed { run = id });
-                  set_state_gauges slot
-                end
-                else
-                  ignore
-                    (fail_slot t slot ~now_us
-                       ~cause:("startup resume failed: " ^ msg)
-                      : string)))
-          opened;
-        if Hashtbl.length t.slots = 0 then
-          Error (Printf.sprintf "%s: every recorded run is closed" root)
-        else Ok t
-      end
-    end
-    else begin
-      (* A fresh daemon is a fresh world: truncate the manifest and
-         open [runs] runs under the base config. *)
-      (try Sys.remove (manifest_path root) with Sys_error _ -> ());
-      let rec open_ids id err =
-        match err with
-        | Some _ -> err
-        | None ->
-          if id >= runs then None
-          else
-            let slot =
-              make_slot t id ~epochs:market.Epochs.epochs
-                ~seed:market.Epochs.seed
-            in
-            Hashtbl.replace t.slots id slot;
-            (match start_slot t slot ~resume:false ~honor_crashes:false with
-            | Ok _ ->
-              manifest_append t
-                (M_opened
-                   { run = id; epochs = market.Epochs.epochs;
-                     seed = market.Epochs.seed });
-              open_ids (id + 1) None
-            | Error msg ->
-              Some (Printf.sprintf "run %d: %s" id msg))
+    (* RUNS has a disk of its own: a run's storage faults never reach
+       it. *)
+    let disk = Engine.retrying_disk () in
+    let path = manifest_path root in
+    match
+      if resume then Result.map Option.some (manifest_read disk root market)
+      else Ok None
+    with
+    | Error _ as e -> e
+    | Ok recorded ->
+      let manifest =
+        match recorded with
+        | None -> Log.create disk path
+        | Some (_, s) ->
+          Log.reopen disk path ~at:s.Codec.valid
+            ~truncate:(s.Codec.verdict <> Codec.Clean)
       in
-      match open_ids 0 None with Some msg -> Error msg | None -> Ok t
-    end
+      let t =
+        {
+          root;
+          plan;
+          base_market = market;
+          snapshot_every;
+          segment_bytes;
+          pool;
+          flight;
+          high_water;
+          attempt_cap;
+          delays;
+          fault_seed;
+          fault_run;
+          fault_specs;
+          disk_for =
+            (match disk_for with
+            | Some f -> f
+            | None -> fun ~run:_ -> Engine.retrying_disk ());
+          max_runs;
+          slots = Hashtbl.create 8;
+          manifest;
+          flush = (fun () -> ());
+        }
+      in
+      let result =
+        match recorded with
+        | Some (opened, _) -> resume_runs t opened
+        | None -> open_runs t runs
+      in
+      if Result.is_error result then Log.close manifest;
+      result
 
 let set_flush t f =
   t.flush <- f;
@@ -622,6 +637,7 @@ let shutdown_all t =
       | None -> ())
     serving;
   t.flush ();
+  Log.close t.manifest;
   let line =
     if all_done then Printf.sprintf "BYE complete runs=%d" (List.length serving)
     else
@@ -703,4 +719,5 @@ let suspend_all t =
         s.engine <- None
       | None -> ())
     (slots_sorted t);
-  t.flush ()
+  t.flush ();
+  Log.close t.manifest

@@ -269,11 +269,9 @@ let encode_outcome scen (o : outcome) =
   Codec.frame (Codec.contents w)
 
 let decode_outcome scen data =
-  match Codec.next_frame data ~pos:0 with
-  | Codec.End | Codec.Torn -> None
-  | Codec.Frame { payload; next } ->
-    if next <> String.length data then None
-    else begin
+  match Codec.single data with
+  | None -> None
+  | Some payload -> (
       try
         let r = Codec.reader payload in
         if Codec.get_u8 r <> result_version then None
@@ -325,8 +323,7 @@ let decode_outcome scen data =
                 pob;
               }
         end
-      with Codec.Corrupt _ -> None
-    end
+      with Codec.Corrupt _ -> None)
 
 (* --- FLEET manifest ------------------------------------------------------- *)
 
@@ -352,11 +349,9 @@ let encode_manifest cfg =
 (* [store] is the caller's: the manifest pins the fleet's shape, not
    where the root happens to be mounted. *)
 let decode_manifest ~store data =
-  match Codec.next_frame data ~pos:0 with
-  | Codec.End | Codec.Torn -> None
-  | Codec.Frame { payload; next } ->
-    if next <> String.length data then None
-    else begin
+  match Codec.single data with
+  | None -> None
+  | Some payload -> (
       try
         let r = Codec.reader payload in
         if Codec.get_u8 r <> manifest_version then None
@@ -391,8 +386,7 @@ let decode_manifest ~store data =
                 flight = false;
               }
         end
-      with Codec.Corrupt _ -> None
-    end
+      with Codec.Corrupt _ -> None)
 
 let manifest_mismatches a b =
   List.filter_map

@@ -198,61 +198,33 @@ let decode_header payload =
       if cap < 1 || not (Codec.at_end r) then Error "bad flight header"
       else Ok cap
 
-let decode_image data =
+(* The header frame, then one scan of the record frames after it. *)
+let scan_image data =
   match Codec.next_frame data ~pos:0 with
   | Codec.End -> Error "empty flight image"
   | Codec.Torn -> Error "flight image header damaged"
   | Codec.Frame { payload; next } -> (
-    match (try decode_header payload with Codec.Corrupt _ -> Error "bad flight header") with
+    match decode_header payload with
+    | Ok cap -> Ok (cap, Codec.scan ~from:next ~decode:decode_record data)
     | Error e -> Error e
-    | Ok cap ->
-      let recs = ref [] in
-      let frames = ref 0 in
-      let torn = ref false in
-      let pos = ref next in
-      let continue = ref true in
-      while !continue do
-        match Codec.next_frame data ~pos:!pos with
-        | Codec.End -> continue := false
-        | Codec.Torn ->
-          torn := true;
-          continue := false
-        | Codec.Frame { payload; next } -> (
-          match decode_record payload with
-          | r ->
-            incr frames;
-            recs := r :: !recs;
-            pos := next
-          | exception Codec.Corrupt _ ->
-            torn := true;
-            continue := false)
-      done;
+    | exception Codec.Corrupt _ -> Error "bad flight header")
+
+let decode_image data =
+  Result.map
+    (fun (cap, s) ->
       (* Only the newest [cap] frames are the ring's contents; an
          append-grown image legitimately holds more. *)
-      let keep = List.filteri (fun i _ -> i < cap) !recs in
-      Ok
-        {
-          img_capacity = cap;
-          img_records = List.rev keep;
-          img_frames = !frames;
-          img_torn = !torn;
-        })
+      let frames = List.length s.Codec.frames in
+      {
+        img_capacity = cap;
+        img_records =
+          List.filteri
+            (fun i _ -> i >= frames - cap)
+            (List.map fst s.Codec.frames);
+        img_frames = frames;
+        img_torn = s.Codec.verdict <> Codec.Clean;
+      })
+    (scan_image data)
 
 let valid_prefix data =
-  match Codec.next_frame data ~pos:0 with
-  | Codec.End | Codec.Torn -> 0
-  | Codec.Frame { payload; next } -> (
-    match (try decode_header payload with Codec.Corrupt _ -> Error "bad") with
-    | Error _ -> 0
-    | Ok _ ->
-      let pos = ref next in
-      let continue = ref true in
-      while !continue do
-        match Codec.next_frame data ~pos:!pos with
-        | Codec.End | Codec.Torn -> continue := false
-        | Codec.Frame { payload; next } -> (
-          match decode_record payload with
-          | _ -> pos := next
-          | exception Codec.Corrupt _ -> continue := false)
-      done;
-      !pos)
+  match scan_image data with Ok (_, s) -> s.Codec.valid | Error _ -> 0

@@ -41,11 +41,11 @@ let create ?capacity ?(rewrite_bytes = 262144) ?disk path =
   t
 
 let append t bytes =
-  let f = Disk.open_append t.disk t.bb_path in
-  Disk.append t.disk f bytes;
-  Disk.sync t.disk f;
-  Disk.close_file t.disk f;
-  t.bytes <- t.bytes + String.length bytes
+  let log = Log.reopen t.disk t.bb_path ~at:t.bytes ~truncate:false in
+  Fun.protect
+    ~finally:(fun () -> Log.close log)
+    (fun () -> Log.append log bytes);
+  t.bytes <- Log.size log
 
 let flush t =
   match Flight.drain t.bb_ring with

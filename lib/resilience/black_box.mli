@@ -4,8 +4,9 @@
     single [FLIGHT] file (living next to — for a segmented store,
     inside — the journal it narrates) that starts as a header-only
     image and grows by incremental appends: every {!flush} drains the
-    ring's pending frames, appends them, and syncs, so the file is
-    durable at every epoch boundary and fault point without rewriting.
+    ring's pending frames and appends them through {!Log}, so the file
+    is durable at every epoch boundary and fault point without
+    rewriting.
     When the file outgrows its byte budget (or the ring wrapped past an
     undrained backlog) the box compacts: the current ring image is
     rewritten atomically via [Disk.write_file_atomic], bounding the

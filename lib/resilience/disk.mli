@@ -1,10 +1,12 @@
-(** Pluggable disk layer between {!Journal} and the operating system.
+(** Pluggable disk layer between every durable log and the operating
+    system.
 
-    Every byte the journal persists — segment appends, manifest
-    rewrites, truncations — flows through a {!t}, so tests can
-    substitute a different backend ({!with_ops}) and the fault harness
-    can model what a real disk does when power is lost at the worst
-    moment.
+    Every byte the journal, the intake log, the flight box, the fleet
+    files and the daemon's [RUNS] list persist — appends (through
+    {!Log}), atomic rewrites, truncations — flows through a {!t}, so
+    tests can substitute a different backend ({!with_ops}) and the
+    fault harness can model what a real disk does when power is lost at
+    the worst moment.
 
     The fault model is {e power-cut-time damage}: during normal
     operation the disk behaves exactly like the real one while

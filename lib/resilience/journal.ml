@@ -425,31 +425,25 @@ let m_scrub_bytes_dropped =
 (* --- writer ------------------------------------------------------------- *)
 
 type sink =
-  | File_sink of { file : Disk.file }
+  | File_sink of { log : Log.t }
   | Seg_sink of {
       dir : string;
       budget : int;
       mutable seg_id : int;
-      mutable file : Disk.file;
-      mutable seg_bytes : int;
+      mutable log : Log.t;
       mutable live : int list;
     }
 
 type t = { disk : Disk.t; header : header; sink : sink }
 
-let current_file t =
-  match t.sink with File_sink f -> f.file | Seg_sink s -> s.file
+let current_log t = match t.sink with File_sink f -> f.log | Seg_sink s -> s.log
 
-let raw_append t s =
+let log_append log s =
   Metrics.Counter.add m_bytes (float_of_int (String.length s));
   Metrics.Counter.inc m_flushes;
-  let f = current_file t in
-  Disk.append t.disk f s;
-  Disk.sync t.disk f;
-  match t.sink with
-  | Seg_sink sg -> sg.seg_bytes <- sg.seg_bytes + String.length s
-  | File_sink _ -> ()
+  Log.append log s
 
+let raw_append t s = log_append (current_log t) s
 let write_frame t payload = raw_append t (Codec.frame payload)
 
 let write_manifest disk dir ids =
@@ -460,8 +454,7 @@ let create ?disk ?segment_bytes path header =
   let disk = match disk with Some d -> d | None -> Disk.real () in
   match segment_bytes with
   | None ->
-    let file = Disk.open_trunc disk path in
-    let t = { disk; header; sink = File_sink { file } } in
+    let t = { disk; header; sink = File_sink { log = Log.create disk path } } in
     write_frame t (header_payload header);
     t
   | Some budget ->
@@ -485,14 +478,12 @@ let create ?disk ?segment_bytes path header =
           if seg_id_of_name name <> None then
             Disk.remove disk (Filename.concat qdir name))
         (Disk.readdir disk qdir);
-    let file = Disk.open_trunc disk (seg_path path 1) in
+    let log = Log.create disk (seg_path path 1) in
     let t =
       {
         disk;
         header;
-        sink =
-          Seg_sink
-            { dir = path; budget; seg_id = 1; file; seg_bytes = 0; live = [ 1 ] };
+        sink = Seg_sink { dir = path; budget; seg_id = 1; log; live = [ 1 ] };
       }
     in
     write_frame t (seg_header_payload header ~seg_id:1 ~budget ~carry:None);
@@ -502,24 +493,19 @@ let create ?disk ?segment_bytes path header =
 let wants_rotation t =
   match t.sink with
   | File_sink _ -> false
-  | Seg_sink s -> s.seg_bytes > s.budget
+  | Seg_sink s -> Log.size s.log > s.budget
 
 let rotate t (c : carry) =
   match t.sink with
   | File_sink _ -> ()
   | Seg_sink s ->
     let next_id = s.seg_id + 1 in
-    let file = Disk.open_trunc t.disk (seg_path s.dir next_id) in
-    let framed =
-      Codec.frame
-        (seg_header_payload t.header ~seg_id:next_id ~budget:s.budget
-           ~carry:(Some c))
-    in
-    Metrics.Counter.add m_bytes (float_of_int (String.length framed));
-    Metrics.Counter.inc m_flushes;
-    Disk.append t.disk file framed;
-    Disk.sync t.disk file;
-    Disk.close_file t.disk s.file;
+    let log = Log.create t.disk (seg_path s.dir next_id) in
+    log_append log
+      (Codec.frame
+         (seg_header_payload t.header ~seg_id:next_id ~budget:s.budget
+            ~carry:(Some c)));
+    Log.close s.log;
     (* New segment durable before the manifest flips; old segments are
        deleted only after the flip, so every crash point leaves either
        the old manifest with its files intact (plus a harmless orphan)
@@ -531,8 +517,7 @@ let rotate t (c : carry) =
     Metrics.Counter.inc m_rotations;
     Metrics.Counter.add m_gc_segments (float_of_int (List.length dropped));
     s.seg_id <- next_id;
-    s.file <- file;
-    s.seg_bytes <- String.length framed;
+    s.log <- log;
     s.live <- live
 
 let append_epoch t rec_ = write_frame t (epoch_payload rec_)
@@ -550,7 +535,7 @@ let append_torn t ~epoch =
   let framed = Codec.frame (Codec.contents w) in
   raw_append t (String.sub framed 0 (8 + String.length partial))
 
-let close t = Disk.close_file t.disk (current_file t)
+let close t = Log.close (current_log t)
 
 (* --- replay ------------------------------------------------------------- *)
 
@@ -635,55 +620,34 @@ let parse_record payload =
   | 3 -> `Complete (Codec.get_string r)
   | n -> raise (Codec.Corrupt (Printf.sprintf "unknown record kind %d" n))
 
-(* Walk the record frames after a header ending at [start]; stops at
-   the first torn or unparseable frame. *)
+(* The record frames after a header ending at [start], up to the first
+   torn or unparseable one; resume truncates at the end of the last
+   snapshot among them. *)
 let scan_records data ~start =
-  let records = ref [] in
-  let snapshot = ref None in
-  let complete = ref None in
-  let torn = ref false in
-  let valid = ref start in
-  let resume = ref start in
-  let rec loop pos =
-    match Codec.next_frame data ~pos with
-    | End -> ()
-    | Torn -> torn := true
-    | Frame { payload; next } -> (
-      match parse_record payload with
-      | exception Codec.Corrupt _ -> torn := true
-      | `Epoch rec_ ->
-        records := rec_ :: !records;
-        valid := next;
-        loop next
-      | `Snapshot s ->
-        snapshot := Some s;
-        valid := next;
-        resume := next;
-        loop next
-      | `Complete incidents ->
-        complete := Some incidents;
-        valid := next;
-        loop next)
+  let s = Codec.scan ~from:start ~decode:parse_record data in
+  let records, snapshot, complete, resume =
+    List.fold_left
+      (fun (records, snapshot, complete, resume) (r, next) ->
+        match r with
+        | `Epoch rec_ -> (rec_ :: records, snapshot, complete, resume)
+        | `Snapshot snap -> (records, Some snap, complete, next)
+        | `Complete incidents -> (records, snapshot, Some incidents, resume))
+      ([], None, None, start) s.Codec.frames
   in
-  loop start;
-  (List.rev !records, !snapshot, !complete, !torn, !valid, !resume)
+  (List.rev records, snapshot, complete, s.Codec.verdict <> Codec.Clean,
+   s.Codec.valid, resume)
 
 let read_manifest disk dir =
-  match Disk.read_file disk (manifest_path dir) with
-  | exception Sys_error _ -> None
-  | data -> (
-    match Codec.next_frame data ~pos:0 with
-    | End | Torn -> None
-    | Frame { payload; next = _ } -> (
-      let parse r =
-        if Codec.get_u8 r <> 5 then None
-        else if Codec.get_u32 r <> magic then None
-        else if Codec.get_int r <> version then None
-        else Some (Codec.get_list r Codec.get_int)
-      in
-      match parse (Codec.reader payload) with
-      | exception Codec.Corrupt _ -> None
-      | ids -> ids))
+  match Log.read_single disk (manifest_path dir) with
+  | None -> None
+  | Some payload -> (
+    let r = Codec.reader payload in
+    try
+      if Codec.get_u8 r <> 5 || Codec.get_u32 r <> magic
+         || Codec.get_int r <> version
+      then None
+      else Some (Codec.get_list r Codec.get_int)
+    with Codec.Corrupt _ -> None)
 
 let seg_ids_on_disk disk dir =
   Disk.readdir disk dir
@@ -793,19 +757,14 @@ let replay ?disk path =
 
 let reopen ?disk path (r : replayed) =
   let disk = match disk with Some d -> d | None -> Disk.real () in
-  if not r.segmented then begin
-    let len = String.length (Disk.read_file disk path) in
-    if r.resume_offset < 0 || r.resume_offset > len then
-      invalid_arg
-        (Printf.sprintf "Journal.reopen: offset %d outside file of %d bytes"
-           r.resume_offset len);
-    Disk.truncate_file disk path r.resume_offset;
-    {
-      disk;
-      header = r.header;
-      sink = File_sink { file = Disk.open_append disk path };
-    }
-  end
+  (* Only a store that ran past its last checkpoint is cut back; a
+     clean one is opened where it ends without being read again. *)
+  let open_log file =
+    Log.reopen disk file ~at:r.resume_offset
+      ~truncate:(r.torn_tail || r.valid_bytes > r.resume_offset)
+  in
+  if not r.segmented then
+    { disk; header = r.header; sink = File_sink { log = open_log path } }
   else begin
     let dir = path in
     (* A crash mid-rotation leaves a fully-written segment N+1 whose
@@ -821,9 +780,8 @@ let reopen ?disk path (r : replayed) =
           Disk.remove disk (Filename.concat dir name)
         | Some _ | None -> ())
       (Disk.readdir disk dir);
-    Disk.truncate_file disk (seg_path dir r.active_segment) r.resume_offset;
+    let log = open_log (seg_path dir r.active_segment) in
     write_manifest disk dir r.live_segments;
-    let file = Disk.open_append disk (seg_path dir r.active_segment) in
     {
       disk;
       header = r.header;
@@ -833,8 +791,7 @@ let reopen ?disk path (r : replayed) =
             dir;
             budget = r.segment_bytes;
             seg_id = r.active_segment;
-            file;
-            seg_bytes = r.resume_offset;
+            log;
             live = r.live_segments;
           };
     }
@@ -879,48 +836,55 @@ let action_to_string = function
   | Scrub_truncated -> "truncated"
   | Scrub_quarantined -> "quarantined"
 
-(* Classify one segment (or single file): walk every frame after the
+(* Scrub one segment (or single file): walk every frame after the
    header; on the first bad one, the distinction that matters is
    whether anything decodable follows.  Nothing after = the torn tail a
    crash leaves (expected, truncate); valid frames after = a damaged
    interior, i.e. silent corruption of committed history (truncate at
-   the damage and let resume fall back to the checkpoint before it). *)
-let classify data ~parse_first =
-  match Codec.next_frame data ~pos:0 with
-  | End | Torn -> (Scrub_unreadable, 0, 0)
-  | Frame { payload; next } ->
-    if not (parse_first payload) then (Scrub_unreadable, 0, 0)
-    else begin
-      let count = ref 0 in
-      let rec loop pos =
-        match Codec.next_frame data ~pos with
-        | End -> (Scrub_clean, !count, pos)
-        | Torn -> damaged pos
-        | Frame { payload; next } -> (
-          match parse_record payload with
-          | exception Codec.Corrupt _ -> damaged pos
-          | `Epoch _ | `Snapshot _ | `Complete _ ->
-            incr count;
-            loop next)
-      and damaged pos =
-        match Codec.resync data ~pos:(pos + 1) with
-        | Some _ -> (Scrub_corrupt_interior, !count, pos)
-        | None -> (Scrub_torn_tail, !count, pos)
-      in
-      loop next
-    end
-
-let header_parses payload =
-  match parse_header payload with
-  | Ok _ -> true
-  | Error _ -> false
-  | exception Codec.Corrupt _ -> false
-
-let seg_header_parses payload =
-  match parse_seg_header payload with
-  | Ok _ -> true
-  | Error _ -> false
-  | exception Codec.Corrupt _ -> false
+   the damage and let resume fall back to the checkpoint before it).
+   [unreadable] is what a destroyed header costs: a single file has no
+   predecessor to fall back to (nothing to repair), a segment is
+   quarantined. *)
+let scrub_entry ~seg_id ~seg_path ~parse_first ~unreadable data =
+  let header_ok payload =
+    match parse_first payload with
+    | Ok _ -> true
+    | Error _ | (exception Codec.Corrupt _) -> false
+  in
+  let verdict, records_ok, keep =
+    match Codec.next_frame data ~pos:0 with
+    | Frame { payload; next } when header_ok payload ->
+      let s = Codec.scan ~from:next ~decode:parse_record data in
+      ( (match s.Codec.verdict with
+        | Codec.Clean -> Scrub_clean
+        | Codec.Torn_tail -> Scrub_torn_tail
+        | Codec.Corrupt_at _ -> Scrub_corrupt_interior),
+        List.length s.Codec.frames,
+        s.Codec.valid )
+    | Frame _ | End | Torn -> (Scrub_unreadable, 0, 0)
+  in
+  let total = String.length data in
+  let action =
+    match verdict with
+    | Scrub_clean -> Scrub_none
+    | Scrub_torn_tail | Scrub_corrupt_interior -> Scrub_truncated
+    | Scrub_unreadable -> unreadable
+  in
+  let bytes_kept =
+    match action with
+    | Scrub_none -> total
+    | Scrub_truncated -> keep
+    | Scrub_quarantined -> 0
+  in
+  {
+    seg_id;
+    seg_path;
+    records_ok;
+    verdict;
+    action;
+    bytes_kept;
+    bytes_dropped = total - bytes_kept;
+  }
 
 let count_scrub ~applied entries =
   List.iter
@@ -941,42 +905,9 @@ let scrub_file disk ~dry_run path =
   match Disk.read_file disk path with
   | exception Sys_error msg -> Error ("cannot read journal: " ^ msg)
   | data ->
-    let total = String.length data in
-    let verdict, records_ok, keep = classify data ~parse_first:header_parses in
     let entry =
-      match verdict with
-      | Scrub_clean ->
-        {
-          seg_id = 0;
-          seg_path = path;
-          records_ok;
-          verdict;
-          action = Scrub_none;
-          bytes_kept = total;
-          bytes_dropped = 0;
-        }
-      | Scrub_torn_tail | Scrub_corrupt_interior ->
-        {
-          seg_id = 0;
-          seg_path = path;
-          records_ok;
-          verdict;
-          action = Scrub_truncated;
-          bytes_kept = keep;
-          bytes_dropped = total - keep;
-        }
-      | Scrub_unreadable ->
-        (* A single file with a destroyed header has no predecessor to
-           fall back to; nothing to repair. *)
-        {
-          seg_id = 0;
-          seg_path = path;
-          records_ok;
-          verdict;
-          action = Scrub_none;
-          bytes_kept = total;
-          bytes_dropped = 0;
-        }
+      scrub_entry ~seg_id:0 ~seg_path:path ~parse_first:parse_header
+        ~unreadable:Scrub_none data
     in
     if (not dry_run) && entry.action = Scrub_truncated then
       Disk.truncate_file disk path entry.bytes_kept;
@@ -986,7 +917,7 @@ let scrub_file disk ~dry_run path =
         store = path;
         store_segmented = false;
         applied = not dry_run;
-        recovered = verdict <> Scrub_unreadable;
+        recovered = entry.verdict <> Scrub_unreadable;
         segments = [ entry ];
       }
 
@@ -1009,57 +940,15 @@ let scrub_dir disk ~dry_run dir =
         }
     else Error "empty directory: not a segmented POC journal"
   | live ->
+    (* A segment that cannot be read scrubs like an empty one:
+       unreadable, quarantined. *)
     let entries =
       List.map
         (fun id ->
           let path = seg_path dir id in
-          match Disk.read_file disk path with
-          | exception Sys_error _ ->
-            {
-              seg_id = id;
-              seg_path = path;
-              records_ok = 0;
-              verdict = Scrub_unreadable;
-              action = Scrub_quarantined;
-              bytes_kept = 0;
-              bytes_dropped = 0;
-            }
-          | data -> (
-            let total = String.length data in
-            let verdict, records_ok, keep =
-              classify data ~parse_first:seg_header_parses
-            in
-            match verdict with
-            | Scrub_clean ->
-              {
-                seg_id = id;
-                seg_path = path;
-                records_ok;
-                verdict;
-                action = Scrub_none;
-                bytes_kept = total;
-                bytes_dropped = 0;
-              }
-            | Scrub_torn_tail | Scrub_corrupt_interior ->
-              {
-                seg_id = id;
-                seg_path = path;
-                records_ok;
-                verdict;
-                action = Scrub_truncated;
-                bytes_kept = keep;
-                bytes_dropped = total - keep;
-              }
-            | Scrub_unreadable ->
-              {
-                seg_id = id;
-                seg_path = path;
-                records_ok;
-                verdict;
-                action = Scrub_quarantined;
-                bytes_kept = 0;
-                bytes_dropped = total;
-              }))
+          scrub_entry ~seg_id:id ~seg_path:path ~parse_first:parse_seg_header
+            ~unreadable:Scrub_quarantined
+            (try Disk.read_file disk path with Sys_error _ -> ""))
         live
     in
     let keep_ids =

@@ -3,9 +3,9 @@
 
     The settlement ledger and incident history are the non-regulatory
     accountability a public option offers; a process crash mid-month
-    must not erase them.  Records are length-prefixed and
-    CRC-32-checksummed (framing in [Poc_util.Codec]) and flushed after
-    every epoch:
+    must not erase them.  The file (or each segment) is a {!Log}:
+    records are length-prefixed and CRC-32-checksummed (framing in
+    [Poc_util.Codec]), appended and synced after every epoch:
 
     - one {!header} record identifying the run (format version, market
       seed and horizon, a digest of market + ladder config and the
@@ -194,9 +194,10 @@ type replayed = {
 }
 
 val reopen : ?disk:Disk.t -> string -> replayed -> t
-(** Reopen a replayed store for appending, first truncating the active
-    segment (or single file) to [resume_offset] — the end of the last
-    durable checkpoint.  For a segmented store this also deletes orphan
+(** Reopen a replayed store for appending at [resume_offset] — the end
+    of the last durable checkpoint — first truncating the active
+    segment (or single file) there when the replay found bytes past it.
+    For a segmented store this also deletes orphan
     segments newer than the manifest's active one (a crash mid-rotation
     leaves exactly that: the new segment created, the manifest rename
     lost) and rewrites the manifest, so the on-disk state a resumed run

@@ -149,3 +149,30 @@ let resync data ~pos =
       | End -> None
   in
   scan (max 0 pos)
+
+type verdict = Clean | Torn_tail | Corrupt_at of int
+
+type 'a scan = { frames : ('a * int) list; valid : int; verdict : verdict }
+
+let scan ~from ~decode data =
+  let stop acc pos verdict = { frames = List.rev acc; valid = pos; verdict } in
+  let damaged acc pos =
+    match resync data ~pos:(pos + 1) with
+    | Some _ -> stop acc pos (Corrupt_at pos)
+    | None -> stop acc pos Torn_tail
+  in
+  let rec walk acc pos =
+    match next_frame data ~pos with
+    | End -> stop acc pos Clean
+    | Torn -> damaged acc pos
+    | Frame { payload; next } -> (
+      match decode payload with
+      | v -> walk ((v, next) :: acc) next
+      | exception Corrupt _ -> damaged acc pos)
+  in
+  walk [] from
+
+let single data =
+  match next_frame data ~pos:0 with
+  | Frame { payload; next } when next = String.length data -> Some payload
+  | Frame _ | End | Torn -> None

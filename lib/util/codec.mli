@@ -88,3 +88,32 @@ val resync : string -> pos:int -> int option
     Zero-length frames are not resync points: 8 zero bytes checksum as
     a valid empty frame, so zeroed garbage would otherwise read as a
     phantom record. *)
+
+(** {2 Frame logs} *)
+
+type verdict =
+  | Clean  (** the walk reached the end of the input *)
+  | Torn_tail  (** damage with nothing decodable after it: a crash's tear *)
+  | Corrupt_at of int
+      (** damage at this offset with whole frames after it: committed
+          history was corrupted in place *)
+
+type 'a scan = {
+  frames : ('a * int) list;
+      (** decoded frames in file order, each with the offset just past it *)
+  valid : int;  (** length of the valid prefix: where the walk stopped *)
+  verdict : verdict;
+}
+
+val scan : from:int -> decode:(string -> 'a) -> string -> 'a scan
+(** [scan ~from ~decode data] walks the frames of [data] from offset
+    [from] and decodes each payload.  It stops at the first frame that
+    is cut short, fails its checksum, or whose [decode] raises
+    {!Corrupt}; {!resync} past that point tells a {!Torn_tail} from
+    {!Corrupt_at} it.  Never raises {!Corrupt}.  Every persisted frame
+    file replays through this one walk; each caller decides what the
+    verdict costs. *)
+
+val single : string -> string option
+(** The payload of a string that is exactly one whole frame; [None] for
+    anything shorter, damaged, or followed by further bytes. *)

@@ -39,16 +39,16 @@ fingerprint() {
   done
 }
 
-# The kill races against epoch boundaries: a SIGKILL that lands in the
-# sliver between a durable journal record and the next phase open
-# leaves nothing in flight.  Mid-batch that window is tiny; three
-# attempts make the check deterministic in practice.
+# The kill must land inside the epoch batch.  A supervised epoch takes
+# about 28 ms at this scale on a 2-core host, so a 64-epoch batch runs
+# for well over a second and every kill time below falls inside it.
+# Mid-batch, a SIGKILL can still land in the sliver between a durable
+# journal record and the next phase open and leave nothing in flight;
+# that window is tiny, and the retries cover it.
 attempt=0
 in_flight=""
 while [ -z "$in_flight" ] && [ "$attempt" -lt 5 ]; do
   attempt=$((attempt + 1))
-  # Earlier kills on later attempts: each supervised epoch takes
-  # ~100ms at this scale, so these all land inside the batch.
   case "$attempt" in
     1) kill_after=0.4 ;;
     2) kill_after=0.3 ;;
@@ -60,7 +60,7 @@ while [ -z "$in_flight" ] && [ "$attempt" -lt 5 ]; do
   sock="$workdir/run$attempt.sock"
 
   "$cli" serve --root "$root" --socket "$sock" --flight \
-    --seed 7 --sites 16 --bps 5 --epochs 8 \
+    --seed 7 --sites 16 --bps 5 --epochs 64 \
     > "$workdir/serve$attempt.log" 2>&1 &
   daemon_pid=$!
   pids="$pids $daemon_pid"
@@ -70,7 +70,7 @@ while [ -z "$in_flight" ] && [ "$attempt" -lt 5 ]; do
   # kill lands in the middle of it.
   "$cli" ctl --socket "$sock" \
     "BID 1 0 1.07 2" "MATRIX 2 1.04" "BID 3 1 0.95" > /dev/null
-  "$cli" ctl --socket "$sock" "EPOCH 8" > /dev/null 2>&1 &
+  "$cli" ctl --socket "$sock" "EPOCH 64" > /dev/null 2>&1 &
   epoch_pid=$!
 
   sleep "$kill_after"

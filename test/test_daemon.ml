@@ -218,7 +218,7 @@ let test_intake_roundtrip_and_torn_tail () =
       let data = read_file intake_path in
       Out_channel.with_open_bin intake_path (fun oc ->
           Out_channel.output_string oc (data ^ "\x07garbage"));
-      match Intake.reopen intake_path with
+      (match Intake.reopen intake_path with
       | Error msg -> Alcotest.failf "torn reopen failed: %s" msg
       | Ok (log, records) ->
         Intake.close log;
@@ -226,7 +226,24 @@ let test_intake_roundtrip_and_torn_tail () =
           (List.length records);
         Alcotest.(check int) "file truncated to the durable prefix"
           (String.length data)
-          (String.length (read_file intake_path)))
+          (String.length (read_file intake_path)));
+      (* A checksum-valid record that does not decode is version skew,
+         not damage: reopen refuses and truncates nothing, while the
+         read-only replay keeps the prefix and flags the tail. *)
+      let skewed = data ^ Poc_util.Codec.frame "\x09" in
+      Out_channel.with_open_bin intake_path (fun oc ->
+          Out_channel.output_string oc skewed);
+      (match Intake.reopen intake_path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "reopen must refuse an undecodable record");
+      Alcotest.(check bool) "undecodable record left in place" true
+        (read_file intake_path = skewed);
+      match Intake.read intake_path with
+      | Ok (records, true) ->
+        Alcotest.(check int) "read keeps the decodable prefix" 2
+          (List.length records)
+      | Ok (_, false) -> Alcotest.fail "read must flag the undecodable tail"
+      | Error msg -> Alcotest.failf "read failed: %s" msg)
 
 let test_intake_missing_file_is_empty () =
   with_tmp_root (fun _store intake_path ->

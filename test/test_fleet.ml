@@ -236,11 +236,31 @@ let test_fleet_rejects_dirty_root_and_mismatch () =
         Alcotest.(check bool) "fresh run refuses a claimed root" true
           (contains msg "already holds a fleet")
       | Ok _ -> Alcotest.fail "fresh run must refuse a claimed root");
-      match Driver.run ~resume:true { cfg with Driver.seed = 12 } with
+      (match Driver.run ~resume:true { cfg with Driver.seed = 12 } with
       | Error msg ->
         Alcotest.(check bool) "resume names the mismatched field" true
           (contains msg "seed")
-      | Ok _ -> Alcotest.fail "resume must check the manifest")
+      | Ok _ -> Alcotest.fail "resume must check the manifest");
+      (* FLEET is exactly one frame: a flipped byte or a trailing byte
+         makes it unreadable, never a config to trust. *)
+      let manifest = Filename.concat root "FLEET" in
+      let original = In_channel.with_open_bin manifest In_channel.input_all in
+      let flipped = Bytes.of_string original in
+      let last = Bytes.length flipped - 1 in
+      Bytes.set flipped last
+        (Char.chr (Char.code (Bytes.get flipped last) lxor 0x01));
+      List.iter
+        (fun (what, damaged) ->
+          Out_channel.with_open_bin manifest (fun oc ->
+              Out_channel.output_string oc damaged);
+          match Driver.run ~resume:true cfg with
+          | Error msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "resume refuses a FLEET with %s" what)
+              true (contains msg "unreadable")
+          | Ok _ -> Alcotest.failf "resume must refuse a FLEET with %s" what)
+        [ ("a flipped byte", Bytes.to_string flipped);
+          ("a trailing byte", original ^ "\x00") ])
 
 (* The acceptance property: the aggregate report's bytes do not depend
    on the pool size, nor on where a kill-and-resume split the fleet. *)

@@ -299,6 +299,71 @@ let test_unknown_run_answers_err () =
           (has_prefix "ERR" line)
       | _ -> Alcotest.fail "unexpected ERR shape")
 
+(* RUNS under damage.  A flipped byte inside an interior frame must
+   refuse the resume (naming the file and offset) and leave the file as
+   it was, rather than silently dropping every run recorded after it.
+   A torn tail must be cut away, so a run opened after the resume is
+   remembered by the next one. *)
+let test_runs_manifest_damage () =
+  let shutdown_four root =
+    let reg =
+      must_create (Registry.create ~runs:4 ~root (plan ()) ~market ())
+    in
+    ignore (dispatch reg "SHUTDOWN");
+    read_file (Filename.concat root "RUNS")
+  in
+  let write root data =
+    Out_channel.with_open_bin (Filename.concat root "RUNS") (fun oc ->
+        Out_channel.output_string oc data)
+  in
+  let serving reg =
+    List.filter_map
+      (fun (i : Registry.run_info) ->
+        if i.Registry.state = Registry.Serving then Some i.Registry.id
+        else None)
+      (Registry.runs reg)
+  in
+  with_tmp_root (fun root ->
+      let data = shutdown_four root in
+      Alcotest.(check int) "four 33-byte frames" 132 (String.length data);
+      let b = Bytes.of_string data in
+      Bytes.set b 50 (Char.chr (Char.code (Bytes.get b 50) lxor 0xFF));
+      let damaged = Bytes.to_string b in
+      write root damaged;
+      (match Registry.create ~resume:true ~root (plan ()) ~market () with
+      | Ok _ -> Alcotest.fail "resume must refuse a corrupt interior RUNS frame"
+      | Error msg ->
+        let has needle =
+          let nl = String.length needle and ml = String.length msg in
+          let rec at i =
+            i + nl <= ml && (String.sub msg i nl = needle || at (i + 1))
+          in
+          at 0
+        in
+        Alcotest.(check bool) "error names RUNS" true (has "RUNS");
+        Alcotest.(check bool) "error names the offset" true (has "byte 33"));
+      Alcotest.(check bool) "RUNS left untouched" true
+        (read_file (Filename.concat root "RUNS") = damaged));
+  let resume root =
+    must_create (Registry.create ~resume:true ~root (plan ()) ~market ())
+  in
+  with_tmp_root (fun root ->
+      let data = shutdown_four root in
+      write root (String.sub data 0 (String.length data - 3));
+      let reg = resume root in
+      Alcotest.(check (list int))
+        "torn tail: runs 0-2 back" [ 0; 1; 2 ] (serving reg);
+      (match dispatch reg "OPEN" with
+      | [ line ] ->
+        Alcotest.(check bool) "OPEN creates run 3" true
+          (has_prefix "OK run=3 opened" line)
+      | _ -> Alcotest.fail "unexpected OPEN shape");
+      ignore (dispatch reg "SHUTDOWN");
+      let reg = resume root in
+      Alcotest.(check (list int))
+        "run 3 remembered" [ 0; 1; 2; 3 ] (serving reg);
+      ignore (dispatch reg "SHUTDOWN"))
+
 let suite =
   [
     Alcotest.test_case "open/close/runs lifecycle" `Slow
@@ -311,4 +376,6 @@ let suite =
       (test_fault_isolation_quarantine 2);
     Alcotest.test_case "kill + restart mid-incident" `Slow
       test_kill_and_restart_mid_incident;
+    Alcotest.test_case "RUNS: corrupt frame refused, torn tail cut" `Slow
+      test_runs_manifest_damage;
   ]

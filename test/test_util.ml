@@ -318,10 +318,17 @@ let qcheck_codec_frame_roundtrip =
   QCheck.Test.make ~name:"framing round-trips arbitrary payloads" ~count:100
     QCheck.(string_of_size (Gen.int_range 0 200))
     (fun payload ->
-      match Codec.next_frame (Codec.frame payload) ~pos:0 with
+      let framed = Codec.frame payload in
+      (match Codec.next_frame framed ~pos:0 with
       | Codec.Frame { payload = p; next } ->
         p = payload && next = 8 + String.length payload
       | Codec.End | Codec.Torn -> false)
+      (* [single] accepts exactly one whole frame and nothing else. *)
+      && Codec.single framed = Some payload
+      && Codec.single "" = None
+      && Codec.single (String.sub framed 0 (String.length framed - 1)) = None
+      && Codec.single (framed ^ "\x00") = None
+      && Codec.single (framed ^ framed) = None)
 
 (* Decode a byte string as the journal does: complete frames until End
    or Torn.  Returns the payloads and whether the tail was torn. *)
@@ -338,15 +345,27 @@ let qcheck_codec_truncation_safe =
   (* The property the whole durability story leans on: cutting a frame
      stream at ANY byte offset yields exactly the records whose frames
      are fully inside the prefix — never an exception, never a phantom
-     record, never a reordering. *)
+     record, never a reordering.  [Codec.scan] must agree, and must
+     tell a cut (a torn tail) from a flipped byte with frames after it
+     (interior corruption). *)
   QCheck.Test.make ~name:"truncation at every offset is safe" ~count:60
     QCheck.(list_of_size (Gen.int_range 0 8) (string_of_size (Gen.int_range 0 40)))
     (fun payloads ->
       let data = String.concat "" (List.map Codec.frame payloads) in
+      (* Each payload with the offset just past its frame. *)
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (pos, acc) p ->
+                  let next = pos + 8 + String.length p in
+                  (next, (p, next) :: acc))
+                (0, []) payloads))
+      in
       let ok = ref true in
       for cut = 0 to String.length data do
         let prefix = String.sub data 0 cut in
-        match decode_all prefix with
+        (match decode_all prefix with
         | decoded, torn ->
           (* Every decoded record must be a prefix of the original
              sequence, in order... *)
@@ -366,8 +385,43 @@ let qcheck_codec_truncation_safe =
             end
             else if cut <> boundary then ok := false
           end
-        | exception _ -> ok := false
+        | exception _ -> ok := false);
+        let whole = List.filter (fun (_, next) -> next <= cut) ends in
+        let valid = List.fold_left (fun _ (_, next) -> next) 0 whole in
+        let s = Codec.scan ~from:0 ~decode:Fun.id prefix in
+        if
+          s.Codec.frames <> whole
+          || s.Codec.valid <> valid
+          || s.Codec.verdict
+             <> (if cut = valid then Codec.Clean else Codec.Torn_tail)
+        then ok := false
       done;
+      (* Flip each byte of each frame k in turn.  The frames before k
+         survive; the damage is interior exactly when a later frame is
+         a resync point (non-empty: see [Codec.resync]), and never
+         reads as clean. *)
+      List.iteri
+        (fun k (p, next) ->
+          let start = next - 8 - String.length p in
+          let before = List.filteri (fun i _ -> i < k) ends in
+          let interior =
+            List.exists
+              (fun (q, _) -> q <> "")
+              (List.filteri (fun i _ -> i > k) ends)
+          in
+          for i = start to next - 1 do
+            let b = Bytes.of_string data in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
+            let s = Codec.scan ~from:0 ~decode:Fun.id (Bytes.to_string b) in
+            if
+              s.Codec.frames <> before
+              || s.Codec.valid <> start
+              || s.Codec.verdict
+                 <> (if interior then Codec.Corrupt_at start
+                     else Codec.Torn_tail)
+            then ok := false
+          done)
+        ends;
       !ok)
 
 let test_codec_resync () =
