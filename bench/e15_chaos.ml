@@ -100,43 +100,12 @@ let run ~scale ~seed =
       (List.length plain - List.length failed)
       (List.length plain);
     (* Journal overhead: the same supervised run with durability on
-       (one flushed record per epoch + periodic snapshots), and the
-       cost of replaying the file back. *)
-    Common.subheader "journal overhead";
-    let path = Filename.temp_file "bench_journal" ".bin" in
-    let single_file_stats = ref None in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        let journaled, single_s =
-          Common.timed_s "supervised run (journaled)" (fun () ->
-              Supervisor.run plan ~journal:path ~market ~schedule)
-        in
-        let replayed =
-          Common.timed "journal replay" (fun () ->
-              Poc_resilience.Journal.replay path)
-        in
-        match replayed with
-        | Error msg -> Printf.printf "replay failed: %s\n" msg
-        | Ok r ->
-          single_file_stats :=
-            Some (single_s, r.Poc_resilience.Journal.valid_bytes);
-          Printf.printf
-            "journal: %d bytes for %d epochs (%d records, snapshot every \
-             %d); rendered output %s\n"
-            r.Poc_resilience.Journal.valid_bytes market.Epochs.epochs
-            (List.length r.Poc_resilience.Journal.records)
-            r.Poc_resilience.Journal.header.Poc_resilience.Journal.snapshot_every
-            (if
-               Supervisor.render_epochs journaled
-               = Supervisor.render_epochs report
-             then "identical to the unjournaled run"
-             else "DIVERGED from the unjournaled run"));
-    (* Rotation overhead: the same run against a segmented store at a
-       few byte budgets.  Tighter budgets rotate (and GC) more often;
+       (one flushed record per epoch + periodic snapshots), first into
+       an unbounded store (one segment, never rotated), then at a few
+       rotation budgets.  Tighter budgets rotate (and GC) more often;
        the bytes left on disk shrink to the active window while the
-       wall clock should stay within noise of the single-file run. *)
-    Common.subheader "rotation overhead (segmented store)";
+       wall clock should stay within noise of the unbounded run. *)
+    Common.subheader "journal overhead";
     let bytes_on_disk dir =
       Array.fold_left
         (fun acc name ->
@@ -155,14 +124,42 @@ let run ~scale ~seed =
         try Unix.rmdir dir with Unix.Unix_error _ -> ()
       end
     in
+    let store_dir name =
+      Filename.concat (Filename.get_temp_dir_name ()) ("bench_" ^ name)
+    in
+    let unbounded_stats = ref None in
+    let path = store_dir "journal" in
+    Fun.protect
+      ~finally:(fun () -> rm_store path)
+      (fun () ->
+        let journaled, unbounded_s =
+          Common.timed_s "supervised run (journaled)" (fun () ->
+              Supervisor.run plan ~journal:path ~market ~schedule)
+        in
+        let replayed =
+          Common.timed "journal replay" (fun () ->
+              Poc_resilience.Journal.replay path)
+        in
+        match replayed with
+        | Error msg -> Printf.printf "replay failed: %s\n" msg
+        | Ok r ->
+          unbounded_stats := Some (unbounded_s, bytes_on_disk path);
+          Printf.printf
+            "journal: %d bytes for %d epochs (%d records, snapshot every \
+             %d); rendered output %s\n"
+            r.Poc_resilience.Journal.valid_bytes market.Epochs.epochs
+            (List.length r.Poc_resilience.Journal.records)
+            r.Poc_resilience.Journal.header.Poc_resilience.Journal.snapshot_every
+            (if
+               Supervisor.render_epochs journaled
+               = Supervisor.render_epochs report
+             then "identical to the unjournaled run"
+             else "DIVERGED from the unjournaled run"));
+    Common.subheader "rotation overhead (rotating store)";
     let seg_rows =
       List.map
         (fun budget ->
-          let dir =
-            Filename.concat
-              (Filename.get_temp_dir_name ())
-              (Printf.sprintf "bench_segstore_%d" budget)
-          in
+          let dir = store_dir (Printf.sprintf "segstore_%d" budget) in
           Fun.protect
             ~finally:(fun () -> rm_store dir)
             (fun () ->
@@ -198,13 +195,13 @@ let run ~scale ~seed =
         [ 4096; 16384; 65536 ]
     in
     let rotation_json =
-      let single =
-        match !single_file_stats with
+      let unbounded =
+        match !unbounded_stats with
         | Some (s, bytes) ->
           Printf.sprintf "{\"seconds\":%.3f,\"bytes_on_disk\":%d}" s bytes
         | None -> "null"
       in
-      Printf.sprintf "{\"single_file\":%s,\"segmented\":[%s]}" single
+      Printf.sprintf "{\"unbounded\":%s,\"segmented\":[%s]}" unbounded
         (String.concat "," seg_rows)
     in
     print_endline

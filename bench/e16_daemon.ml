@@ -105,7 +105,9 @@ let session plan ~market ~schedule ~jobs ~faulty =
                 plan ~market ~schedule
             with
             | Ok e -> e
-            | Error msg -> failwith ("engine create failed: " ^ msg)
+            | Error r ->
+              failwith
+                ("engine create failed: " ^ Engine.Supervisor.refusal_to_string r)
           in
           let seq = ref 0 in
           let bid_lat = ref [] in

@@ -297,57 +297,57 @@ let journal_arg =
     value
     & opt (some string) None
     & info [ "journal" ] ~docv:"PATH"
-        ~doc:"Write a crash-safe journal of the run to $(docv); a killed run \
-              can be finished later with $(b,--resume).")
+        ~doc:"Write a crash-safe journal of the run to the store directory \
+              $(docv) (created if missing; a previous run's segments in it \
+              are cleared); a killed run can be finished later with \
+              $(b,--resume).")
 
 let resume_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "resume" ] ~docv:"PATH"
-        ~doc:"Resume a crashed run from the journal at $(docv) and append to \
-              it.  Fails with a clear error if the journal is corrupt, \
-              complete, or was written under a different configuration.")
+        ~doc:"Resume a crashed run from the journal store at $(docv) and \
+              append to it.  Fails with a clear error if the journal is \
+              corrupt, complete, a plain file (old single-file journals are \
+              not read), or was written under a different configuration.")
 
 let segment_bytes_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "segment-bytes" ] ~docv:"N"
-        ~doc:"Write the journal as a segmented store rotating past $(docv) \
-              bytes per segment; history older than the newest durable \
-              checkpoint is garbage-collected at rotation.  The default is \
-              a single append-only file.  $(b,--resume) detects the store \
-              kind automatically.")
+        ~doc:"Rotate the journal store past $(docv) bytes per segment; \
+              history older than the newest durable checkpoint is \
+              garbage-collected at rotation.  Without it the budget is \
+              unbounded: the whole run stays in one segment.  \
+              $(b,--resume) reads the budget from the store.")
 
 let flight_arg =
   Arg.(
     value & flag
     & info [ "flight" ]
         ~doc:"Attach a black-box flight recorder: a bounded $(b,FLIGHT) \
-              file next to (inside, for a segmented store) the journal, \
-              flushed at every phase and fault point, readable after any \
-              crash with $(b,poc-cli forensics).  Journal bytes are \
-              identical with and without it.")
+              file inside the journal store, flushed at every phase and \
+              fault point, readable after any crash with $(b,poc-cli \
+              forensics).  Journal bytes are identical with and without \
+              it.")
 
 (* Where a run's box lives; creation makes the parent directory, so a
-   fresh segmented store can receive its FLIGHT before the journal
-   opens the directory. *)
-let flight_box ~flight ~segmented path =
+   fresh store can receive its FLIGHT before the journal opens the
+   directory. *)
+let flight_box ~flight path =
   if not flight then None
-  else Some (Black_box.create (Forensics.flight_path_for_kind ~segmented path))
+  else Some (Black_box.create (Forensics.flight_path_for path))
 
 (* Run the supervised loop, honoring --journal/--resume.  Exit codes:
    10 for an injected crash (the journal is left ready to resume), 1
-   for a journal that cannot be resumed. *)
+   for a journal that cannot be written or resumed. *)
 let run_supervised ~journal ~resume ?segment_bytes ?pool ?(flight = false) plan
     ~market ~schedule =
   match resume with
   | Some path -> (
-    let flight =
-      flight_box ~flight path
-        ~segmented:(Sys.file_exists path && Sys.is_directory path)
-    in
+    let flight = flight_box ~flight path in
     match
       Supervisor.resume ~journal:path ?flight ?pool plan ~market ~schedule
     with
@@ -358,19 +358,20 @@ let run_supervised ~journal ~resume ?segment_bytes ?pool ?(flight = false) plan
       Printf.eprintf "resume failed: %s\n" msg;
       exit 1)
   | None -> (
-    let flight =
-      match journal with
-      | None -> None
-      | Some j -> flight_box ~flight ~segmented:(segment_bytes <> None) j
-    in
     try
+      let flight = Option.bind journal (flight_box ~flight) in
       Supervisor.run ?journal ?flight ?segment_bytes ?pool plan ~market
         ~schedule
-    with Supervisor.Injected_crash { epoch; phase } ->
+    with
+    | Supervisor.Injected_crash { epoch; phase } ->
       Printf.eprintf
         "injected crash at epoch %d (%s); finish the run with --resume\n" epoch
         (Fault.phase_to_string phase);
-      exit 10)
+      exit 10
+    | Sys_error msg ->
+      (* e.g. --journal naming a plain file: a store is a directory *)
+      Printf.eprintf "journal failed: %s\n" msg;
+      exit 1)
 
 let print_supervised (report : Supervisor.report) =
   print_string (Supervisor.render_epochs report);
@@ -577,8 +578,8 @@ let scrub_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"JOURNAL"
-          ~doc:"Journal to scrub: a single append-only file or a segmented \
-                store directory.")
+          ~doc:"Journal store directory to scrub.  A plain file (an old \
+                single-file journal) is refused.")
   in
   let dry_run_arg =
     Arg.(
@@ -602,10 +603,10 @@ let scrub_cmd =
   let term = Term.(const run $ verbose_arg $ journal_pos $ dry_run_arg) in
   Cmd.v
     (Cmd.info "scrub"
-       ~doc:"Check and repair a run journal: classify each segment as clean, \
-             torn-tail, corrupt-interior or unreadable; truncate damage at \
-             the last good frame; quarantine unreadable segments; print a \
-             machine-readable JSON report.")
+       ~doc:"Check and repair a run journal store: classify each segment as \
+             clean, torn-tail, corrupt-interior or unreadable; truncate \
+             damage at the last good frame; quarantine unreadable segments; \
+             print a machine-readable JSON report.")
     term
 
 (* --- forensics -------------------------------------------------------------- *)
@@ -616,17 +617,16 @@ let forensics_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"STORE"
-          ~doc:"The dead run's journal: a single file, a segmented store \
-                directory, or a daemon $(b,ROOT)/store.  The flight box and \
-                intake log are found next to it automatically.")
+          ~doc:"The dead run's journal store directory, e.g. a daemon \
+                $(b,ROOT)/store.  The flight box inside it and the intake \
+                log next to it are found automatically.")
   in
   let flight_path_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "flight" ] ~docv:"PATH"
-          ~doc:"Flight box to read (default: $(b,STORE)/FLIGHT for a \
-                directory store, $(b,STORE).flight otherwise).")
+          ~doc:"Flight box to read (default: $(b,STORE)/FLIGHT).")
   in
   let intake_path_arg =
     Arg.(
@@ -674,7 +674,7 @@ let fleet_cmd =
       & info [ "months" ] ~docv:"N"
           ~doc:"Scenario-months in the fleet.  Each is an independent \
                 supervised market run with its own seeds, fault schedule \
-                and segmented journal.")
+                and journal store.")
   in
   let matrix_arg =
     Arg.(
@@ -691,8 +691,8 @@ let fleet_cmd =
       required
       & opt (some string) None
       & info [ "store" ] ~docv:"ROOT"
-          ~doc:"Fleet store root: a $(b,FLEET) manifest plus one segmented \
-                journal directory per scenario.  A fresh run requires a \
+          ~doc:"Fleet store root: a $(b,FLEET) manifest plus one journal \
+                store directory per scenario.  A fresh run requires a \
                 root with no manifest; $(b,--resume) requires one.")
   in
   let fleet_resume_arg =
@@ -840,7 +840,7 @@ let fleet_cmd =
     (Cmd.info "fleet" ~man
        ~doc:"Thousands of seeded scenario-months under the chaos matrix: \
              whole supervised runs sharded across the domain pool, \
-             per-scenario segmented journals under one store root, kill \
+             per-scenario journal stores under one store root, kill \
              chains (crash and power-cut faults survived via scrub + \
              resume inside the run), and a byte-deterministic aggregate \
              survival/PoB report at every $(b,--jobs) value.")
@@ -854,7 +854,7 @@ let serve_cmd =
       required
       & opt (some string) None
       & info [ "root" ] ~docv:"DIR"
-          ~doc:"Daemon state directory: the segmented journal lives at \
+          ~doc:"Daemon state directory: run 0's journal store lives at \
                 $(docv)/store, the intake log at $(docv)/intake.log and the \
                 control socket at $(docv)/ctl.sock.  Created if missing.")
   in
@@ -908,8 +908,7 @@ let serve_cmd =
     Arg.(
       value & opt int 65536
       & info [ "segment-bytes" ] ~docv:"N"
-          ~doc:"Rotation budget of the segmented store (the daemon always \
-                journals segmented).")
+          ~doc:"Rotation budget of every run's journal store.")
   in
   let runs_arg =
     Arg.(

@@ -15,20 +15,20 @@
 
    Durability flags (the kill-and-resume walkthrough in README.md):
 
-     --journal PATH        write a crash-safe journal of the run
-     --segment-bytes N     journal as a segmented store (rotation past N
-                           bytes per segment, GC behind the newest
-                           checkpoint); default is one append-only file
+     --journal PATH        write a crash-safe journal of the run into the
+                           store directory PATH
+     --segment-bytes N     rotate the store past N bytes per segment (GC
+                           behind the newest checkpoint); default is an
+                           unbounded budget, one segment
      --crash EPOCH:PHASE   inject a process crash (phases: pre_auction,
                            pre_settle, post_settle); exits with code 10
      --disk-fault EPOCH:PHASE:KIND[:ARG]
                            power-cut with storage damage: short_write[:DROP],
                            torn_rename, lying_fsync[:DROP],
                            corrupt_byte[:SEED]; exits with code 10
-     --resume PATH         recover from a journal and finish the run
-                           (store kind is detected automatically; run
-                           `poc-cli scrub` first if resume reports
-                           unreadable segments)
+     --resume PATH         recover from a journal store and finish the
+                           run (run `poc-cli scrub` first if resume
+                           reports unreadable segments)
      --jobs N              worker domains for the auction layer
                            (default 1 = serial; outputs are identical
                            at every value)

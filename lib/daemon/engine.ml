@@ -56,7 +56,7 @@ let c_retries =
     Metrics.default "poc_daemon_disk_retries_total"
 
 let c_recoveries =
-  Metrics.counter ~help:"Journal resumes (startup --resume and in-place)"
+  Metrics.counter ~help:"Journal resumes when an engine opens"
     Metrics.default "poc_daemon_recoveries_total"
 
 let h_request =
@@ -91,9 +91,8 @@ type t = {
   market : Epochs.config;
   admission : Supervisor.update Admission.t;
   disk : Disk.t;
-  reresume : unit -> (Supervisor.loop, string) result;
-  mutable loop : Supervisor.loop;
-  mutable ilog : Intake.t;
+  loop : Supervisor.loop;
+  ilog : Intake.t;
   (* Mirror of the intake log, newest first: the single source of truth
      for which updates an epoch applies.  The admission queue only
      bounds what is waiting; application always reads the mirror, so a
@@ -130,10 +129,6 @@ let create ?ladder ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
   let admission = Admission.create ~high_water () in
   Metrics.Gauge.set g_high_water (float_of_int high_water);
   let intake_retry ~attempt:_ ~delay:_ _ = Metrics.Counter.inc c_retries in
-  let reresume () =
-    Supervisor.open_resume ?ladder ~honor_crashes ~journal:store ?flight ~disk
-      ?pool plan ~market ~schedule
-  in
   let finish loop ilog accepted_rev shed_seqs =
     let t =
       {
@@ -142,7 +137,6 @@ let create ?ladder ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
         market;
         admission;
         disk;
-        reresume;
         loop;
         ilog;
         accepted_rev;
@@ -158,11 +152,16 @@ let create ?ladder ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
   in
   if resume then
     let t0 = Clock.now_us () in
-    match reresume () with
+    match
+      Supervisor.open_resume ?ladder ~honor_crashes ~journal:store ?flight
+        ~disk ?pool plan ~market ~schedule
+    with
     | Error _ as e -> e
     | Ok loop -> (
       match Intake.reopen ~disk ~on_retry:intake_retry intake with
-      | Error _ as e -> e
+      | Error msg ->
+        Supervisor.suspend loop;
+        Error (Supervisor.Refused msg)
       | Ok (ilog, records) ->
         let shed_seqs = Hashtbl.create 64 in
         List.iter
@@ -348,73 +347,39 @@ let settle_applied t e entries =
   | None -> ()
   | Some b -> if entries <> [] then Black_box.flush b
 
-let recover t cause =
-  let t0 = Clock.now_us () in
-  (try Supervisor.suspend t.loop with _ -> ());
-  match t.reresume () with
-  | Ok loop ->
-    t.loop <- loop;
-    Metrics.Counter.inc c_recoveries;
-    Metrics.Histogram.observe h_recovery ((Clock.now_us () -. t0) *. 1e-6);
-    set_queue_gauges t;
-    Ok (Supervisor.next_epoch loop)
-  | Error msg -> Error (Printf.sprintf "%s; resume failed: %s" cause msg)
-
+(* Run up to [n] epochs.  Whatever an epoch raises (an injected
+   crash, a disk that keeps failing) escapes to the registry, which
+   fails the run into its recovery cycle. *)
 let run_epochs t n =
-  let lines = ref [] in
-  let ran = ref 0 in
-  let outcome = ref `Done in
-  (try
-     let k = ref n in
-     while !k > 0 && !outcome = `Done && next_epoch t <> None do
-       match next_epoch t with
-       | None -> k := 0
-       | Some e -> (
-         ignore (Admission.drain t.admission ~epoch:e);
-         let entries = entries_for t e in
-         let updates =
-           List.map (fun (en : _ Admission.entry) -> en.payload) entries
-         in
-         match Supervisor.step ~updates t.loop with
-         | er ->
-           incr ran;
-           decr k;
-           Metrics.Counter.add c_applied (float_of_int (List.length updates));
-           settle_applied t e entries;
-           set_queue_gauges t;
-           lines :=
-             Protocol.continuation
-               (Printf.sprintf
-                  "epoch %d status=%s spend=%.2f delivered=%.3f applied=%d"
-                  er.Supervisor.epoch
-                  (Supervisor.status_to_string er.Supervisor.status)
-                  er.Supervisor.spend er.Supervisor.delivered_fraction
-                  (List.length updates))
-             :: !lines
-         | exception (Supervisor.Injected_crash _ as exn) -> raise exn
-         | exception exn ->
-           outcome := `Recovering (Printexc.to_string exn))
-     done
-   with Supervisor.Injected_crash _ as exn -> raise exn);
-  let lines = List.rev !lines in
-  match !outcome with
-  | `Done ->
-    let next =
-      match next_epoch t with Some e -> string_of_int e | None -> "done"
-    in
-    (lines @ [ Printf.sprintf "OK epochs=%d next=%s" !ran next ], Continue)
-  | `Recovering cause -> (
-    match recover t cause with
-    | Ok next ->
-      let next =
-        match next with Some e -> string_of_int e | None -> "done"
+  let rec go k lines =
+    match next_epoch t with
+    | Some e when k > 0 ->
+      ignore (Admission.drain t.admission ~epoch:e);
+      let entries = entries_for t e in
+      let updates =
+        List.map (fun (en : _ Admission.entry) -> en.payload) entries
       in
-      ( lines
-        @ [ Printf.sprintf
-              "BUSY epoch retry_after=0.100 recovered next=%s cause=%s" next
-              (String.map (fun c -> if c = ' ' then '_' else c) cause) ],
-        Continue )
-    | Error msg -> (lines @ [ "ERR unrecoverable: " ^ msg ], Stop 1))
+      let er = Supervisor.step ~updates t.loop in
+      Metrics.Counter.add c_applied (float_of_int (List.length updates));
+      settle_applied t e entries;
+      set_queue_gauges t;
+      go (k - 1)
+        (Protocol.continuation
+           (Printf.sprintf
+              "epoch %d status=%s spend=%.2f delivered=%.3f applied=%d"
+              er.Supervisor.epoch
+              (Supervisor.status_to_string er.Supervisor.status)
+              er.Supervisor.spend er.Supervisor.delivered_fraction
+              (List.length updates))
+        :: lines)
+    | _ -> List.rev lines
+  in
+  let lines = go n [] in
+  let next =
+    match next_epoch t with Some e -> string_of_int e | None -> "done"
+  in
+  ( lines @ [ Printf.sprintf "OK epochs=%d next=%s" (List.length lines) next ],
+    Continue )
 
 let status_line t =
   let next =

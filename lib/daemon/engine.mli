@@ -15,15 +15,14 @@
 
     - {e transient disk errors} retry with jittered exponential backoff
       ({!retrying_disk}), counted in [poc_daemon_disk_retries_total];
-    - {e unexpected epoch failures} recover in place: the journal is
-      suspended, resumed from its last durable checkpoint, and the
-      client told [BUSY] — counted in [poc_daemon_recoveries_total];
+    - {e anything an epoch raises} (an injected crash, a disk that
+      keeps failing) propagates out of {!handle}: the {!Registry}
+      fails the run into its backoff, scrub, resume and quarantine
+      cycle;
     - {e process death} (including SIGKILL) recovers on restart with
       [resume:true]: the journal checkpoint plus the intake log's
       re-applied updates reproduce the uninterrupted run byte for
-      byte;
-    - {e injected crashes} ([Supervisor.Injected_crash]) propagate to
-      the server, which exits 10 exactly like [poc-cli supervise]. *)
+      byte. *)
 
 module Supervisor = Poc_resilience.Supervisor
 module Disk = Poc_resilience.Disk
@@ -52,16 +51,15 @@ val create :
   Poc_core.Planner.plan ->
   market:Poc_market.Epochs.config ->
   schedule:Fault.schedule ->
-  (t, string) result
+  (t, Supervisor.refusal) result
 (** Open the supervised loop ([resume:false], the default, starts a
-    fresh journal at [store]; [resume:true] replays it and the intake
-    log, re-queues still-pending updates and restores the dedup floor).
-    Same validation failures as [Supervisor.open_run] surface as
-    [Invalid_argument]; resume problems as [Error].
+    fresh journal store at [store]; [resume:true] replays it and the
+    intake log, re-queues still-pending updates and restores the dedup
+    floor).  Same validation failures as [Supervisor.open_run] surface
+    as [Invalid_argument]; resume problems as [Error].
 
     [honor_crashes] (default false) re-arms the schedule's not-yet-fired
-    crash/storage specs on every resume path — startup [resume:true] and
-    the in-place recovery after an epoch failure — exactly as
+    crash/storage specs on resume, exactly as
     [Supervisor.resume ~honor_crashes:true].  The registry's
     restart-with-backoff sets it so a retried run walks the remainder of
     its kill chain instead of silently disarming it.
@@ -80,8 +78,7 @@ val handle : t -> Protocol.request -> string list * action
 (** Process one request; returns the response lines (continuations
     first, terminal last — see {!Protocol}) and what the server should
     do next.  Counts the request and observes its latency.  Raises
-    [Supervisor.Injected_crash] when a scheduled crash fault fires
-    mid-[EPOCH]. *)
+    whatever the run raises mid-[EPOCH]; the loop is dead afterwards. *)
 
 val set_flush : t -> (unit -> unit) -> unit
 (** Install the observability flush hook ([QUIESCE] and [SHUTDOWN]

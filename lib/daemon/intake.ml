@@ -80,9 +80,17 @@ let reopen ?(disk = Disk.real ()) ?(retry = Disk.default_retry_policy)
     match Log.replay disk log_path ~decode:strict with
     | exception Undecodable msg ->
       Error (Printf.sprintf "intake %s: undecodable record: %s" log_path msg)
+    | { Codec.verdict = Codec.Corrupt_at off; _ } ->
+      (* Damage with whole records after it: those records are
+         admissions clients saw OK'd.  Refuse rather than drop them. *)
+      Error
+        (Printf.sprintf
+           "intake %s: corrupt record at byte %d with records after it; \
+            refusing to drop acknowledged admissions"
+           log_path off)
     | s ->
-      (* A torn or corrupt frame ends the log: it and everything after
-         it are the bytes of OKs that never reached a client. *)
+      (* A torn tail is the bytes of an OK that never reached a
+         client: cut it away. *)
       Ok
         ( make
             (Log.reopen disk log_path ~at:s.Codec.valid
@@ -96,10 +104,10 @@ let read ?(disk = Disk.real ()) log_path =
 
 let append t r =
   let bytes = encode r in
-  (* The fsync-before-OK path rides the same jittered-backoff
+  (* The flush-before-OK path rides the same jittered-backoff
      discipline as [Disk.retrying]: a transiently failing device (a
-     lying fsync caught by the flush, a short write surfacing as
-     [Sys_error]) heals and retries instead of failing the admission;
+     failed flush, a short write surfacing as [Sys_error]) heals and
+     retries instead of failing the admission;
      a persistently failing one exhausts the schedule and re-raises
      with the log restored to its last durable length. *)
   let rec go attempt delays =

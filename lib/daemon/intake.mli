@@ -5,19 +5,20 @@
     ({!Poc_resilience.Supervisor.update}) — a resumed run must re-apply
     the same updates at the same epochs to reproduce the same bytes.
     The intake log records exactly that: one checksummed
-    {!Poc_util.Codec} frame per admitted update, flushed {e before} the
-    client sees [OK], carrying the entry, its apply-epoch and the seq of
+    {!Poc_util.Codec} frame per admitted update, flushed to the OS
+    {e before} the client sees [OK] (so it survives a process kill, not
+    a power cut), carrying the entry, its apply-epoch and the seq of
     any entry it displaced (shed) on the way in.  Displacement rides in
     the same frame as the admission that caused it, so the two are
     atomic on disk — a torn tail can never shed a victim while losing
     its displacer.
 
     The file is a {!Poc_resilience.Log}.  On restart, {!reopen} replays
-    it (truncating at the first torn or corrupt frame: its bytes and
-    everything after are [OK]s that never reached a client) and the
-    engine re-applies every surviving, unshed entry at its recorded
-    epoch — which, against the journal's restored checkpoint,
-    reproduces the uninterrupted run byte for byte.
+    it (truncating a torn tail: its bytes are an [OK] that never reached
+    a client; refusing interior damage, since the records after it were
+    acknowledged) and the engine re-applies every surviving, unshed
+    entry at its recorded epoch — which, against the journal's restored
+    checkpoint, reproduces the uninterrupted run byte for byte.
 
     A failed append self-heals and retries: {!Poc_resilience.Log.append}
     truncates the file back to the last durable record and reopens it,
@@ -25,7 +26,7 @@
     jittered-backoff schedule
     {!Poc_resilience.Disk.retrying} uses ([retry], default
     {!Poc_resilience.Disk.default_retry_policy}) — so a transient fault
-    on the fsync-before-OK path costs latency, not the admission.  Only
+    on the flush-before-OK path costs latency, not the admission.  Only
     a persistently failing disk exhausts the schedule and raises, and
     even then no torn frame is left mid-log. *)
 
@@ -61,8 +62,10 @@ val reopen :
   (t * record list, string) result
 (** Replay the surviving records (chronological), truncate any torn
     tail, and open for append.  A missing file reopens as an empty log.
-    [Error] on an undecodable (checksum-valid but malformed) record —
-    version skew, not damage. *)
+    [Error], with the file untouched, on interior damage (a corrupt
+    record with whole records after it: the error names the file and
+    the byte offset) and on an undecodable (checksum-valid but
+    malformed) record — version skew, not damage. *)
 
 val read : ?disk:Disk.t -> string -> (record list * bool, string) result
 (** Read-only replay for forensics: the surviving records

@@ -1,5 +1,6 @@
 module Supervisor = Poc_resilience.Supervisor
 module Journal = Poc_resilience.Journal
+module Recovery = Poc_resilience.Recovery
 module Disk = Poc_resilience.Disk
 module Fault = Poc_resilience.Fault
 module Black_box = Poc_resilience.Black_box
@@ -40,10 +41,9 @@ type slot = {
   store : string;
   intake : string;
   m : Epochs.config;
-  mutable specs : Fault.spec list;  (* not-yet-fired kill specs *)
+  recovery : Recovery.t;  (* failures so far, kill specs not yet fired *)
   mutable engine : Engine.t option;
   mutable state : run_state;
-  mutable failures : int;  (* cumulative; drives the quarantine cap *)
 }
 
 type t = {
@@ -56,7 +56,7 @@ type t = {
   flight : bool;
   high_water : int;
   attempt_cap : int;
-  delays : float array;  (* restart backoff schedule, from retry_policy *)
+  delays : float list;  (* restart backoff schedule, from retry_policy *)
   fault_seed : int;
   fault_run : int;
   fault_specs : Fault.spec list;
@@ -204,12 +204,24 @@ let compile_schedule t specs =
   | Ok s -> Ok s
   | Error msg -> Error ("fault schedule: " ^ msg)
 
+(* Absorb an exception a run raised: an injected kill consumes the
+   specs that fired, so the next attempt walks the rest of the chain.
+   Returns the cause that replies, gauges and RUNS name. *)
+let absorb slot = function
+  | Supervisor.Injected_crash { epoch; phase } ->
+    ignore (Recovery.consume slot.recovery ~epoch ~phase : Fault.spec list);
+    Printf.sprintf "injected crash epoch=%d phase=%s" epoch
+      (Fault.phase_to_string phase)
+  | exn -> Printexc.to_string exn
+
 (* Open (or resume) a slot's engine.  A fresh [Disk.t] per attempt: a
    storage fault damages the disk it was armed on, never the next
-   attempt's (the fleet driver's discipline). *)
-let start_slot t slot ~resume ~honor_crashes =
-  match compile_schedule t slot.specs with
-  | Error _ as e -> e
+   attempt's (the fleet driver's discipline).  Whatever opening
+   raises is a refusal like any other. *)
+let start_slot t slot ~resume =
+  let specs = Recovery.specs slot.recovery in
+  match compile_schedule t specs with
+  | Error msg -> Error (Supervisor.Refused msg)
   | Ok schedule -> (
     let resume =
       resume && (Sys.file_exists slot.store || Sys.file_exists slot.intake)
@@ -223,9 +235,10 @@ let start_slot t slot ~resume ~honor_crashes =
     match
       Engine.create ~snapshot_every:t.snapshot_every
         ~segment_bytes:t.segment_bytes ~disk ?pool:t.pool ?flight
-        ~high_water:t.high_water ~resume ~honor_crashes ~store:slot.store
-        ~intake:slot.intake t.plan ~market:slot.m ~schedule
+        ~high_water:t.high_water ~resume ~honor_crashes:(specs <> [])
+        ~store:slot.store ~intake:slot.intake t.plan ~market:slot.m ~schedule
     with
+    | exception exn -> Error (Supervisor.Refused (absorb slot exn))
     | Error _ as e -> e
     | Ok engine ->
       Engine.set_flush engine t.flush;
@@ -234,10 +247,6 @@ let start_slot t slot ~resume ~honor_crashes =
       set_state_gauges slot;
       Ok engine)
 
-let delay_for t failures =
-  if Array.length t.delays = 0 then 0.0
-  else t.delays.(min (failures - 1) (Array.length t.delays - 1))
-
 (* Record one failure of a run: release the engine, then either arm a
    backoff retry or — past the attempt cap — quarantine, leaving the
    store intact for offline forensics.  Returns the terminal line for
@@ -245,49 +254,60 @@ let delay_for t failures =
 let fail_slot t slot ~now_us ~cause =
   (match slot.engine with Some e -> Engine.abandon e | None -> ());
   slot.engine <- None;
-  slot.failures <- slot.failures + 1;
   Metrics.Counter.inc c_run_failures;
-  if slot.failures > t.attempt_cap then begin
+  let verdict = Recovery.fail slot.recovery in
+  let failures = Recovery.failures slot.recovery in
+  match verdict with
+  | Recovery.Quarantine ->
     slot.state <- Quarantined { cause };
     Metrics.Counter.inc c_quarantines;
     manifest_append t (M_quarantined { run = slot.sid; reason = cause });
     set_state_gauges slot;
     Printf.sprintf "GONE run=%d quarantined after %d failures: %s" slot.sid
-      slot.failures cause
-  end
-  else begin
-    let d = delay_for t slot.failures in
+      failures cause
+  | Recovery.Retry d ->
     slot.state <-
-      Failing { attempts = slot.failures; retry_at_us = now_us +. (d *. 1e6);
-                cause };
+      Failing { attempts = failures; retry_at_us = now_us +. (d *. 1e6); cause };
     set_state_gauges slot;
     Printf.sprintf "BUSY run=%d retry_after=%.3f failing attempts=%d cause=%s"
-      slot.sid d slot.failures
+      slot.sid d failures
       (String.map (fun c -> if c = ' ' then '_' else c) cause)
-  end
+
+(* Retire a run for good, durably: a restart will not bring it back. *)
+let close_slot t slot =
+  slot.state <- Closed;
+  manifest_append t (M_closed { run = slot.sid });
+  set_state_gauges slot
+
+(* Reopen a failed or recorded run; any refusal is one more failure,
+   except a journal whose horizon already completed: that run has
+   nothing to resume, so it closes rather than spinning the retry
+   ladder against an immutable store. *)
+let reopen_slot t slot ~now_us ~what =
+  match start_slot t slot ~resume:true with
+  | Ok _ -> true
+  | Error Supervisor.Completed ->
+    close_slot t slot;
+    false
+  | Error refusal ->
+    ignore
+      (fail_slot t slot ~now_us
+         ~cause:(what ^ " failed: " ^ Supervisor.refusal_to_string refusal)
+        : string);
+    false
 
 (* A due retry: scrub the store (a storage fault's damage must be
    truncated or quarantined before resume will touch it), then resume
    with the not-yet-fired kill specs re-armed. *)
 let retry_slot t slot ~now_us =
-  let resumable =
-    match Journal.scrub ~disk:(Disk.real ()) slot.store with
-    | Ok rep -> rep.Journal.recovered
-    | Error _ -> false
-    | exception Sys_error _ -> false
-  in
-  if not resumable then
+  match Recovery.scrub slot.store with
+  | Some { Journal.recovered = true; _ } ->
+    if reopen_slot t slot ~now_us ~what:"resume" then
+      Metrics.Counter.inc c_run_restarts
+  | Some _ | None ->
     ignore
       (fail_slot t slot ~now_us ~cause:"scrub found no resumable store"
         : string)
-  else
-    match
-      start_slot t slot ~resume:true ~honor_crashes:(slot.specs <> [])
-    with
-    | Ok _ -> Metrics.Counter.inc c_run_restarts
-    | Error msg ->
-      ignore (fail_slot t slot ~now_us ~cause:("resume failed: " ^ msg)
-              : string)
 
 let tick t ~now_us =
   Hashtbl.iter
@@ -313,10 +333,11 @@ let make_slot t id ~epochs ~seed =
     store = Filename.concat dir "store";
     intake = Filename.concat dir "intake.log";
     m = { t.base_market with Epochs.epochs; seed };
-    specs = (if id = t.fault_run then t.fault_specs else []);
+    recovery =
+      Recovery.create ~cap:t.attempt_cap ~delays:t.delays
+        (if id = t.fault_run then t.fault_specs else []);
     engine = None;
     state = Starting;
-    failures = 0;
   }
 
 let open_count t =
@@ -340,40 +361,12 @@ let resume_runs t opened =
           make_slot t id ~epochs:market.Epochs.epochs ~seed:market.Epochs.seed
         in
         slot.state <- Quarantined { cause = reason };
-        slot.failures <- t.attempt_cap + 1;
         Hashtbl.replace t.slots id slot;
         set_state_gauges slot
-      | `Open (epochs, seed) -> (
+      | `Open (epochs, seed) ->
         let slot = make_slot t id ~epochs ~seed in
         Hashtbl.replace t.slots id slot;
-        match
-          start_slot t slot ~resume:true ~honor_crashes:(slot.specs <> [])
-        with
-        | Ok _ -> ()
-        | Error msg ->
-          (* A run whose horizon already completed has nothing to
-             resume; close it rather than spinning the retry ladder
-             against an immutable store. *)
-          let completed =
-            let lower = String.lowercase_ascii msg in
-            let has needle =
-              let nl = String.length needle and ll = String.length lower in
-              let rec at i =
-                i + nl <= ll && (String.sub lower i nl = needle || at (i + 1))
-              in
-              at 0
-            in
-            has "complete"
-          in
-          if completed then begin
-            slot.state <- Closed;
-            manifest_append t (M_closed { run = id });
-            set_state_gauges slot
-          end
-          else
-            ignore
-              (fail_slot t slot ~now_us ~cause:("startup resume failed: " ^ msg)
-                : string)))
+        ignore (reopen_slot t slot ~now_us ~what:"startup resume" : bool))
     opened;
   if Hashtbl.length t.slots = 0 then
     Error (Printf.sprintf "%s: every recorded run is closed" t.root)
@@ -390,7 +383,7 @@ let open_runs t runs =
         make_slot t id ~epochs:market.Epochs.epochs ~seed:market.Epochs.seed
       in
       Hashtbl.replace t.slots id slot;
-      match start_slot t slot ~resume:false ~honor_crashes:false with
+      match start_slot t slot ~resume:false with
       | Ok _ ->
         manifest_append t
           (M_opened
@@ -400,7 +393,8 @@ let open_runs t runs =
                seed = market.Epochs.seed;
              });
         open_ids (id + 1)
-      | Error msg -> Error (Printf.sprintf "run %d: %s" id msg)
+      | Error r ->
+        Error (Printf.sprintf "run %d: %s" id (Supervisor.refusal_to_string r))
   in
   open_ids 0
 
@@ -421,11 +415,7 @@ let create ?(snapshot_every = 4) ?(segment_bytes = 65536) ?pool
   in
   if problems <> [] then Error (String.concat "; " problems)
   else
-    let delays =
-      match Disk.retry_delays retry_policy with
-      | ds -> Array.of_list ds
-      | exception Invalid_argument msg -> invalid_arg msg
-    in
+    let delays = Disk.retry_delays retry_policy in
     mkdir_p root;
     (* RUNS has a disk of its own: a run's storage faults never reach
        it. *)
@@ -546,7 +536,7 @@ let open_run t ~run ~epochs ~seed =
     let seed = Option.value seed ~default:t.base_market.Epochs.seed in
     let slot = make_slot t id ~epochs ~seed in
     Hashtbl.replace t.slots id slot;
-    match start_slot t slot ~resume:false ~honor_crashes:false with
+    match start_slot t slot ~resume:false with
     | Ok engine ->
       manifest_append t (M_opened { run = id; epochs; seed });
       ( [ Printf.sprintf "OK run=%d opened next=%s horizon=%d" id
@@ -555,9 +545,11 @@ let open_run t ~run ~epochs ~seed =
             | None -> "done")
             epochs ],
         Engine.Continue )
-    | Error msg ->
+    | Error r ->
       Hashtbl.remove t.slots id;
-      ([ Printf.sprintf "ERR open run %d: %s" id msg ], Engine.Continue)
+      ( [ Printf.sprintf "ERR open run %d: %s" id
+            (Supervisor.refusal_to_string r) ],
+        Engine.Continue )
   end
 
 let close_run t ~run =
@@ -572,9 +564,7 @@ let close_run t ~run =
     | Starting | Serving | Failing _ ->
       (match slot.engine with Some e -> Engine.suspend e | None -> ());
       slot.engine <- None;
-      slot.state <- Closed;
-      manifest_append t (M_closed { run });
-      set_state_gauges slot;
+      close_slot t slot;
       ([ Printf.sprintf "OK run=%d closed" run ], Engine.Continue))
 
 let metrics_dump () =
@@ -627,13 +617,9 @@ let shutdown_all t =
       | Some e ->
         (* A completed horizon closes for good — record it so a restart
            does not try to resume an immutable store. *)
-        if Engine.next_epoch e = None then begin
-          manifest_append t (M_closed { run = s.sid });
-          s.state <- Closed
-        end;
+        if Engine.next_epoch e = None then close_slot t s;
         Engine.suspend e;
-        s.engine <- None;
-        set_state_gauges s
+        s.engine <- None
       | None -> ())
     serving;
   t.flush ();
@@ -665,31 +651,16 @@ let route t ~now_us run req =
       ([ Printf.sprintf "BUSY run=%d retry_after=0.050 starting" run ],
        Engine.Continue)
     | Serving -> (
-      let engine = Option.get slot.engine in
-      match Engine.handle engine req with
-      | lines, Engine.Continue -> (lines, Engine.Continue)
-      | lines, Engine.Stop _ ->
-        (* The engine's unrecoverable-error path (SHUTDOWN never reaches
-           a single run): that run fails; the daemon does not. *)
-        ignore
-          (fail_slot t slot ~now_us ~cause:"engine declared unrecoverable"
-            : string);
-        (lines, Engine.Continue)
-      | exception Supervisor.Injected_crash { epoch; phase } ->
-        (* The per-run failure domain: the crash consumed its spec, the
-           loop is dead, the journal is closed (and, for a storage spec,
-           damaged).  Absorb it here — other runs keep settling. *)
-        slot.specs <-
-          List.filter
-            (fun sp -> not (Fault.spec_fired ~epoch ~phase sp))
-            slot.specs;
-        let line =
-          fail_slot t slot ~now_us
-            ~cause:
-              (Printf.sprintf "injected crash epoch=%d phase=%s" epoch
-                 (Fault.phase_to_string phase))
-        in
-        ([ line ], Engine.Continue)))
+      (* SHUTDOWN never reaches a single run, so its engine never asks
+         the daemon to stop. *)
+      match Engine.handle (Option.get slot.engine) req with
+      | lines, _ -> (lines, Engine.Continue)
+      | exception exn ->
+        (* The per-run failure domain: whatever the run raised — an
+           injected crash, a disk that keeps failing — its loop is
+           dead.  Absorb it here; other runs keep settling. *)
+        ([ fail_slot t slot ~now_us ~cause:(absorb slot exn) ],
+         Engine.Continue)))
 
 let dispatch t cmd =
   let now_us = Clock.now_us () in
@@ -707,10 +678,7 @@ let suspend_all t =
     (fun s ->
       match s.engine with
       | Some e ->
-        if Engine.next_epoch e = None then begin
-          manifest_append t (M_closed { run = s.sid });
-          s.state <- Closed
-        end;
+        if Engine.next_epoch e = None then close_slot t s;
         (try Engine.suspend e
          with e ->
            prerr_endline

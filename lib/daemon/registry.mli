@@ -2,7 +2,7 @@
     concurrent market runs over one single-writer loop and one shared
     domain pool.
 
-    Each run owns a full failure domain — its own segmented journal,
+    Each run owns a full failure domain — its own journal store,
     intake log, flight recorder and [Supervisor] loop over its own
     [Disk.t] — so one run's injected crash or storage fault never
     touches another's bytes.  Run 0 lives at the root itself
@@ -16,18 +16,21 @@
     [Closed] from any live state:
 
     - {e Serving}: an open {!Engine} answers scoped requests.
-    - {e Failing}: the run crashed mid-epoch or tripped a storage
-      fault.  The registry abandons the engine and arms a deterministic
-      jittered-exponential-backoff retry (the {!Poc_resilience.Disk}
-      retry-policy schedule); until it is due, scoped requests answer
-      [BUSY run=<id> retry_after=<s>].  A due retry ({!tick}) scrubs
-      the store and resumes with the not-yet-fired kill specs re-armed.
+    - {e Failing}: the run raised (on a request, a due retry or a
+      startup resume) or refused to reopen.  The registry abandons the
+      engine and hands the failure to {!Poc_resilience.Recovery}: it
+      arms a deterministic jittered-exponential-backoff retry (the
+      {!Poc_resilience.Disk} retry-policy schedule); until it is due,
+      scoped requests answer [BUSY run=<id> retry_after=<s>].  A due
+      retry ({!tick}) scrubs the store and resumes with the
+      not-yet-fired kill specs re-armed.
     - {e Quarantined}: failures exceeded the attempt cap.  The store is
       left intact for [poc-cli forensics], the manifest records the
       quarantine durably (it survives daemon restarts), and scoped
       requests answer the terminal [GONE].
     - {e Closed}: [CLOSE]d by a client, or its horizon completed at
-      shutdown.
+      shutdown — or, on resume, its journal's replay records a
+      completed run.
 
     Every transition is exported on the labeled gauge
     [poc_daemon_run_state{run="<id>",state="<state>"}] (1 marks the
@@ -109,11 +112,10 @@ val dispatch : t -> Protocol.command -> string list * Engine.action
     to their engine ([BUSY]/[GONE] while failing/quarantined),
     [OPEN]/[CLOSE]/[RUNS] mutate the registry, and
     [METRICS]/[QUIESCE]/[SHUTDOWN] act daemon-wide wherever addressed.
-    An [Injected_crash] out of a scoped [EPOCH] is absorbed here — the
-    run transitions to [Failing] (or [Quarantined] past the cap) and
-    the caller sees a terminal [BUSY]/[GONE] line; the daemon never
-    stops for a single run's death.  [Stop] only escapes on
-    [SHUTDOWN]. *)
+    Any exception out of a scoped request is absorbed here — the run
+    transitions to [Failing] (or [Quarantined] past the cap) and the
+    caller sees a terminal [BUSY]/[GONE] line; the daemon never stops
+    for a single run's death.  [Stop] only escapes on [SHUTDOWN]. *)
 
 val tick : t -> now_us:float -> unit
 (** Drive due retries: every [Failing] run whose backoff expired is

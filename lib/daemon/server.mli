@@ -19,8 +19,8 @@
     run's journal completed or suspended resumably), a SIGTERM or
     SIGINT (graceful: same suspend path, observability sinks flushed,
     exit 0), or an injected crash escaping the registry's per-run
-    isolation (exit 10 — a last resort; run-scoped crashes are absorbed
-    as [Failing]/[Quarantined] transitions).  SIGKILL, by design, gets
+    isolation (exit 10 — a last resort; whatever a run raises is
+    absorbed as a [Failing]/[Quarantined] transition).  SIGKILL, by design, gets
     no handler: the multi-run smoke proves every non-quarantined run
     recovers anyway.
 

@@ -5,6 +5,7 @@ module Epochs = Poc_market.Epochs
 module Fault = Poc_resilience.Fault
 module Disk = Poc_resilience.Disk
 module Journal = Poc_resilience.Journal
+module Recovery = Poc_resilience.Recovery
 module Supervisor = Poc_resilience.Supervisor
 module Codec = Poc_util.Codec
 module Pool = Poc_util.Pool
@@ -405,8 +406,8 @@ let manifest_mismatches a b =
 
 (* --- one scenario: the kill chain ----------------------------------------- *)
 
-(* The supervisor fires the earliest live kill point; [fired] picks the
-   spec behind an [Injected_crash] so the chain can consume it. *)
+(* Count a kill the chain survived by kind: the specs behind an
+   [Injected_crash] are the ones [Recovery.consume] drops. *)
 let add_recovery rc = function
   | Fault.Crash _ -> { rc with r_crash = rc.r_crash + 1 }
   | Fault.Storage { fault = Disk.Short_write _; _ } ->
@@ -418,10 +419,6 @@ let add_recovery rc = function
   | Fault.Storage { fault = Disk.Corrupt_byte _; _ } ->
     { rc with r_corrupt_byte = rc.r_corrupt_byte + 1 }
   | _ -> rc
-
-(* A cell carries at most two kill points, so the chain is short; the
-   cap only guards against a spec that somehow re-fires. *)
-let max_attempts = 8
 
 let run_one cfg ?flight (scen : scenario) (plan : Planner.plan) =
   let dir = Filename.concat cfg.store scen.id in
@@ -435,81 +432,72 @@ let run_one cfg ?flight (scen : scenario) (plan : Planner.plan) =
     | Ok s -> s
     | Error msg -> failwith (Printf.sprintf "fleet %s: %s" scen.id msg)
   in
+  (* Every kill consumes at least one spec and costs at most one refused
+     resume after it, so two failures per spec always suffice. *)
+  let recovery =
+    Recovery.create ~cap:(2 * List.length all_specs) ~delays:[] all_specs
+  in
   let kills = ref 0 in
   let recovered = ref no_recoveries in
   let truncated = ref 0 in
   let quarantined = ref 0 in
   let restarts = ref 0 in
-  let rec go ~fresh specs attempt =
-    if attempt >= max_attempts then None
-    else begin
-      let schedule = compile specs in
-      (* Fresh fault metadata per attempt: a storage fault damages the
-         disk it was armed on, never the next attempt's. *)
-      let disk = Disk.real () in
-      match
-        if fresh then
-          `Report
-            (Supervisor.run ~journal:dir ?flight
-               ~snapshot_every:cfg.snapshot_every
-               ~segment_bytes:cfg.segment_bytes ~disk plan ~market ~schedule)
-        else begin
-          match
-            Supervisor.resume ~honor_crashes:true ~journal:dir ?flight ~disk
-              plan ~market ~schedule
-          with
-          | Ok r -> `Report r
-          | Error _ -> `Resume_failed
-        end
-      with
-      | `Report r -> Some r
-      | `Resume_failed ->
-        (* e.g. a fleet SIGKILL landed before the first record made it
-           to disk; a fresh run reclaims the directory. *)
-        incr restarts;
-        Metrics.Counter.inc m_restarts;
-        go ~fresh:true specs (attempt + 1)
-      | exception Supervisor.Injected_crash { epoch; phase } ->
-        incr kills;
-        Metrics.Counter.inc m_kills;
-        List.iter
-          (fun sp ->
-            if Fault.spec_fired ~epoch ~phase sp then
-              recovered := add_recovery !recovered sp)
-          specs;
-        let remaining =
-          List.filter
-            (fun sp -> not (Fault.spec_fired ~epoch ~phase sp))
-            specs
-        in
-        let resumable =
-          match Journal.scrub ~disk:(Disk.real ()) dir with
-          | Error _ -> false
-          | Ok rep ->
-            List.iter
-              (fun (e : Journal.segment_scrub) ->
-                match e.Journal.action with
-                | Journal.Scrub_truncated ->
-                  incr truncated;
-                  Metrics.Counter.inc m_scrub_actions
-                | Journal.Scrub_quarantined ->
-                  incr quarantined;
-                  Metrics.Counter.inc m_scrub_actions
-                | Journal.Scrub_none -> ())
-              rep.Journal.segments;
-            rep.Journal.recovered
-        in
-        if resumable then go ~fresh:false remaining (attempt + 1)
-        else begin
-          (* Nothing durable survived the power cut; replay the month
-             from epoch 1 under the not-yet-fired schedule. *)
-          incr restarts;
-          Metrics.Counter.inc m_restarts;
-          go ~fresh:true remaining (attempt + 1)
-        end
-    end
+  let rec go ~fresh =
+    let schedule = compile (Recovery.specs recovery) in
+    (* Fresh fault metadata per attempt: a storage fault damages the
+       disk it was armed on, never the next attempt's. *)
+    let disk = Disk.real () in
+    match
+      if fresh then
+        Ok
+          (Supervisor.run ~journal:dir ?flight
+             ~snapshot_every:cfg.snapshot_every
+             ~segment_bytes:cfg.segment_bytes ~disk plan ~market ~schedule)
+      else
+        Supervisor.resume ~honor_crashes:true ~journal:dir ?flight ~disk plan
+          ~market ~schedule
+    with
+    | Ok r -> Some r
+    | Error _ ->
+      (* e.g. a fleet SIGKILL landed before the first record made it
+         to disk; a fresh run reclaims the directory. *)
+      restart ()
+    | exception Supervisor.Injected_crash { epoch; phase } ->
+      incr kills;
+      Metrics.Counter.inc m_kills;
+      List.iter
+        (fun sp -> recovered := add_recovery !recovered sp)
+        (Recovery.consume recovery ~epoch ~phase);
+      let resumable =
+        match Recovery.scrub dir with
+        | None -> false
+        | Some rep ->
+          List.iter
+            (fun (e : Journal.segment_scrub) ->
+              match e.Journal.action with
+              | Journal.Scrub_truncated ->
+                incr truncated;
+                Metrics.Counter.inc m_scrub_actions
+              | Journal.Scrub_quarantined ->
+                incr quarantined;
+                Metrics.Counter.inc m_scrub_actions
+              | Journal.Scrub_none -> ())
+            rep.Journal.segments;
+          rep.Journal.recovered
+      in
+      (* Nothing durable survived the power cut: replay the month
+         from epoch 1 under the not-yet-fired schedule. *)
+      if resumable then retry ~fresh:false else restart ()
+  and restart () =
+    incr restarts;
+    Metrics.Counter.inc m_restarts;
+    retry ~fresh:true
+  and retry ~fresh =
+    match Recovery.fail recovery with
+    | Recovery.Retry _ -> go ~fresh
+    | Recovery.Quarantine -> None
   in
-  let finishing = go ~fresh:true all_specs 0 in
+  let finishing = go ~fresh:true in
   let kills = !kills
   and recovered = !recovered
   and scrub_truncated = !truncated

@@ -4,7 +4,7 @@
     One {e scenario-month} is a full supervised market run
     ([Poc_resilience.Supervisor]): its own topology seed, market seed,
     fault schedule (one {!Chaos_matrix.cell}, cycling over the enabled
-    matrix) and its own segmented journal under the shared store root
+    matrix) and its own journal store under the shared store root
     at [<store>/<scenario-id>/].  Scenarios are independent, so the
     fleet shards whole runs across [Poc_util.Pool] — one scenario per
     task — and merges outcomes in scenario order, which makes the
@@ -14,17 +14,19 @@
 
     A cell can carry up to two process-killing specs (a [Fault.Crash]
     and a [Fault.Storage] at distinct epochs).  The driver survives
-    them inside the same fleet run with a {e kill chain}: when
-    [Supervisor.Injected_crash] fires, the scenario's store is scrubbed
-    ([Journal.scrub], applied), the fired kill spec is dropped from the
-    schedule (the journal digest ignores kill specs, so the recompiled
-    schedule still matches) and the run is resumed with
-    [~honor_crashes:true] so the {e next} kill point can fire.  When
-    scrub cannot recover the store, the scenario restarts from epoch 1
-    under the remaining schedule — either way the chain consumes one
-    kill per attempt and terminates, and because the market is a pure
-    function of its seeds the final per-scenario report is identical to
-    an uninterrupted run of the same schedule minus its kill points.
+    them inside the same fleet run with a {e kill chain} — the steps of
+    [Poc_resilience.Recovery], shared with the daemon registry: when
+    [Supervisor.Injected_crash] fires, the fired kill spec is dropped
+    from the schedule (the journal digest ignores kill specs, so the
+    recompiled schedule still matches), the failure is counted against
+    the cap, the scenario's store is scrubbed (applied) and the run is
+    resumed with [~honor_crashes:true] so the {e next} kill point can
+    fire.  When scrub cannot recover the store, the scenario restarts
+    from epoch 1 under the remaining schedule — either way the chain
+    consumes one kill per attempt and terminates, and because the
+    market is a pure function of its seeds the final per-scenario
+    report is identical to an uninterrupted run of the same schedule
+    minus its kill points.
 
     {2 Fleet-level crash safety}
 

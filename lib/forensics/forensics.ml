@@ -38,12 +38,7 @@ type analysis = {
   a_entries : entry list;
 }
 
-let flight_path_for_kind ~segmented store =
-  if segmented then Filename.concat store "FLIGHT" else store ^ ".flight"
-
-let flight_path_for ?disk store =
-  let disk = match disk with Some d -> d | None -> Disk.real () in
-  flight_path_for_kind ~segmented:(Disk.is_directory disk store) store
+let flight_path_for store = Filename.concat store "FLIGHT"
 
 (* --- per-source entry builders -------------------------------------------- *)
 
@@ -224,7 +219,7 @@ let in_flight ~durable flight =
 let analyze ?disk ?flight ?intake store =
   let disk = match disk with Some d -> d | None -> Disk.real () in
   let flight_path =
-    match flight with Some p -> p | None -> flight_path_for ~disk store
+    match flight with Some p -> p | None -> flight_path_for store
   in
   let flight_present = Disk.exists disk flight_path in
   let a_flight =
@@ -294,8 +289,7 @@ let render a =
   (match a.a_journal with
   | Ok rep ->
     Printf.bprintf b
-      "journal:   %s — durable through epoch %d%s%s\n"
-      (if rep.Journal.segmented then "segmented" else "single-file")
+      "journal:   segmented — durable through epoch %d%s%s\n"
       a.a_durable_epoch
       (if rep.Journal.torn_tail then ", torn tail" else "")
       (if rep.Journal.complete <> None then ", complete" else "")
@@ -366,8 +360,8 @@ let to_json a =
   (match a.a_journal with
   | Ok rep ->
     Printf.bprintf b
-      ",\"journal\":{\"segmented\":%b,\"durable_epoch\":%d,\"torn_tail\":%b,\"complete\":%b}"
-      rep.Journal.segmented a.a_durable_epoch rep.Journal.torn_tail
+      ",\"journal\":{\"durable_epoch\":%d,\"torn_tail\":%b,\"complete\":%b}"
+      a.a_durable_epoch rep.Journal.torn_tail
       (rep.Journal.complete <> None)
   | Error e -> Printf.bprintf b ",\"journal\":{\"error\":%s}" (jstr e));
   (match (a.a_intake_path, a.a_intake) with

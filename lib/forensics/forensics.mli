@@ -10,7 +10,9 @@
     and intake log are parsed read-only, torn tails tolerated) and
     merges them into a single timeline ordered by epoch — within an
     epoch: intake admissions, then flight records in emission order,
-    then the journal's durable record as the last word.
+    then the journal's durable record as the last word.  The store is
+    a journal directory, and its box, when one was attached, is
+    [STORE/FLIGHT].
 
     The headline answer is {!field:analysis.a_in_flight}: the epoch and
     phase the process was inside when it died, derived from the newest
@@ -53,14 +55,9 @@ type analysis = {
   a_entries : entry list;  (** the merged, ordered timeline *)
 }
 
-val flight_path_for_kind : segmented:bool -> string -> string
-(** [<store>/FLIGHT] when [segmented], else [<store>.flight] — pure,
-    for choosing where a {e new} run's box goes before the store
-    exists. *)
-
-val flight_path_for : ?disk:Disk.t -> string -> string
-(** Where an {e existing} store's box lives, probing the store kind:
-    {!flight_path_for_kind} with [segmented] = "is a directory". *)
+val flight_path_for : string -> string
+(** Where a store's box lives: [<store>/FLIGHT].  Pure, so a {e new}
+    run can place its box before the store exists. *)
 
 val analyze :
   ?disk:Disk.t ->

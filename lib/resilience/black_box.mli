@@ -1,8 +1,8 @@
 (** Disk-backed persistence for the {!Poc_obs.Flight} recorder.
 
     [Flight] rings and encodes; this module owns the file.  A box is a
-    single [FLIGHT] file (living next to — for a segmented store,
-    inside — the journal it narrates) that starts as a header-only
+    single [FLIGHT] file (living inside the journal store it narrates)
+    that starts as a header-only
     image and grows by incremental appends: every {!flush} drains the
     ring's pending frames and appends them through {!Log}, so the file
     is durable at every epoch boundary and fault point without

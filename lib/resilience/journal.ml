@@ -321,18 +321,6 @@ let digest ~(market : Epochs.config) ~(ladder : Ladder.config) schedule =
 
 (* --- record payloads ---------------------------------------------------- *)
 
-let header_payload (h : header) =
-  let w = Codec.writer () in
-  Codec.put_u8 w 0;
-  Codec.put_u32 w magic;
-  Codec.put_int w h.version;
-  Codec.put_int w h.market_seed;
-  Codec.put_int w h.market_epochs;
-  Codec.put_int w h.n_bps;
-  Codec.put_int w h.snapshot_every;
-  Codec.put_i64 w h.digest;
-  Codec.contents w
-
 let epoch_payload (rec_ : epoch_record) =
   let w = Codec.writer () in
   Codec.put_u8 w 1;
@@ -424,26 +412,22 @@ let m_scrub_bytes_dropped =
 
 (* --- writer ------------------------------------------------------------- *)
 
-type sink =
-  | File_sink of { log : Log.t }
-  | Seg_sink of {
-      dir : string;
-      budget : int;
-      mutable seg_id : int;
-      mutable log : Log.t;
-      mutable live : int list;
-    }
-
-type t = { disk : Disk.t; header : header; sink : sink }
-
-let current_log t = match t.sink with File_sink f -> f.log | Seg_sink s -> s.log
+type t = {
+  disk : Disk.t;
+  header : header;
+  dir : string;
+  budget : int;
+  mutable seg_id : int;
+  mutable log : Log.t;
+  mutable live : int list;
+}
 
 let log_append log s =
   Metrics.Counter.add m_bytes (float_of_int (String.length s));
   Metrics.Counter.inc m_flushes;
   Log.append log s
 
-let raw_append t s = log_append (current_log t) s
+let raw_append t s = log_append t.log s
 let write_frame t payload = raw_append t (Codec.frame payload)
 
 let write_manifest disk dir ids =
@@ -452,73 +436,57 @@ let write_manifest disk dir ids =
 
 let create ?disk ?segment_bytes path header =
   let disk = match disk with Some d -> d | None -> Disk.real () in
-  match segment_bytes with
-  | None ->
-    let t = { disk; header; sink = File_sink { log = Log.create disk path } } in
-    write_frame t (header_payload header);
-    t
-  | Some budget ->
-    if budget < 1 then
-      invalid_arg "Journal.create: segment_bytes must be >= 1";
-    Disk.mkdir_p disk path;
-    (* A fresh run claims the whole directory: stale segments, manifest
-       and quarantined files from a previous run are cleared. *)
+  (* Without a budget the store never rotates: one segment holds the
+     whole run. *)
+  let budget = Option.value segment_bytes ~default:max_int in
+  if budget < 1 then invalid_arg "Journal.create: segment_bytes must be >= 1";
+  Disk.mkdir_p disk path;
+  (* A fresh run claims the whole directory: stale segments, manifest
+     and quarantined files from a previous run are cleared. *)
+  Array.iter
+    (fun name ->
+      if
+        seg_id_of_name name <> None
+        || name = manifest_name
+        || name = manifest_name ^ ".tmp"
+      then Disk.remove disk (Filename.concat path name))
+    (Disk.readdir disk path);
+  let qdir = Filename.concat path quarantine_name in
+  if Disk.is_directory disk qdir then
     Array.iter
       (fun name ->
-        if
-          seg_id_of_name name <> None
-          || name = manifest_name
-          || name = manifest_name ^ ".tmp"
-        then Disk.remove disk (Filename.concat path name))
-      (Disk.readdir disk path);
-    let qdir = Filename.concat path quarantine_name in
-    if Disk.is_directory disk qdir then
-      Array.iter
-        (fun name ->
-          if seg_id_of_name name <> None then
-            Disk.remove disk (Filename.concat qdir name))
-        (Disk.readdir disk qdir);
-    let log = Log.create disk (seg_path path 1) in
-    let t =
-      {
-        disk;
-        header;
-        sink = Seg_sink { dir = path; budget; seg_id = 1; log; live = [ 1 ] };
-      }
-    in
-    write_frame t (seg_header_payload header ~seg_id:1 ~budget ~carry:None);
-    write_manifest disk path [ 1 ];
-    t
+        if seg_id_of_name name <> None then
+          Disk.remove disk (Filename.concat qdir name))
+      (Disk.readdir disk qdir);
+  let log = Log.create disk (seg_path path 1) in
+  let t = { disk; header; dir = path; budget; seg_id = 1; log; live = [ 1 ] } in
+  write_frame t (seg_header_payload header ~seg_id:1 ~budget ~carry:None);
+  write_manifest disk path [ 1 ];
+  t
 
-let wants_rotation t =
-  match t.sink with
-  | File_sink _ -> false
-  | Seg_sink s -> Log.size s.log > s.budget
+let wants_rotation t = Log.size t.log > t.budget
 
 let rotate t (c : carry) =
-  match t.sink with
-  | File_sink _ -> ()
-  | Seg_sink s ->
-    let next_id = s.seg_id + 1 in
-    let log = Log.create t.disk (seg_path s.dir next_id) in
-    log_append log
-      (Codec.frame
-         (seg_header_payload t.header ~seg_id:next_id ~budget:s.budget
-            ~carry:(Some c)));
-    Log.close s.log;
-    (* New segment durable before the manifest flips; old segments are
-       deleted only after the flip, so every crash point leaves either
-       the old manifest with its files intact (plus a harmless orphan)
-       or the new manifest with its files intact. *)
-    let dropped = List.filter (fun id -> id <> s.seg_id) s.live in
-    let live = [ s.seg_id; next_id ] in
-    write_manifest t.disk s.dir live;
-    List.iter (fun id -> Disk.remove t.disk (seg_path s.dir id)) dropped;
-    Metrics.Counter.inc m_rotations;
-    Metrics.Counter.add m_gc_segments (float_of_int (List.length dropped));
-    s.seg_id <- next_id;
-    s.log <- log;
-    s.live <- live
+  let next_id = t.seg_id + 1 in
+  let log = Log.create t.disk (seg_path t.dir next_id) in
+  log_append log
+    (Codec.frame
+       (seg_header_payload t.header ~seg_id:next_id ~budget:t.budget
+          ~carry:(Some c)));
+  Log.close t.log;
+  (* New segment durable before the manifest flips; old segments are
+     deleted only after the flip, so every crash point leaves either
+     the old manifest with its files intact (plus a harmless orphan)
+     or the new manifest with its files intact. *)
+  let dropped = List.filter (fun id -> id <> t.seg_id) t.live in
+  let live = [ t.seg_id; next_id ] in
+  write_manifest t.disk t.dir live;
+  List.iter (fun id -> Disk.remove t.disk (seg_path t.dir id)) dropped;
+  Metrics.Counter.inc m_rotations;
+  Metrics.Counter.add m_gc_segments (float_of_int (List.length dropped));
+  t.seg_id <- next_id;
+  t.log <- log;
+  t.live <- live
 
 let append_epoch t rec_ = write_frame t (epoch_payload rec_)
 let append_snapshot t s = write_frame t (snapshot_payload s)
@@ -535,7 +503,7 @@ let append_torn t ~epoch =
   let framed = Codec.frame (Codec.contents w) in
   raw_append t (String.sub framed 0 (8 + String.length partial))
 
-let close t = Log.close (current_log t)
+let close t = Log.close t.log
 
 (* --- replay ------------------------------------------------------------- *)
 
@@ -549,30 +517,10 @@ type replayed = {
   resume_offset : int;
   prefix_reports : epoch_report list;
   prefix_violations : violation list;
-  segmented : bool;
   segment_bytes : int;
   active_segment : int;
   live_segments : int list;
 }
-
-let parse_header payload =
-  let r = Codec.reader payload in
-  if Codec.get_u8 r <> 0 then Error "first record is not a journal header"
-  else if Codec.get_u32 r <> magic then Error "bad magic: not a POC journal"
-  else
-    let v = Codec.get_int r in
-    if v <> version then
-      Error
-        (Printf.sprintf
-           "journal format version %d, but this build reads version %d" v
-           version)
-    else
-      let market_seed = Codec.get_int r in
-      let market_epochs = Codec.get_int r in
-      let n_bps = Codec.get_int r in
-      let snapshot_every = Codec.get_int r in
-      let digest = Codec.get_i64 r in
-      Ok { version = v; market_seed; market_epochs; n_bps; snapshot_every; digest }
 
 let parse_seg_header payload =
   let r = Codec.reader payload in
@@ -663,139 +611,103 @@ let live_segment_ids disk dir =
        the very first rotation); fall back to what is on disk. *)
     seg_ids_on_disk disk dir
 
-let replay_single disk path =
-  match Disk.read_file disk path with
-  | exception Sys_error msg -> Error ("cannot read journal: " ^ msg)
-  | data -> (
-    match Codec.next_frame data ~pos:0 with
-    | End -> Error "empty file: not a POC journal"
-    | Torn -> Error "unreadable header: not a POC journal"
-    | Frame { payload; next } -> (
-      match parse_header payload with
-      | exception Codec.Corrupt _ -> Error "corrupt header: not a POC journal"
-      | Error msg -> Error msg
-      | Ok header ->
-        let records, snapshot, complete, torn, valid, resume =
-          scan_records data ~start:next
-        in
-        Ok
-          {
-            header;
-            records;
-            snapshot;
-            complete;
-            torn_tail = torn;
-            valid_bytes = valid;
-            resume_offset = resume;
-            prefix_reports = [];
-            prefix_violations = [];
-            segmented = false;
-            segment_bytes = 0;
-            active_segment = 0;
-            live_segments = [];
-          }))
+(* A plain file is refused, not guessed at: it is most likely a
+   single-file journal from an older build, a format no longer read. *)
+let not_a_store path =
+  Error
+    (Printf.sprintf "cannot read journal: %s is not a journal store directory"
+       path)
 
-let replay_segmented disk dir =
-  match live_segment_ids disk dir with
-  | [] -> Error "empty directory: not a segmented POC journal"
-  | live -> (
-    let active = List.fold_left max 0 live in
-    let path = seg_path dir active in
-    let unusable what =
-      Error
-        (Printf.sprintf
-           "segment %s has %s; run `poc-cli scrub` to quarantine it and fall \
-            back to the previous checkpoint"
-           (seg_name active) what)
-    in
-    match Disk.read_file disk path with
-    | exception Sys_error _ -> unusable "gone missing"
-    | data -> (
-      match Codec.next_frame data ~pos:0 with
-      | End | Torn -> unusable "an unreadable header"
-      | Frame { payload; next } -> (
-        match parse_seg_header payload with
-        | exception Codec.Corrupt _ -> unusable "a corrupt header"
-        | Error msg -> Error msg
-        | Ok (header, seg_id, budget, carry) ->
-          if seg_id <> active then
-            Error
-              (Printf.sprintf "segment %s claims to be segment %d"
-                 (seg_name active) seg_id)
-          else
-            let records, snap_rec, complete, torn, valid, resume =
-              scan_records data ~start:next
-            in
-            let snapshot =
-              match snap_rec with
-              | Some s -> Some s
-              | None -> Option.map (fun c -> c.at) carry
-            in
-            Ok
-              {
-                header;
-                records;
-                snapshot;
-                complete;
-                torn_tail = torn;
-                valid_bytes = valid;
-                resume_offset = resume;
-                prefix_reports =
-                  (match carry with Some c -> c.carry_reports | None -> []);
-                prefix_violations =
-                  (match carry with Some c -> c.carry_violations | None -> []);
-                segmented = true;
-                segment_bytes = budget;
-                active_segment = active;
-                live_segments = live;
-              })))
-
-let replay ?disk path =
+let replay ?disk dir =
   let disk = match disk with Some d -> d | None -> Disk.real () in
-  if Disk.is_directory disk path then replay_segmented disk path
-  else replay_single disk path
+  if not (Disk.is_directory disk dir) then not_a_store dir
+  else
+    match live_segment_ids disk dir with
+    | [] -> Error "empty directory: not a POC journal store"
+    | live -> (
+      let active = List.fold_left max 0 live in
+      let path = seg_path dir active in
+      let unusable what =
+        Error
+          (Printf.sprintf
+             "segment %s has %s; run `poc-cli scrub` to quarantine it and fall \
+              back to the previous checkpoint"
+             (seg_name active) what)
+      in
+      match Disk.read_file disk path with
+      | exception Sys_error _ -> unusable "gone missing"
+      | data -> (
+        match Codec.next_frame data ~pos:0 with
+        | End | Torn -> unusable "an unreadable header"
+        | Frame { payload; next } -> (
+          match parse_seg_header payload with
+          | exception Codec.Corrupt _ -> unusable "a corrupt header"
+          | Error msg -> Error msg
+          | Ok (header, seg_id, budget, carry) ->
+            if seg_id <> active then
+              Error
+                (Printf.sprintf "segment %s claims to be segment %d"
+                   (seg_name active) seg_id)
+            else
+              let records, snap_rec, complete, torn, valid, resume =
+                scan_records data ~start:next
+              in
+              let snapshot =
+                match snap_rec with
+                | Some s -> Some s
+                | None -> Option.map (fun c -> c.at) carry
+              in
+              Ok
+                {
+                  header;
+                  records;
+                  snapshot;
+                  complete;
+                  torn_tail = torn;
+                  valid_bytes = valid;
+                  resume_offset = resume;
+                  prefix_reports =
+                    (match carry with Some c -> c.carry_reports | None -> []);
+                  prefix_violations =
+                    (match carry with Some c -> c.carry_violations | None -> []);
+                  segment_bytes = budget;
+                  active_segment = active;
+                  live_segments = live;
+                })))
 
-let reopen ?disk path (r : replayed) =
+let reopen ?disk dir (r : replayed) =
   let disk = match disk with Some d -> d | None -> Disk.real () in
+  (* A crash mid-rotation leaves a fully-written segment N+1 whose
+     manifest flip never landed: an orphan.  Resume grows the store
+     from the manifest's view, so orphans (and any stale manifest
+     temp file) are deleted — the rotation will be replayed and
+     rewrite the same segment with the same bytes. *)
+  Disk.remove disk (manifest_path dir ^ ".tmp");
+  Array.iter
+    (fun name ->
+      match seg_id_of_name name with
+      | Some id when not (List.mem id r.live_segments) ->
+        Disk.remove disk (Filename.concat dir name)
+      | Some _ | None -> ())
+    (Disk.readdir disk dir);
+  (* The manifest goes first: when its write fails, no segment handle
+     is left open behind the error. *)
+  write_manifest disk dir r.live_segments;
   (* Only a store that ran past its last checkpoint is cut back; a
      clean one is opened where it ends without being read again. *)
-  let open_log file =
-    Log.reopen disk file ~at:r.resume_offset
+  let log =
+    Log.reopen disk (seg_path dir r.active_segment) ~at:r.resume_offset
       ~truncate:(r.torn_tail || r.valid_bytes > r.resume_offset)
   in
-  if not r.segmented then
-    { disk; header = r.header; sink = File_sink { log = open_log path } }
-  else begin
-    let dir = path in
-    (* A crash mid-rotation leaves a fully-written segment N+1 whose
-       manifest flip never landed: an orphan.  Resume grows the store
-       from the manifest's view, so orphans (and any stale manifest
-       temp file) are deleted — the rotation will be replayed and
-       rewrite the same segment with the same bytes. *)
-    Disk.remove disk (manifest_path dir ^ ".tmp");
-    Array.iter
-      (fun name ->
-        match seg_id_of_name name with
-        | Some id when not (List.mem id r.live_segments) ->
-          Disk.remove disk (Filename.concat dir name)
-        | Some _ | None -> ())
-      (Disk.readdir disk dir);
-    let log = open_log (seg_path dir r.active_segment) in
-    write_manifest disk dir r.live_segments;
-    {
-      disk;
-      header = r.header;
-      sink =
-        Seg_sink
-          {
-            dir;
-            budget = r.segment_bytes;
-            seg_id = r.active_segment;
-            log;
-            live = r.live_segments;
-          };
-    }
-  end
+  {
+    disk;
+    header = r.header;
+    dir;
+    budget = r.segment_bytes;
+    seg_id = r.active_segment;
+    log;
+    live = r.live_segments;
+  }
 
 (* --- scrub -------------------------------------------------------------- *)
 
@@ -819,7 +731,6 @@ type segment_scrub = {
 
 type scrub_report = {
   store : string;
-  store_segmented : bool;
   applied : bool;
   recovered : bool;
   segments : segment_scrub list;
@@ -836,18 +747,16 @@ let action_to_string = function
   | Scrub_truncated -> "truncated"
   | Scrub_quarantined -> "quarantined"
 
-(* Scrub one segment (or single file): walk every frame after the
-   header; on the first bad one, the distinction that matters is
-   whether anything decodable follows.  Nothing after = the torn tail a
-   crash leaves (expected, truncate); valid frames after = a damaged
-   interior, i.e. silent corruption of committed history (truncate at
-   the damage and let resume fall back to the checkpoint before it).
-   [unreadable] is what a destroyed header costs: a single file has no
-   predecessor to fall back to (nothing to repair), a segment is
-   quarantined. *)
-let scrub_entry ~seg_id ~seg_path ~parse_first ~unreadable data =
+(* Scrub one segment: walk every frame after the header; on the first
+   bad one, the distinction that matters is whether anything decodable
+   follows.  Nothing after = the torn tail a crash leaves (expected,
+   truncate); valid frames after = a damaged interior, i.e. silent
+   corruption of committed history (truncate at the damage and let
+   resume fall back to the checkpoint before it).  A destroyed header
+   makes the segment unreadable: it is quarantined. *)
+let scrub_entry ~seg_id ~seg_path data =
   let header_ok payload =
-    match parse_first payload with
+    match parse_seg_header payload with
     | Ok _ -> true
     | Error _ | (exception Codec.Corrupt _) -> false
   in
@@ -864,17 +773,11 @@ let scrub_entry ~seg_id ~seg_path ~parse_first ~unreadable data =
     | Frame _ | End | Torn -> (Scrub_unreadable, 0, 0)
   in
   let total = String.length data in
-  let action =
+  let action, bytes_kept =
     match verdict with
-    | Scrub_clean -> Scrub_none
-    | Scrub_torn_tail | Scrub_corrupt_interior -> Scrub_truncated
-    | Scrub_unreadable -> unreadable
-  in
-  let bytes_kept =
-    match action with
-    | Scrub_none -> total
-    | Scrub_truncated -> keep
-    | Scrub_quarantined -> 0
+    | Scrub_clean -> (Scrub_none, total)
+    | Scrub_torn_tail | Scrub_corrupt_interior -> (Scrub_truncated, keep)
+    | Scrub_unreadable -> (Scrub_quarantined, 0)
   in
   {
     seg_id;
@@ -901,99 +804,67 @@ let count_scrub ~applied entries =
       end)
     entries
 
-let scrub_file disk ~dry_run path =
-  match Disk.read_file disk path with
-  | exception Sys_error msg -> Error ("cannot read journal: " ^ msg)
-  | data ->
-    let entry =
-      scrub_entry ~seg_id:0 ~seg_path:path ~parse_first:parse_header
-        ~unreadable:Scrub_none data
-    in
-    if (not dry_run) && entry.action = Scrub_truncated then
-      Disk.truncate_file disk path entry.bytes_kept;
-    count_scrub ~applied:(not dry_run) [ entry ];
-    Ok
-      {
-        store = path;
-        store_segmented = false;
-        applied = not dry_run;
-        recovered = entry.verdict <> Scrub_unreadable;
-        segments = [ entry ];
-      }
-
-let scrub_dir disk ~dry_run dir =
-  match live_segment_ids disk dir with
-  | [] ->
-    (* A previous scrub can quarantine every segment, leaving a store
-       with a quarantine/ subdirectory and nothing live.  Scrub must
-       stay idempotent across that dead end: recognise the store as an
-       already-scrubbed journal with nothing durable left rather than
-       refusing it. *)
-    if Disk.exists disk (Filename.concat dir quarantine_name) then
+let scrub ?disk ?(dry_run = false) dir =
+  let disk = match disk with Some d -> d | None -> Disk.real () in
+  if not (Disk.is_directory disk dir) then not_a_store dir
+  else
+    match live_segment_ids disk dir with
+    | [] ->
+      (* A previous scrub can quarantine every segment, leaving a store
+         with a quarantine/ subdirectory and nothing live.  Scrub must
+         stay idempotent across that dead end: recognise the store as an
+         already-scrubbed journal with nothing durable left rather than
+         refusing it. *)
+      if Disk.exists disk (Filename.concat dir quarantine_name) then
+        Ok { store = dir; applied = not dry_run; recovered = false; segments = [] }
+      else Error "empty directory: not a POC journal store"
+    | live ->
+      (* A segment that cannot be read scrubs like an empty one:
+         unreadable, quarantined. *)
+      let entries =
+        List.map
+          (fun id ->
+            let path = seg_path dir id in
+            scrub_entry ~seg_id:id ~seg_path:path
+              (try Disk.read_file disk path with Sys_error _ -> ""))
+          live
+      in
+      let keep_ids =
+        List.filter_map
+          (fun e -> if e.verdict = Scrub_unreadable then None else Some e.seg_id)
+          entries
+      in
+      if not dry_run then begin
+        List.iter
+          (fun e ->
+            match e.action with
+            | Scrub_truncated -> Disk.truncate_file disk e.seg_path e.bytes_kept
+            | Scrub_quarantined ->
+              if Disk.exists disk e.seg_path then begin
+                let qdir = Filename.concat dir quarantine_name in
+                Disk.mkdir_p disk qdir;
+                Disk.rename disk e.seg_path
+                  (Filename.concat qdir (seg_name e.seg_id))
+              end
+            | Scrub_none -> ())
+          entries;
+        if keep_ids <> live then write_manifest disk dir keep_ids
+      end;
+      count_scrub ~applied:(not dry_run) entries;
       Ok
         {
           store = dir;
-          store_segmented = true;
           applied = not dry_run;
-          recovered = false;
-          segments = [];
+          recovered = keep_ids <> [];
+          segments = entries;
         }
-    else Error "empty directory: not a segmented POC journal"
-  | live ->
-    (* A segment that cannot be read scrubs like an empty one:
-       unreadable, quarantined. *)
-    let entries =
-      List.map
-        (fun id ->
-          let path = seg_path dir id in
-          scrub_entry ~seg_id:id ~seg_path:path ~parse_first:parse_seg_header
-            ~unreadable:Scrub_quarantined
-            (try Disk.read_file disk path with Sys_error _ -> ""))
-        live
-    in
-    let keep_ids =
-      List.filter_map
-        (fun e -> if e.verdict = Scrub_unreadable then None else Some e.seg_id)
-        entries
-    in
-    if not dry_run then begin
-      List.iter
-        (fun e ->
-          match e.action with
-          | Scrub_truncated -> Disk.truncate_file disk e.seg_path e.bytes_kept
-          | Scrub_quarantined ->
-            if Disk.exists disk e.seg_path then begin
-              let qdir = Filename.concat dir quarantine_name in
-              Disk.mkdir_p disk qdir;
-              Disk.rename disk e.seg_path
-                (Filename.concat qdir (seg_name e.seg_id))
-            end
-          | Scrub_none -> ())
-        entries;
-      if keep_ids <> live then write_manifest disk dir keep_ids
-    end;
-    count_scrub ~applied:(not dry_run) entries;
-    Ok
-      {
-        store = dir;
-        store_segmented = true;
-        applied = not dry_run;
-        recovered = keep_ids <> [];
-        segments = entries;
-      }
-
-let scrub ?disk ?(dry_run = false) path =
-  let disk = match disk with Some d -> d | None -> Disk.real () in
-  if Disk.is_directory disk path then scrub_dir disk ~dry_run path
-  else scrub_file disk ~dry_run path
 
 let scrub_to_json (r : scrub_report) =
   let esc = Poc_obs.Metrics.json_escape in
   let b = Buffer.create 512 in
-  Printf.bprintf b "{\"store\":\"%s\",\"mode\":\"%s\",\"applied\":%b,\"recovered\":%b"
-    (esc r.store)
-    (if r.store_segmented then "segmented" else "file")
-    r.applied r.recovered;
+  Printf.bprintf b
+    "{\"store\":\"%s\",\"mode\":\"segmented\",\"applied\":%b,\"recovered\":%b"
+    (esc r.store) r.applied r.recovered;
   Buffer.add_string b ",\"segments\":[";
   List.iteri
     (fun i e ->

@@ -1,15 +1,18 @@
-(** Durable run journal for the supervised epoch loop: a single
-    append-only file, or a segmented self-healing store.
+(** Durable run journal for the supervised epoch loop: a self-healing
+    store directory of segments.
 
     The settlement ledger and incident history are the non-regulatory
     accountability a public option offers; a process crash mid-month
-    must not erase them.  The file (or each segment) is a {!Log}:
+    must not erase them.  A journal is a {e directory} of [NNNNN.seg]
+    files plus a checksummed [MANIFEST] (the live segment ids,
+    rewritten atomically via rename).  Each segment is a {!Log}:
     records are length-prefixed and CRC-32-checksummed (framing in
-    [Poc_util.Codec]), appended and synced after every epoch:
+    [Poc_util.Codec]), appended and flushed after every epoch:
 
-    - one {!header} record identifying the run (format version, market
-      seed and horizon, a digest of market + ladder config and the
-      compiled fault schedule, snapshot cadence);
+    - one segment header identifying the run (format version, segment
+      id and byte budget, market seed and horizon, a digest of market +
+      ladder config and the compiled fault schedule, snapshot cadence)
+      and, from the second segment on, a {!carry};
     - one {!epoch_record} per completed epoch — the epoch report with
       every float stored bit-exact, the fault events applied, the
       selected link ids, and any invariant violations;
@@ -20,14 +23,13 @@
     - a completion record once the run finishes, carrying the rendered
       incident log.
 
-    {2 Segmented stores}
+    {2 Rotation}
 
-    [create ~segment_bytes] writes the journal as a {e directory} of
-    [NNNNN.seg] files plus a checksummed [MANIFEST] (the live segment
-    ids, rewritten atomically via rename).  When the active segment
-    exceeds the byte budget the supervisor {!rotate}s: the next segment
-    opens with a {!carry} — a full snapshot plus the epoch reports and
-    violations accumulated so far — so {e every segment is
+    [create ~segment_bytes] sets the byte budget; without it the budget
+    is unbounded and the whole run lives in segment 00001.  When the
+    active segment exceeds the budget the supervisor {!rotate}s: the
+    next segment opens with a {!carry} — a full snapshot plus the epoch
+    reports and violations accumulated so far — so {e every segment is
     self-describing}: replay needs only the newest intact segment.
     Rotation garbage-collects segments strictly older than the newest
     durable checkpoint outside the active segment (the predecessor's
@@ -56,7 +58,11 @@
     [Unreadable] (the segment's own header/carry is gone — the segment
     is quarantined into [quarantine/] and the store falls back to the
     predecessor's checkpoint).  All file I/O flows through {!Disk}, so
-    the fault harness can inject the damage scrub repairs. *)
+    the fault harness can inject the damage scrub repairs.
+
+    A plain file at the journal path is refused by {!replay} and
+    {!scrub}: single-file journals written by older builds are not
+    read. *)
 
 type status =
   | Healthy
@@ -141,12 +147,11 @@ type t
 (** An open journal being written.  Every append flushes. *)
 
 val create : ?disk:Disk.t -> ?segment_bytes:int -> string -> header -> t
-(** Truncate/create the store and write the header.  Without
-    [segment_bytes], [path] is a single file opened exactly as before.
-    With [segment_bytes] (the rotation budget, >= 1), [path] is a
-    directory: any previous segments in it are cleared, segment 00001
-    is opened with the run header and no carry, and the [MANIFEST] is
-    written. *)
+(** Create the store directory at [path] (one level) and start a fresh
+    run in it: any previous segments are cleared, segment 00001 is
+    opened with the run header and no carry, and the [MANIFEST] is
+    written.  [segment_bytes] is the rotation budget (>= 1); without it
+    the store never rotates. *)
 
 val append_epoch : t -> epoch_record -> unit
 val append_snapshot : t -> snapshot -> unit
@@ -157,24 +162,22 @@ val append_torn : t -> epoch:int -> unit
     {!replay} discards it. *)
 
 val wants_rotation : t -> bool
-(** True when the store is segmented and the active segment has grown
-    past its byte budget.  Always false for a single-file journal. *)
+(** True when the active segment has grown past its byte budget;
+    always false under an unbounded budget. *)
 
 val rotate : t -> carry -> unit
 (** Open segment [N+1] with [carry] in its header, sync it, switch the
     manifest to [{N; N+1}] (atomic rename), then delete segments older
-    than [N].  A no-op on a single-file journal.  The caller (the
-    supervisor) supplies the carry because only it can snapshot the
-    live market state. *)
+    than [N].  The caller (the supervisor) supplies the carry because
+    only it can snapshot the live market state. *)
 
 val close : t -> unit
 
 type replayed = {
   header : header;
-  records : epoch_record list;  (** valid epoch records, chronological;
-                                    for a segmented store, the active
-                                    segment's records (older history
-                                    lives in [prefix_reports]) *)
+  records : epoch_record list;  (** the active segment's valid epoch
+                                    records, chronological (older
+                                    history lives in [prefix_reports]) *)
   snapshot : snapshot option;   (** last durable checkpoint: the last
                                     snapshot record, else the segment's
                                     opening carry *)
@@ -184,34 +187,32 @@ type replayed = {
   resume_offset : int;          (** truncation point for {!reopen}: end of
                                     the last checkpoint *)
   prefix_reports : epoch_report list;
-      (** epoch reports recovered from the carry ([[]] for single-file) *)
+      (** epoch reports recovered from the carry ([[]] in segment 1) *)
   prefix_violations : violation list;
-  segmented : bool;
-  segment_bytes : int;          (** rotation budget; 0 for single-file *)
-  active_segment : int;         (** id of the segment replayed; 0 for
-                                    single-file *)
+  segment_bytes : int;          (** rotation budget; [max_int] when
+                                    unbounded *)
+  active_segment : int;         (** id of the segment replayed *)
   live_segments : int list;     (** manifest contents, ascending *)
 }
 
 val reopen : ?disk:Disk.t -> string -> replayed -> t
 (** Reopen a replayed store for appending at [resume_offset] — the end
     of the last durable checkpoint — first truncating the active
-    segment (or single file) there when the replay found bytes past it.
-    For a segmented store this also deletes orphan
-    segments newer than the manifest's active one (a crash mid-rotation
-    leaves exactly that: the new segment created, the manifest rename
-    lost) and rewrites the manifest, so the on-disk state a resumed run
-    grows from is byte-identical to the uninterrupted run's at the same
-    epoch.  Raises [Sys_error] on an unreadable path. *)
+    segment there when the replay found bytes past it.  This also
+    deletes orphan segments newer than the manifest's active one (a
+    crash mid-rotation leaves exactly that: the new segment created,
+    the manifest rename lost) and rewrites the manifest, so the on-disk
+    state a resumed run grows from is byte-identical to the
+    uninterrupted run's at the same epoch.  Raises [Sys_error] on an
+    unreadable path. *)
 
 val replay : ?disk:Disk.t -> string -> (replayed, string) result
-(** Read and validate a journal — a single file, or a segmented store
-    directory (detected automatically).  For a segmented store only the
-    newest intact segment is read (its carry stands in for the GC'd
-    history); if the manifest itself is unreadable the directory is
-    scanned for segments instead.  [Error] on a missing/unreadable
-    store, a store that is not a POC journal, a version mismatch, or an
-    active segment whose header/carry is damaged (run {!scrub} to
+(** Read and validate a journal store.  Only the newest intact segment
+    is read (its carry stands in for the GC'd history); if the manifest
+    itself is unreadable the directory is scanned for segments instead.
+    [Error] on a missing path or a plain file (an old single-file
+    journal), a store that is not a POC journal, a version mismatch, or
+    an active segment whose header/carry is damaged (run {!scrub} to
     quarantine it and fall back); torn or corrupted tails are
     truncated, never fatal. *)
 
@@ -226,7 +227,7 @@ type scrub_verdict =
 type scrub_action = Scrub_none | Scrub_truncated | Scrub_quarantined
 
 type segment_scrub = {
-  seg_id : int;       (** 0 for a single-file journal *)
+  seg_id : int;
   seg_path : string;
   records_ok : int;   (** checksum-valid, parseable records *)
   verdict : scrub_verdict;
@@ -237,14 +238,13 @@ type segment_scrub = {
 
 type scrub_report = {
   store : string;
-  store_segmented : bool;
   applied : bool;     (** false when [dry_run] *)
   recovered : bool;   (** a resumable store remains after the scrub *)
-  segments : segment_scrub list;  (** ascending id; one entry for a file *)
+  segments : segment_scrub list;  (** ascending id *)
 }
 
 val scrub : ?disk:Disk.t -> ?dry_run:bool -> string -> (scrub_report, string) result
-(** Walk every live segment (or the single file), classify each record,
+(** Walk every live segment, classify each record,
     and repair what can be repaired: torn tails and interior corruption
     are truncated at the first bad byte (resume then falls back to the
     last checkpoint at or before it), segments whose header/carry is
@@ -252,11 +252,12 @@ val scrub : ?disk:Disk.t -> ?dry_run:bool -> string -> (scrub_report, string) re
     manifest, falling back to the predecessor's checkpoint.  With
     [dry_run] nothing is modified; the report carries the actions that
     {e would} be taken.  Progress is counted in [Poc_obs.Metrics]
-    ([poc_scrub_*]).  [Error] only when [path] is no journal at all. *)
+    ([poc_scrub_*]).  [Error] only when [path] is no journal store at
+    all. *)
 
 val scrub_to_json : scrub_report -> string
 (** Machine-readable report (one JSON object, trailing newline):
-    [{"store":..,"mode":"segmented"|"file","applied":..,"recovered":..,
+    [{"store":..,"mode":"segmented","applied":..,"recovered":..,
     "segments":[{"segment":..,"path":..,"records_ok":..,"verdict":..,
     "action":..,"bytes_kept":..,"bytes_dropped":..}],"quarantined":[..],
     "quarantined_count":..}].  ["store"] is the store root as given and

@@ -780,12 +780,18 @@ let run ?ladder ?journal ?flight ?snapshot_every ?segment_bytes ?disk ?pool
     (open_run ?ladder ?journal ?flight ?snapshot_every ?segment_bytes ?disk
        ?pool plan ~market ~schedule)
 
+type refusal = Completed | Refused of string
+
+let refusal_to_string = function
+  | Completed -> "journal records a completed run; nothing to resume"
+  | Refused msg -> msg
+
 let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
     ~journal:path ?flight ?disk ?pool (plan : Planner.plan) ~market ~schedule =
   validate_or_raise ~ladder ~market;
   let disk = match disk with Some d -> d | None -> Disk.real () in
   match Journal.replay ~disk path with
-  | Error msg -> Error msg
+  | Error msg -> Error (Refused msg)
   | Ok r ->
     let h = r.Journal.header in
     let n_bps = Array.length plan.Planner.problem.Vcg.bids in
@@ -809,9 +815,10 @@ let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
         [ "config digest differs (market, ladder or fault schedule changed)" ]
     in
     if mismatches <> [] then
-      Error ("journal does not match this run: " ^ String.concat "; " mismatches)
-    else if r.Journal.complete <> None then
-      Error "journal records a completed run; nothing to resume"
+      Error
+        (Refused
+           ("journal does not match this run: " ^ String.concat "; " mismatches))
+    else if r.Journal.complete <> None then Error Completed
     else
       let state, first_epoch, prefix_records =
         match r.Journal.snapshot with
@@ -891,6 +898,7 @@ let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
 
 let resume ?ladder ?honor_crashes ~journal ?flight ?disk ?pool
     (plan : Planner.plan) ~market ~schedule =
-  Result.map drive
-    (open_resume ?ladder ?honor_crashes ~journal ?flight ?disk ?pool plan
-       ~market ~schedule)
+  open_resume ?ladder ?honor_crashes ~journal ?flight ?disk ?pool plan ~market
+    ~schedule
+  |> Result.map drive
+  |> Result.map_error refusal_to_string

@@ -20,12 +20,12 @@
 
     {2 Durability}
 
-    [run ~journal:path] additionally writes a crash-safe {!Journal}:
-    one flushed record per epoch plus a carry-forward snapshot every
-    [snapshot_every] epochs.  With [~segment_bytes] the journal is a
-    segmented store that rotates past the byte budget and
-    garbage-collects history older than the newest durable checkpoint
-    (see {!Journal}).  If the process dies mid-run — including at an
+    [run ~journal:path] additionally writes a crash-safe {!Journal}
+    store directory at [path]: one flushed record per epoch plus a
+    carry-forward snapshot every [snapshot_every] epochs.  With
+    [~segment_bytes] the store rotates past the byte budget and
+    garbage-collects history older than the newest durable checkpoint;
+    without it the budget is unbounded (see {!Journal}).  If the process dies mid-run — including at an
     injected {!Fault.Crash} or {!Fault.Storage} point — {!resume}
     replays the journal's valid prefix, restores the snapshot state,
     and continues the run to completion.  The resumed report (epochs,
@@ -105,10 +105,10 @@ val run :
     a bad market or ladder config; never raises on injected faults
     other than {!Injected_crash}.  [journal] durably records the run
     (see {!Journal}); [snapshot_every] (default 4, must be >= 1) sets
-    the snapshot cadence.  [segment_bytes] switches the journal to a
-    segmented store with that rotation budget — the supervisor rotates
-    after any epoch whose records pushed the active segment past the
-    budget, writing a carry checkpoint of the live state.  [disk]
+    the snapshot cadence.  [segment_bytes] sets the store's rotation
+    budget (default unbounded) — the supervisor rotates after any epoch
+    whose records pushed the active segment past the budget, writing a
+    carry checkpoint of the live state.  [disk]
     substitutes a disk layer (the fault harness's hook); [Storage]
     specs in the schedule damage it at crash time.  [pool] parallelizes
     every epoch's auction and ladder rungs; the supervisor does not own
@@ -138,12 +138,12 @@ val resume :
   market:Poc_market.Epochs.config ->
   schedule:Fault.schedule ->
   (report, string) result
-(** Recover a crashed run from its journal — single-file or segmented,
-    detected automatically — and drive it to completion, appending to
-    the same store.  Resumption restores the last durable checkpoint
+(** Recover a crashed run from its journal store and drive it to
+    completion, appending to the same store.  Resumption restores the last durable checkpoint
     (snapshot record or segment carry), truncates everything after it,
     and deletes any orphan segment a crash mid-rotation left behind.
-    [Error] on an unreadable or corrupt journal header, a
+    [Error] with {!refusal_to_string} of {!open_resume}'s refusal: an
+    unreadable store, a plain file (an old single-file journal), a
     config/seed/schedule mismatch with the journal's digest, a journal
     that already records a completed run, or an active segment whose
     header is damaged (run {!Journal.scrub} first to quarantine it and
@@ -205,6 +205,15 @@ val open_run :
     loop positioned at epoch 1.  Same arguments and failure modes as
     {!run}. *)
 
+type refusal =
+  | Completed  (** the journal records a finished run: nothing to resume *)
+  | Refused of string  (** unreadable, damaged or mismatched: the reason *)
+(** Why a journal did not reopen.  [Completed] comes from the replay's
+    completion record, so a caller can close such a run without
+    reading the store again. *)
+
+val refusal_to_string : refusal -> string
+
 val open_resume :
   ?ladder:Ladder.config ->
   ?honor_crashes:bool ->
@@ -215,7 +224,7 @@ val open_resume :
   Poc_core.Planner.plan ->
   market:Poc_market.Epochs.config ->
   schedule:Fault.schedule ->
-  (loop, string) result
+  (loop, refusal) result
 (** Replay and reopen a crashed run's journal (same checks and
     truncation semantics as {!resume}, including [honor_crashes])
     and return a loop positioned at the first epoch after the restored

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Kill-and-resume smoke check: crash the journaled chaos month at every
-# injection phase, resume each journal, and require the resumed stdout
-# (epoch table, incident log, closing ledger) to be byte-identical to
-# an uninterrupted run.  The second half repeats the exercise against
-# the segmented store: rotation under a byte budget, a torn manifest
-# rename mid-rotation, a corrupt-byte power cut followed by scrub, and
-# byte-diffs of the store files themselves.
+# injection phase, resume each journal store, and require the resumed
+# stdout (epoch table, incident log, closing ledger) to be
+# byte-identical to an uninterrupted run.  The first half journals
+# without --segment-bytes (an unbounded store: one segment); the second
+# half repeats the exercise under a byte budget: rotation, a torn
+# manifest rename mid-rotation, a corrupt-byte power cut followed by
+# scrub, and byte-diffs of the store files themselves.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,7 +37,7 @@ diff_stores() {
 "$run" > "$workdir/uninterrupted.txt"
 
 for phase in pre_auction pre_settle post_settle; do
-  journal="$workdir/journal-$phase.bin"
+  journal="$workdir/store-$phase"
 
   status=0
   "$run" --journal "$journal" --crash "5:$phase" \
@@ -55,8 +56,23 @@ for phase in pre_auction pre_settle post_settle; do
   echo "ok: crash at 5:$phase resumed byte-identical"
 done
 
+# Without --segment-bytes the store never rotates: one directory, one
+# segment, and scrub reads it as a store like any other.
+store="$workdir/store-post_settle"
+[ -d "$store" ] || { echo "FAIL(unbounded): $store is not a directory" >&2; exit 1; }
+segs=$(ls "$store" | grep -c '\.seg$' || true)
+if [ "$segs" -ne 1 ]; then
+  echo "FAIL(unbounded): expected exactly one segment, got $segs" >&2
+  exit 1
+fi
+"$cli" scrub --dry-run "$store" > "$workdir/scrub-unbounded.json" || {
+  echo "FAIL(unbounded): scrub --dry-run exited $?" >&2; exit 1; }
+grep -q '"mode":"segmented"' "$workdir/scrub-unbounded.json" || {
+  echo "FAIL(unbounded): scrub report not segmented JSON" >&2; exit 1; }
+echo "ok: unbounded store holds one segment and scrubs clean"
+
 # A resumed (now complete) journal must be refused, not silently re-run.
-if "$run" --resume "$workdir/journal-post_settle.bin" >/dev/null 2>&1; then
+if "$run" --resume "$store" >/dev/null 2>&1; then
   echo "FAIL: resuming a completed journal should fail" >&2
   exit 1
 fi
@@ -70,7 +86,7 @@ if ! diff -u "$workdir/uninterrupted.txt" "$workdir/uninterrupted-jobs2.txt"; th
   exit 1
 fi
 
-journal="$workdir/journal-jobs2.bin"
+journal="$workdir/store-jobs2"
 status=0
 "$run" --jobs 2 --journal "$journal" --crash "5:pre_settle" \
   > "$workdir/crashed-jobs2.txt" 2>/dev/null || status=$?
@@ -85,16 +101,16 @@ if ! diff -u "$workdir/uninterrupted.txt" "$workdir/resumed-jobs2.txt"; then
 fi
 echo "ok: --jobs 2 crash/resume byte-identical to serial"
 
-# --- Segmented store ---------------------------------------------------------
+# --- Rotating store ----------------------------------------------------------
 
 budget=2048
 
-# Reference: an uninterrupted segmented run.  Its store is the byte
+# Reference: an uninterrupted rotating run.  Its store is the byte
 # target every recovery below must reproduce.
 "$run" --journal "$workdir/seg-ref" --segment-bytes "$budget" \
   > "$workdir/seg-uninterrupted.txt" 2>/dev/null
 if ! diff -u "$workdir/uninterrupted.txt" "$workdir/seg-uninterrupted.txt"; then
-  echo "FAIL(seg): segmented run output differs from single-file run" >&2
+  echo "FAIL(seg): rotating run output differs from the unbounded run" >&2
   exit 1
 fi
 segs=$(ls "$workdir/seg-ref" | grep -c '\.seg$')
@@ -102,7 +118,7 @@ if [ "$segs" -lt 2 ]; then
   echo "FAIL(seg): expected rotation to leave >= 2 segments, got $segs" >&2
   exit 1
 fi
-echo "ok: segmented run matches single-file output ($segs live segments)"
+echo "ok: rotating run matches unbounded output ($segs live segments)"
 
 # Crash mid-run (epoch 5 straddles the rotation at the epoch-4
 # snapshot), resume, and require the store byte-identical.

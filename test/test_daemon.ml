@@ -55,14 +55,11 @@ let with_tmp_root f =
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let store_bytes store =
-  (* One comparable string covering the whole store: a single journal
-     file as-is, a segmented store as every file, sorted. *)
-  if Sys.is_directory store then
-    Sys.readdir store |> Array.to_list |> List.sort compare
-    |> List.map (fun name ->
-           name ^ ":" ^ read_file (Filename.concat store name))
-    |> String.concat "\n"
-  else read_file store
+  (* One comparable string covering the whole store directory: every
+     file, sorted by name. *)
+  Sys.readdir store |> Array.to_list |> List.sort compare
+  |> List.map (fun name -> name ^ ":" ^ read_file (Filename.concat store name))
+  |> String.concat "\n"
 
 (* --- Protocol --- *)
 
@@ -227,6 +224,29 @@ let test_intake_roundtrip_and_torn_tail () =
         Alcotest.(check int) "file truncated to the durable prefix"
           (String.length data)
           (String.length (read_file intake_path)));
+      (* A flipped byte inside the first of the two records is interior
+         damage: the second record is an admission a client saw OK'd,
+         so reopen refuses, naming the file and the byte offset, and
+         leaves the file as it was. *)
+      let damaged = Bytes.of_string data in
+      Bytes.set damaged 12 (Char.chr (Char.code (Bytes.get damaged 12) lxor 0xFF));
+      let damaged = Bytes.to_string damaged in
+      Out_channel.with_open_bin intake_path (fun oc ->
+          Out_channel.output_string oc damaged);
+      (match Intake.reopen intake_path with
+      | Ok _ -> Alcotest.fail "reopen must refuse interior damage"
+      | Error msg ->
+        let has needle =
+          let nl = String.length needle and ml = String.length msg in
+          let rec at i =
+            i + nl <= ml && (String.sub msg i nl = needle || at (i + 1))
+          in
+          at 0
+        in
+        Alcotest.(check bool) "error names the file" true (has intake_path);
+        Alcotest.(check bool) "error names the offset" true (has "byte 0"));
+      Alcotest.(check bool) "damaged log left in place" true
+        (read_file intake_path = damaged);
       (* A checksum-valid record that does not decode is version skew,
          not damage: reopen refuses and truncates nothing, while the
          read-only replay keeps the prefix and flags the tail. *)
@@ -256,7 +276,8 @@ let test_intake_missing_file_is_empty () =
 
 let must_create = function
   | Ok engine -> engine
-  | Error msg -> Alcotest.failf "engine create failed: %s" msg
+  | Error r ->
+    Alcotest.failf "engine create failed: %s" (Supervisor.refusal_to_string r)
 
 let req line =
   match Protocol.parse line with

@@ -589,13 +589,22 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let test_journal_byte_identical_with_tracing () =
   let plan = plan () in
   let schedule = chaos_schedule plan in
+  (* The store's files, sorted by name: an unbounded store holds the
+     manifest and one segment. *)
   let journal_of f =
-    let path = Filename.temp_file "poc_obs_journal" ".bin" in
+    let dir = Filename.temp_file "poc_obs_journal" "" in
+    Sys.remove dir;
+    let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
     Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      ~finally:(fun () ->
+        try
+          List.iter (fun n -> Sys.remove (Filename.concat dir n)) (files ());
+          Sys.rmdir dir
+        with Sys_error _ -> ())
       (fun () ->
-        f path;
-        read_file path)
+        f dir;
+        String.concat ""
+          (List.map (fun n -> read_file (Filename.concat dir n)) (files ())))
   in
   let untraced =
     journal_of (fun path ->

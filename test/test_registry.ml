@@ -47,12 +47,11 @@ let with_tmp_root f =
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let store_bytes store =
-  if Sys.is_directory store then
-    Sys.readdir store |> Array.to_list |> List.sort compare
-    |> List.map (fun name ->
-           name ^ ":" ^ read_file (Filename.concat store name))
-    |> String.concat "\n"
-  else read_file store
+  (* One comparable string covering the whole store directory: every
+     file, sorted by name. *)
+  Sys.readdir store |> Array.to_list |> List.sort compare
+  |> List.map (fun name -> name ^ ":" ^ read_file (Filename.concat store name))
+  |> String.concat "\n"
 
 let must_create = function
   | Ok reg -> reg
@@ -87,11 +86,11 @@ let run_2_specs =
   ]
 
 (* The single-run reference: same script, no faults, no concurrency. *)
-let reference_bytes () =
+let reference_bytes ?segment_bytes () =
   with_tmp_root (fun root ->
       let reg =
         must_create
-          (Registry.create ~root (plan ()) ~market ())
+          (Registry.create ?segment_bytes ~root (plan ()) ~market ())
       in
       List.iter
         (fun l -> ignore (dispatch reg l))
@@ -364,6 +363,148 @@ let test_runs_manifest_damage () =
         "run 3 remembered" [ 0; 1; 2; 3 ] (serving reg);
       ignore (dispatch reg "SHUTDOWN"))
 
+(* A persistent disk error is a run failure like an injected crash:
+   run 1's disk fails every rename once an EPOCH rotates its journal.
+   The error must not escape the registry; run 1 walks backoff, scrub,
+   resume (which fails again: reopening rewrites the manifest) and
+   quarantine, while the other runs finish byte-identical to the
+   single-run reference. *)
+let test_disk_error_stays_in_run () =
+  let segment_bytes = 512 in
+  let reference = reference_bytes ~segment_bytes () in
+  let no_raise what f =
+    try f ()
+    with exn -> Alcotest.failf "%s raised %s" what (Printexc.to_string exn)
+  in
+  let state reg = Registry.state_of reg 1 in
+  with_tmp_root (fun root ->
+      let broken = ref false in
+      let disk_for ~run =
+        if run <> 1 then Engine.retrying_disk ()
+        else
+          Disk.with_ops
+            {
+              Disk.real_ops with
+              Disk.rename =
+                (fun a b ->
+                  if !broken then raise (Sys_error "injected: rename failed")
+                  else Disk.real_ops.Disk.rename a b);
+            }
+      in
+      let reg =
+        must_create
+          (Registry.create ~segment_bytes ~attempt_cap:2 ~disk_for ~runs:3
+             ~root (plan ()) ~market ())
+      in
+      let dispatch line = no_raise line (fun () -> dispatch reg line) in
+      let drive runs line =
+        List.iter
+          (fun r -> ignore (dispatch (Printf.sprintf "RUN %d %s" r line)))
+          runs
+      in
+      (* Each tick an hour past the last: every armed backoff is due. *)
+      let clock = ref (far_future ()) in
+      let tick () =
+        clock := !clock +. 3.6e9;
+        no_raise "tick" (fun () -> Registry.tick reg ~now_us:!clock)
+      in
+      List.iter (drive [ 0; 1; 2 ]) [ "BID 1 0 1.07 2"; "MATRIX 2 1.04" ];
+      broken := true;
+      (match dispatch "RUN 1 EPOCH 3" with
+      | [ line ] ->
+        Alcotest.(check bool) "the failing EPOCH answers BUSY ... failing" true
+          (has_prefix "BUSY run=1 " line
+          && List.mem "failing" (String.split_on_char ' ' line))
+      | lines ->
+        Alcotest.failf "unexpected EPOCH reply: %s" (String.concat " | " lines));
+      (match state reg with
+      | Some (Registry.Failing { attempts = 1; _ }) -> ()
+      | _ -> Alcotest.fail "run 1 must be Failing after the disk error");
+      drive [ 0; 2 ] "EPOCH 3";
+      (* The due retry scrubs and resumes; the resume hits the same
+         disk and fails again, leaving no file handle open behind it. *)
+      let open_fds () =
+        if Sys.file_exists "/proc/self/fd" then
+          Some (Array.length (Sys.readdir "/proc/self/fd"))
+        else None
+      in
+      let fds = open_fds () in
+      tick ();
+      Alcotest.(check (option int)) "no handle leaked by the failed resume"
+        fds (open_fds ());
+      (match state reg with
+      | Some (Registry.Failing { attempts = 2; cause; _ }) ->
+        Alcotest.(check bool) "the retry got past scrub into resume" true
+          (has_prefix "resume failed: " cause)
+      | _ -> Alcotest.fail "run 1 must be Failing after one failed retry");
+      tick ();
+      (match state reg with
+      | Some (Registry.Quarantined _) -> ()
+      | _ -> Alcotest.fail "run 1 must be Quarantined past the attempt cap");
+      (match dispatch "RUN 1 STATUS" with
+      | [ line ] ->
+        Alcotest.(check bool) "quarantined answers GONE" true
+          (has_prefix "GONE run=1" line)
+      | _ -> Alcotest.fail "unexpected GONE shape");
+      List.iter (drive [ 0; 2 ]) second_half;
+      ignore (dispatch "SHUTDOWN");
+      List.iter
+        (fun r ->
+          match Registry.store_path reg r with
+          | Some store ->
+            Alcotest.(check bool)
+              (Printf.sprintf "run %d byte-identical to the reference" r)
+              true
+              (store_bytes store = reference)
+          | None -> Alcotest.failf "run %d has no store" r)
+        [ 0; 2 ];
+      match Registry.store_path reg 1 with
+      | Some store ->
+        Alcotest.(check bool) "quarantined store kept" true
+          (Sys.file_exists store)
+      | None -> Alcotest.fail "run 1 lost its store")
+
+(* Whether a run completed is read from its journal's replay, never
+   from an error message: a root whose path contains "complete" must
+   not close a run whose store is simply gone. *)
+let test_completed_read_from_replay () =
+  let root = Filename.temp_file "poc_registry_complete" "" in
+  Sys.remove root;
+  Sys.mkdir root 0o755;
+  Fun.protect
+    ~finally:(fun () -> try rm_rf root with Sys_error _ -> ())
+    (fun () ->
+      let runs_path = Filename.concat root "RUNS" in
+      let reg =
+        must_create (Registry.create ~runs:2 ~root (plan ()) ~market ())
+      in
+      ignore (dispatch reg "RUN 0 EPOCH 6");
+      ignore (dispatch reg "SHUTDOWN");
+      let data = read_file runs_path in
+      Alcotest.(check int) "two opens and run 0's close" 83
+        (String.length data);
+      (* As if the daemon died between run 0's completion record and
+         its RUNS close: both runs read open.  Run 1 loses its store
+         but keeps its intake log. *)
+      Out_channel.with_open_bin runs_path (fun oc ->
+          Out_channel.output_string oc (String.sub data 0 66));
+      rm_rf (Filename.concat root "runs/00001/store");
+      let reg =
+        must_create
+          (Registry.create ~resume:true ~root (plan ()) ~market ())
+      in
+      (match Registry.state_of reg 0 with
+      | Some Registry.Closed -> ()
+      | _ -> Alcotest.fail "run 0's journal is complete: it must close");
+      (match Registry.state_of reg 1 with
+      | Some (Registry.Failing _) -> ()
+      | s ->
+        Alcotest.failf "run 1 lost its store: it must fail, not %s"
+          (match s with Some s -> Registry.state_name s | None -> "vanish"));
+      Alcotest.(check int) "RUNS gains run 0's close only" 83
+        (String.length (read_file runs_path));
+      ignore (dispatch reg "SHUTDOWN"))
+
 let suite =
   [
     Alcotest.test_case "open/close/runs lifecycle" `Slow
@@ -378,4 +519,8 @@ let suite =
       test_kill_and_restart_mid_incident;
     Alcotest.test_case "RUNS: corrupt frame refused, torn tail cut" `Slow
       test_runs_manifest_damage;
+    Alcotest.test_case "a run's disk error stays inside the run" `Slow
+      test_disk_error_stays_in_run;
+    Alcotest.test_case "completion read from the replay" `Slow
+      test_completed_read_from_replay;
   ]

@@ -391,16 +391,46 @@ let test_pay_as_bid_surviving_subset () =
 
 (* --- Journal: crash injection, resume, torn-tail recovery --- *)
 
-let with_tmp_journal f =
-  let path = Filename.temp_file "poc_journal" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path data =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+let with_tmp_store f =
+  (* A fresh directory path for a journal store.  Journal.create
+     mkdirs it; clean up everything including the quarantine subdir. *)
+  let path = Filename.temp_file "poc_segstore" "" in
+  Sys.remove path;
+  let rm_rf dir =
+    if Sys.file_exists dir && Sys.is_directory dir then begin
+      let rec go d =
+        Array.iter
+          (fun name ->
+            let p = Filename.concat d name in
+            if Sys.is_directory p then go p else Sys.remove p)
+          (Sys.readdir d);
+        Unix.rmdir d
+      in
+      go dir
+    end
+  in
+  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
+
+(* Every file in the store (including quarantine/), name -> bytes, for
+   byte-identity checks between stores. *)
+let store_fingerprint dir =
+  let rec files prefix d =
+    Array.to_list (Sys.readdir d)
+    |> List.concat_map (fun name ->
+           let p = Filename.concat d name in
+           let rel = if prefix = "" then name else prefix ^ "/" ^ name in
+           if Sys.is_directory p then files rel p else [ (rel, read_file p) ])
+  in
+  List.sort compare (files "" dir)
+
+(* Without a segment budget the store never rotates: the whole run is
+   in its first segment. *)
+let first_segment dir = Filename.concat dir "00001.seg"
 
 let render (r : Supervisor.report) =
   Supervisor.render_epochs r ^ Supervisor.render_incidents r
@@ -418,7 +448,7 @@ let check_crash_resume ~at_epoch phase () =
     | Ok s -> s
     | Error msg -> Alcotest.failf "crash schedule failed to compile: %s" msg
   in
-  with_tmp_journal (fun path ->
+  with_tmp_store (fun path ->
       (match Supervisor.run plan ~journal:path ~market ~schedule:crashing with
       | _ -> Alcotest.fail "expected an injected crash"
       | exception Supervisor.Injected_crash { epoch; phase = p } ->
@@ -455,13 +485,16 @@ let test_crash_resume_before_first_snapshot =
 
 let test_journal_replay_roundtrip () =
   let plan = plan () in
-  with_tmp_journal (fun path ->
+  with_tmp_store (fun path ->
       let run = Supervisor.run plan ~journal:path ~market ~schedule:(compile_chaos plan) in
       match Journal.replay path with
       | Error msg -> Alcotest.failf "replay of a clean journal failed: %s" msg
       | Ok r ->
         Alcotest.(check bool) "no torn tail" false r.Journal.torn_tail;
         Alcotest.(check bool) "completion recorded" true (r.Journal.complete <> None);
+        Alcotest.(check bool) "an unbounded store never rotates" true
+          (r.Journal.segment_bytes = max_int
+          && r.Journal.live_segments = [ 1 ]);
         Alcotest.(check int) "every epoch recorded" market.Epochs.epochs
           (List.length r.Journal.records);
         Alcotest.(check bool) "journaled reports match the run" true
@@ -475,11 +508,12 @@ let test_journal_replay_roundtrip () =
 
 let test_journal_torn_and_corrupt_tails_truncate () =
   let plan = plan () in
-  with_tmp_journal (fun path ->
+  with_tmp_store (fun path ->
       let _ = Supervisor.run plan ~journal:path ~market ~schedule:(compile_chaos plan) in
-      let data = read_file path in
+      let seg = first_segment path in
+      let data = read_file seg in
       (* a tail cut mid-write: the last record reads as torn *)
-      write_file path (String.sub data 0 (String.length data - 5));
+      write_file seg (String.sub data 0 (String.length data - 5));
       (match Journal.replay path with
       | Error msg -> Alcotest.failf "a torn tail must not be fatal: %s" msg
       | Ok r ->
@@ -494,7 +528,7 @@ let test_journal_torn_and_corrupt_tails_truncate () =
       let last = Bytes.length corrupted - 1 in
       Bytes.set corrupted last
         (Char.chr (Char.code (Bytes.get corrupted last) lxor 0xFF));
-      write_file path (Bytes.to_string corrupted);
+      write_file seg (Bytes.to_string corrupted);
       match Journal.replay path with
       | Error msg -> Alcotest.failf "a bad checksum must not be fatal: %s" msg
       | Ok r ->
@@ -504,14 +538,16 @@ let test_journal_torn_and_corrupt_tails_truncate () =
           (List.length r.Journal.records))
 
 let test_resume_after_external_truncation () =
-  (* Simulate kill -9 mid-write: chop the file mid-record and resume. *)
+  (* Simulate kill -9 mid-write: chop the segment mid-record and
+     resume. *)
   let plan = plan () in
   let schedule = compile_chaos plan in
   let uninterrupted = Supervisor.run plan ~market ~schedule in
-  with_tmp_journal (fun path ->
+  with_tmp_store (fun path ->
       let _ = Supervisor.run plan ~journal:path ~market ~schedule in
-      let data = read_file path in
-      write_file path (String.sub data 0 (String.length data - 7));
+      let seg = first_segment path in
+      let data = read_file seg in
+      write_file seg (String.sub data 0 (String.length data - 7));
       match Supervisor.resume ~journal:path plan ~market ~schedule with
       | Error msg -> Alcotest.failf "resume after truncation failed: %s" msg
       | Ok resumed ->
@@ -525,19 +561,19 @@ let test_journal_byte_identical_under_pool () =
   let plan = plan () in
   let schedule = compile_chaos plan in
   let journal_of ?pool () =
-    with_tmp_journal (fun path ->
+    with_tmp_store (fun path ->
         let report =
           Supervisor.run ?pool plan ~journal:path ~market ~schedule
         in
-        (render report, read_file path))
+        (render report, store_fingerprint path))
   in
   let serial_render, serial_bytes = journal_of () in
   Poc_util.Pool.with_pool ~jobs:4 (fun pool ->
       let par_render, par_bytes = journal_of ?pool () in
       Alcotest.(check string) "rendered report identical under jobs 4"
         serial_render par_render;
-      Alcotest.(check string) "journal bytes identical under jobs 4"
-        serial_bytes par_bytes)
+      Alcotest.(check bool) "journal bytes identical under jobs 4" true
+        (serial_bytes = par_bytes))
 
 let test_journal_byte_identical_with_feascache () =
   (* The feasibility cache must be journal-invisible: a journaled chaos
@@ -551,29 +587,29 @@ let test_journal_byte_identical_with_feascache () =
     Poc_auction.Feascache.set_enabled cache;
     Fun.protect ~finally:(fun () -> Poc_auction.Feascache.set_enabled was)
       (fun () ->
-        with_tmp_journal (fun path ->
+        with_tmp_store (fun path ->
             let report =
               Supervisor.run ?pool plan ~journal:path ~market ~schedule
             in
-            (render report, read_file path)))
+            (render report, store_fingerprint path)))
   in
   let on_render, on_bytes = journal_of ~cache:true () in
   let off_render, off_bytes = journal_of ~cache:false () in
   Alcotest.(check string) "rendered report identical cache on/off" on_render
     off_render;
-  Alcotest.(check string) "journal bytes identical cache on/off" on_bytes
-    off_bytes;
+  Alcotest.(check bool) "journal bytes identical cache on/off" true
+    (on_bytes = off_bytes);
   Poc_util.Pool.with_pool ~jobs:4 (fun pool ->
       let pooled_render, pooled_bytes = journal_of ?pool ~cache:true () in
       Alcotest.(check string) "report identical, cache on + jobs 4" on_render
         pooled_render;
-      Alcotest.(check string) "journal bytes identical, cache on + jobs 4"
-        on_bytes pooled_bytes)
+      Alcotest.(check bool) "journal bytes identical, cache on + jobs 4" true
+        (on_bytes = pooled_bytes))
 
 let test_resume_rejects_mismatch_and_complete () =
   let plan = plan () in
   let schedule = compile_chaos plan in
-  with_tmp_journal (fun path ->
+  with_tmp_store (fun path ->
       let _ = Supervisor.run plan ~journal:path ~market ~schedule in
       (match Supervisor.resume ~journal:path plan ~market ~schedule with
       | Ok _ -> Alcotest.fail "a complete journal must be refused"
@@ -600,69 +636,63 @@ let test_resume_rejects_mismatch_and_complete () =
         Alcotest.(check bool) "names the digest" true (contains msg "digest"))
 
 let test_replay_rejects_garbage_and_versions () =
-  with_tmp_journal (fun path ->
-      write_file path "these are not the records you are looking for";
+  with_tmp_store (fun path ->
+      Sys.mkdir path 0o755;
+      let seg = first_segment path in
+      write_file seg "these are not the records you are looking for";
       (match Journal.replay path with
       | Ok _ -> Alcotest.fail "garbage must not replay"
       | Error msg ->
-        Alcotest.(check bool) "says not a POC journal" true
-          (contains msg "not a POC journal"));
-      (* a well-formed header frame from a future format version *)
+        Alcotest.(check bool) "says the header is unreadable" true
+          (contains msg "unreadable header"));
+      (* a well-formed segment header frame from a future format
+         version *)
       let w = Codec.writer () in
-      Codec.put_u8 w 0;
+      Codec.put_u8 w 4;
       Codec.put_u32 w 0x504F434A;
       Codec.put_int w (Journal.version + 1);
+      Codec.put_int w 1;
+      Codec.put_int w max_int;
       Codec.put_int w 7;
       Codec.put_int w 8;
       Codec.put_int w 6;
       Codec.put_int w 4;
       Codec.put_i64 w 0L;
-      write_file path (Codec.frame (Codec.contents w));
+      Codec.put_u8 w 0;
+      write_file seg (Codec.frame (Codec.contents w));
       (match Journal.replay path with
       | Ok _ -> Alcotest.fail "a future version must not replay"
       | Error msg ->
         Alcotest.(check bool) "names the version" true (contains msg "version"));
-      match Journal.replay (path ^ ".does-not-exist") with
-      | Ok _ -> Alcotest.fail "a missing file must not replay"
+      (match Journal.replay (path ^ ".does-not-exist") with
+      | Ok _ -> Alcotest.fail "a missing store must not replay"
       | Error msg ->
         Alcotest.(check bool) "says it cannot read" true
-          (contains msg "cannot read"))
+          (contains msg "cannot read"));
+      (* A plain file — e.g. a single-file journal written by an older
+         build — is refused with the reason, by replay and scrub alike,
+         and left as it was. *)
+      let old = path ^ ".bin" in
+      write_file old (read_file seg);
+      Fun.protect
+        ~finally:(fun () -> Sys.remove old)
+        (fun () ->
+          (match Journal.replay old with
+          | Ok _ -> Alcotest.fail "a plain file must not replay"
+          | Error msg ->
+            Alcotest.(check bool) "replay: not a store directory" true
+              (contains msg "not a journal store directory"));
+          (match Journal.scrub old with
+          | Ok _ -> Alcotest.fail "a plain file must not scrub"
+          | Error msg ->
+            Alcotest.(check bool) "scrub: not a store directory" true
+              (contains msg "not a journal store directory"));
+          Alcotest.(check bool) "plain file untouched" true
+            (read_file old = read_file seg)))
 
 (* --- Segmented store: rotation, GC, disk faults, scrub --- *)
 
 module Disk = Poc_resilience.Disk
-
-let with_tmp_store f =
-  (* A fresh directory path for a segmented store.  Journal.create
-     mkdirs it; clean up everything including the quarantine subdir. *)
-  let path = Filename.temp_file "poc_segstore" "" in
-  Sys.remove path;
-  let rm_rf dir =
-    if Sys.file_exists dir && Sys.is_directory dir then begin
-      let rec go d =
-        Array.iter
-          (fun name ->
-            let p = Filename.concat d name in
-            if Sys.is_directory p then go p else Sys.remove p)
-          (Sys.readdir d);
-        Unix.rmdir d
-      in
-      go dir
-    end
-  in
-  Fun.protect ~finally:(fun () -> rm_rf path) (fun () -> f path)
-
-(* Every file in the store (including quarantine/), name -> bytes, for
-   byte-identity checks between stores. *)
-let store_fingerprint dir =
-  let rec files prefix d =
-    Array.to_list (Sys.readdir d)
-    |> List.concat_map (fun name ->
-           let p = Filename.concat d name in
-           let rel = if prefix = "" then name else prefix ^ "/" ^ name in
-           if Sys.is_directory p then files rel p else [ (rel, read_file p) ])
-  in
-  List.sort compare (files "" dir)
 
 let segment_budget = 700
 
@@ -677,8 +707,6 @@ let test_segmented_rotation_and_gc () =
       match Journal.replay dir with
       | Error msg -> Alcotest.failf "segmented replay failed: %s" msg
       | Ok r ->
-        Alcotest.(check bool) "store detected as segmented" true
-          r.Journal.segmented;
         Alcotest.(check int) "budget recorded in the segment header"
           segment_budget r.Journal.segment_bytes;
         Alcotest.(check bool) "rotation happened" true
@@ -794,17 +822,18 @@ let test_segmented_torn_rename_mid_rotation () =
             Alcotest.(check bool) "store byte-identical after torn rename" true
               (store_fingerprint dir = reference)))
 
-let test_single_file_interior_corruption_anchor () =
-  (* Regression anchor for the single-file format: a byte flipped in
-     the middle of a committed region truncates the replay at the flip
-     — records before it survive, nothing after it is invented — and a
-     resume reproduces the uninterrupted run byte-for-byte. *)
+let test_interior_corruption_anchor () =
+  (* A byte flipped in the middle of a committed region truncates the
+     replay at the flip — records before it survive, nothing after it
+     is invented — and a resume reproduces the uninterrupted run
+     byte-for-byte. *)
   let plan = plan () in
   let schedule = compile_chaos plan in
   let uninterrupted = Supervisor.run plan ~market ~schedule in
-  with_tmp_journal (fun path ->
+  with_tmp_store (fun path ->
       let _ = Supervisor.run plan ~journal:path ~market ~schedule in
-      let clean = read_file path in
+      let seg = first_segment path in
+      let clean = read_file seg in
       let full_records =
         match Journal.replay path with
         | Ok r -> List.length r.Journal.records
@@ -814,7 +843,7 @@ let test_single_file_interior_corruption_anchor () =
       let corrupted = Bytes.of_string clean in
       Bytes.set corrupted flip
         (Char.chr (Char.code (Bytes.get corrupted flip) lxor 0x5A));
-      write_file path (Bytes.to_string corrupted);
+      write_file seg (Bytes.to_string corrupted);
       (match Journal.replay path with
       | Error msg -> Alcotest.failf "interior corruption must not be fatal: %s" msg
       | Ok r ->
@@ -828,10 +857,15 @@ let test_single_file_interior_corruption_anchor () =
           (r.Journal.resume_offset <= flip));
       (* scrub agrees, and repairs in place *)
       (match Journal.scrub path with
-      | Error msg -> Alcotest.failf "single-file scrub failed: %s" msg
+      | Error msg -> Alcotest.failf "scrub failed: %s" msg
       | Ok report ->
-        Alcotest.(check bool) "single-file store" false
-          report.Journal.store_segmented;
+        Alcotest.(check bool) "the one segment is truncated at the damage"
+          true
+          (List.map
+             (fun (e : Journal.segment_scrub) ->
+               (e.Journal.verdict, e.Journal.action))
+             report.Journal.segments
+          = [ (Journal.Scrub_corrupt_interior, Journal.Scrub_truncated) ]);
         Alcotest.(check bool) "scrub recovers" true report.Journal.recovered);
       match Supervisor.resume ~journal:path plan ~market ~schedule with
       | Error msg -> Alcotest.failf "resume after corruption failed: %s" msg
@@ -1360,8 +1394,8 @@ let suite =
       test_segmented_crash_resume_byte_identical;
     Alcotest.test_case "torn rename mid-rotation resumes byte-identical" `Slow
       test_segmented_torn_rename_mid_rotation;
-    Alcotest.test_case "single-file interior corruption anchors" `Slow
-      test_single_file_interior_corruption_anchor;
+    Alcotest.test_case "interior corruption anchors resume" `Slow
+      test_interior_corruption_anchor;
     Alcotest.test_case "scrub quarantines and falls back a checkpoint" `Slow
       test_scrub_quarantine_falls_back;
     QCheck_alcotest.to_alcotest qcheck_storage_fault_matrix;
