@@ -12,8 +12,8 @@ let all = [ Handle_load; Single_link_failure; Per_pair_failure ]
 
 let per_pair_failure_scenario g ~enabled =
   let best = Hashtbl.create 64 in
-  Array.iter
-    (fun (e : Graph.edge) ->
+  Graph.fold_edges
+    (fun (e : Graph.edge) () ->
       if enabled e.id then begin
         let key = (min e.u e.v, max e.u e.v) in
         match Hashtbl.find_opt best key with
@@ -24,7 +24,7 @@ let per_pair_failure_scenario g ~enabled =
             || (e.capacity = cur.capacity && e.id < cur.id)
           then Hashtbl.replace best key e
       end)
-    (Graph.edges g);
+    g ();
   Hashtbl.fold (fun _ (e : Graph.edge) acc -> e.id :: acc) best []
   |> List.sort compare
 

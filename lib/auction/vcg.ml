@@ -432,11 +432,10 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
         budgeted
     in
     (* Rule #2 deep prune: each removal is validated by an incremental
-       re-route plus a spot check that the most-loaded links still
+       re-route plus a spot check that the 25 most-loaded links still
        survive; a final full verification rolls removals back (by
        bisection over the removal sequence) if the cheap checks let a
        violation slip through. *)
-    let spot_check_width = 25 in
     let prune_single_failure limit =
       let by_price_desc =
         List.sort (fun a b -> compare (price b) (price a)) (current_links ())
@@ -446,25 +445,9 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
         ref (Router.route ~enabled problem.graph ~demands:problem.demands)
       in
       let removed = ref [] in
-      let spot_survives (r : Router.routing) =
-        let top =
-          Router.used_edges r
-          |> List.sort (fun a b ->
-                 compare r.Router.usage.(b) r.Router.usage.(a))
-          |> List.filteri (fun i _ -> i < spot_check_width)
-        in
-        let survives f =
-          Router.survives_failure ~enabled problem.graph
-            ~demands:problem.demands ~base:r ~failed_edge:f
-        in
-        (* The failure checks are independent reads of the frozen
-           routing [r]; fan them out when a pool is available.  The
-           parallel arm evaluates all of them (no short-circuit), so
-           Router work counters read as honest totals, but the boolean
-           — and therefore the selection — is the same either way. *)
-        match pool with
-        | None -> List.for_all survives top
-        | Some p -> List.for_all Fun.id (Pool.map_list p survives top)
+      let spot_survives r =
+        Router.survives_all_single_failures ~enabled ?pool ~limit:25
+          problem.graph ~demands:problem.demands r
       in
       List.iter
         (fun id ->

@@ -28,29 +28,29 @@ let dijkstra ?(enabled = always_enabled) g src =
   (* CSR half-edges per node are in ascending insertion order — the
      same order Graph.neighbors yields — so results are bit-identical
      with the list-based relaxation this replaces. *)
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        let stop = row.{u + 1} in
-        for k = row.{u} to stop - 1 do
-          let id = eid.{k} in
-          let v = col.{k} in
-          if enabled id && not settled.(v) then begin
-            let nd = d +. wt.{k} in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              pred.(v) <- Some id;
-              Heap.push heap nd v
-            end
+  while not (Heap.is_empty heap) do
+    let u = Heap.min_value heap in
+    Heap.remove_min heap;
+    if not settled.(u) then begin
+      settled.(u) <- true;
+      (* A node is pushed only when its distance strictly drops, so its
+         first pop carries its last, smallest key: dist.(u). *)
+      let d = dist.(u) in
+      let stop = row.{u + 1} in
+      for k = row.{u} to stop - 1 do
+        let id = eid.{k} in
+        let v = col.{k} in
+        if enabled id && not settled.(v) then begin
+          let nd = d +. wt.{k} in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            pred.(v) <- Some id;
+            Heap.push heap nd v
           end
-        done
-      end;
-      loop ()
-  in
-  loop ();
+        end
+      done
+    end
+  done;
   (dist, pred)
 
 let reconstruct g pred src dst =

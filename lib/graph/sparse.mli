@@ -13,8 +13,8 @@
       ascending edge-insertion order — exactly the order
       {!Graph.neighbors} yields — so algorithms moved onto the CSR
       produce bit-identical results.
-    - {!Buf}, reusable [float64] flow buffers (residual / usage /
-      capacity) sized by edge count.
+    - {!Buf}, reusable [float64] flow buffers (residual / usage)
+      sized by edge count.
 
     Memory, for a graph with [V] nodes and [E] undirected edges
     (8-byte elements): CSR ≈ 8·(V+1) + 3·16·E + 8·E bytes ≈ 56·E for
@@ -61,8 +61,9 @@ val of_graph : Graph.t -> t
     O(1).  Safe to call concurrently from pool workers — each domain
     keeps its own compiled copy, so there is no shared mutable state. *)
 
-(** Reusable per-edge flow state for routing algorithms: three [float64]
-    slabs indexed by edge id. *)
+(** Reusable per-edge flow state for routing algorithms: two [float64]
+    slabs (residual and usage) indexed by edge id.  Capacity lives in
+    the CSR (field [capacity] of {!t}). *)
 module Buf : sig
   type buf = { residual : float_slab; usage : float_slab }
 

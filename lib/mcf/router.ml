@@ -5,9 +5,11 @@ module Metrics = Poc_obs.Metrics
 
 (* Router work counters: every full solve, every shortest-path search
    and every committed path chunk, plus the incremental re-routes the
-   auction's pruning and failure checks lean on.  Always on — an
-   increment is one float store — so any run can report how much
-   routing a selection cost. *)
+   auction's pruning and failure checks lean on.  Always on, so any run
+   can report how much routing a selection cost.  Searches and chunks
+   are tallied in the domain's scratch (below) and added to their
+   counters once per public call, or once per check of a failure
+   batch, so the totals are exact. *)
 let m_routes =
   Metrics.counter ~help:"Full routing solves" Metrics.default
     "poc_router_routes_total"
@@ -57,105 +59,250 @@ let validate_demand n (a, b, d) =
   if a = b then invalid_arg "Router: self demand";
   if d < 0.0 || not (Float.is_finite d) then invalid_arg "Router: bad demand"
 
-(* Congestion-aware Dijkstra on the residual graph: returns the edge-id
-   path or None.  Weight of an edge is latency * (1 + alpha * u) where
-   u is current utilization, which spreads load before links saturate.
-   Runs over the compiled CSR; disabled edges carry zero residual, so
-   the residual gate excludes them without a per-visit predicate call,
-   and CSR neighbor order matches the list order the previous
-   implementation used, keeping path choices bit-identical. *)
-let residual_dijkstra ~(csr : Sparse.t) ~(buf : Sparse.Buf.buf) ~alpha n src
-    dst =
-  Metrics.Counter.inc m_dijkstra;
+(* The half-edges a path search walks, laid out like the CSR: either
+   the compiled CSR itself or a compact copy of the half-edges whose
+   edge can hold residual in the current call.  A [route] or a failure
+   batch runs many searches over one enabled set and compacts; a single
+   reroute's few searches do not repay the O(links) copy, so it walks
+   the CSR (DESIGN.md, "Router scratch", has the measurements). *)
+type adjacency = {
+  row : Sparse.int_slab;
+  col : Sparse.int_slab;
+  eids : Sparse.int_slab;
+  lat : Sparse.float_slab;
+}
+
+let csr_adjacency (csr : Sparse.t) =
+  {
+    row = csr.Sparse.row_start;
+    col = csr.Sparse.col;
+    eids = csr.Sparse.eid;
+    lat = csr.Sparse.weight;
+  }
+
+let adjacency_create ~nodes ~half_edges =
+  {
+    row = Sparse.int_slab_create (nodes + 1);
+    col = Sparse.int_slab_create half_edges;
+    eids = Sparse.int_slab_create half_edges;
+    lat = Sparse.float_slab_create half_edges;
+  }
+
+(* Per-domain scratch (DESIGN.md, "Router scratch"): search state, the
+   compact adjacency, the buffers of verdict-only reroutes and the
+   counter tallies.  Sized for the largest graph the domain has routed.
+   Nothing in it escapes a call: the calls that return a routing still
+   allocate the buffer whose usage they return. *)
+type scratch = {
+  mutable dist : float array;
+  mutable pred : int array; (* edge id into each reached node *)
+  mutable from : int array; (* node at the other end of that edge *)
+  mutable settled : bool array;
+  heap : int Heap.t;
+  mutable keep : Bytes.t; (* per edge id: may hold residual in this call *)
+  mutable compact : adjacency;
+  mutable shared : Sparse.Buf.buf; (* a failure batch's base state *)
+  mutable work : Sparse.Buf.buf; (* one verdict-only reroute's state *)
+  mutable searches : int;
+  mutable paths : int;
+}
+
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        dist = [||];
+        pred = [||];
+        from = [||];
+        settled = [||];
+        heap = Heap.create ();
+        keep = Bytes.empty;
+        compact = adjacency_create ~nodes:0 ~half_edges:0;
+        shared = Sparse.Buf.create 0;
+        work = Sparse.Buf.create 0;
+        searches = 0;
+        paths = 0;
+      })
+
+(* The calling domain's scratch, with search state for [n] nodes. *)
+let scratch n =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.dist < n then begin
+    s.dist <- Array.make n infinity;
+    s.pred <- Array.make n (-1);
+    s.from <- Array.make n (-1);
+    s.settled <- Array.make n false
+  end;
+  s
+
+(* A buffer of at least [m] edges, kept at the largest size asked for;
+   callers use its first [m] entries. *)
+let at_least (buf : Sparse.Buf.buf) m =
+  if Bigarray.Array1.dim buf.Sparse.Buf.residual >= m then buf
+  else Sparse.Buf.create m
+
+let flush_counters s =
+  if s.searches > 0 then begin
+    Metrics.Counter.add m_dijkstra (float_of_int s.searches);
+    s.searches <- 0
+  end;
+  if s.paths > 0 then begin
+    Metrics.Counter.add m_paths (float_of_int s.paths);
+    s.paths <- 0
+  end
+
+(* Mark in [s.keep] the edges with residual above eps in [buf]. *)
+let mark_residual s (buf : Sparse.Buf.buf) m =
+  if Bytes.length s.keep < m then s.keep <- Bytes.create m;
+  let residual = buf.Sparse.Buf.residual in
+  for id = 0 to m - 1 do
+    Bytes.set s.keep id (if residual.{id} > eps then '\001' else '\000')
+  done
+
+(* Copy the CSR half-edges whose edge [s.keep] marks, in CSR order, into
+   the scratch's compact adjacency.  A search over it relaxes exactly
+   what a search over the whole CSR does, provided every dropped
+   half-edge keeps its residual at or below eps for the whole call: the
+   residual gate skips those anyway, and the kept ones are visited in
+   the same order. *)
+let compact s (csr : Sparse.t) =
+  let n = csr.Sparse.nodes in
+  let a =
+    let have = s.compact in
+    if
+      Bigarray.Array1.dim have.row > n
+      && Bigarray.Array1.dim have.col >= 2 * csr.Sparse.edges
+    then have
+    else begin
+      let a =
+        adjacency_create
+          ~nodes:(max n (Bigarray.Array1.dim have.row - 1))
+          ~half_edges:
+            (max (2 * csr.Sparse.edges) (Bigarray.Array1.dim have.col))
+      in
+      s.compact <- a;
+      a
+    end
+  in
   let row = csr.Sparse.row_start in
   let col = csr.Sparse.col in
   let eids = csr.Sparse.eid in
   let lat = csr.Sparse.weight in
-  let cap = csr.Sparse.capacity in
+  let keep = s.keep in
+  let k = ref 0 in
+  for u = 0 to n - 1 do
+    a.row.{u} <- !k;
+    for h = row.{u} to row.{u + 1} - 1 do
+      let id = eids.{h} in
+      if Bytes.get keep id <> '\000' then begin
+        a.col.{!k} <- col.{h};
+        a.eids.{!k} <- id;
+        a.lat.{!k} <- lat.{h};
+        incr k
+      end
+    done
+  done;
+  a.row.{n} <- !k;
+  a
+
+(* Congestion-aware Dijkstra on the residual graph; true when [dst] is
+   reached, with the path left in [s.pred] and [s.from] (only the
+   entries of nodes this search reached are meaningful).  Weight of an
+   edge is latency * (1 + alpha * u) where u is current utilization,
+   which spreads load before links saturate.  Disabled edges carry zero
+   residual, so the residual gate excludes them without a per-visit
+   predicate call, and adjacency order matches the list order the
+   first implementation used, keeping path choices bit-identical. *)
+let residual_dijkstra s adj ~(cap : Sparse.float_slab)
+    ~(buf : Sparse.Buf.buf) ~alpha n src dst =
+  s.searches <- s.searches + 1;
+  let row = adj.row and col = adj.col and eids = adj.eids and lat = adj.lat in
   let residual = buf.Sparse.Buf.residual in
   let usage = buf.Sparse.Buf.usage in
-  let dist = Array.make n infinity in
-  let pred = Array.make n (-1) in
-  let settled = Array.make n false in
-  let heap = Heap.create () in
+  let dist = s.dist and pred = s.pred and from = s.from in
+  let settled = s.settled and heap = s.heap in
+  Array.fill dist 0 n infinity;
+  Array.fill settled 0 n false;
+  Heap.clear heap;
   dist.(src) <- 0.0;
   Heap.push heap 0.0 src;
-  let rec loop () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (_, u) when settled.(dst) -> ignore u
-    | Some (d, u) ->
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        let stop = row.{u + 1} in
-        for k = row.{u} to stop - 1 do
-          let v = col.{k} in
-          let eid = eids.{k} in
-          if (not settled.(v)) && residual.{eid} > eps then begin
-            let c = cap.{eid} in
-            let util = if c > 0.0 then usage.{eid} /. c else 0.0 in
-            let w = lat.{k} *. (1.0 +. (alpha *. util)) in
-            let nd = d +. w in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              pred.(v) <- eid;
-              Heap.push heap nd v
-            end
+  while (not (Heap.is_empty heap)) && not settled.(dst) do
+    let u = Heap.min_value heap in
+    Heap.remove_min heap;
+    if not settled.(u) then begin
+      settled.(u) <- true;
+      (* A node is pushed only when its distance strictly drops, so its
+         first pop carries its last, smallest key: dist.(u). *)
+      let d = dist.(u) in
+      for k = row.{u} to row.{u + 1} - 1 do
+        let v = col.{k} in
+        let eid = eids.{k} in
+        if (not settled.(v)) && residual.{eid} > eps then begin
+          let c = cap.{eid} in
+          let util = if c > 0.0 then usage.{eid} /. c else 0.0 in
+          let w = lat.{k} *. (1.0 +. (alpha *. util)) in
+          let nd = d +. w in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            pred.(v) <- eid;
+            from.(v) <- u;
+            Heap.push heap nd v
           end
-        done
-      end;
-      loop ()
-  in
-  loop ();
-  if dist.(dst) = infinity then None else Some pred
-
-let path_from_pred g pred src dst =
-  let rec walk node acc =
-    if node = src then acc
-    else begin
-      let eid = pred.(node) in
-      let e = Graph.edge g eid in
-      walk (Graph.other_endpoint e node) (eid :: acc)
+        end
+      done
     end
-  in
-  walk dst []
+  done;
+  dist.(dst) <> infinity
 
-(* Route one demand (possibly splitting) on the residual state.
-   Returns the list of chunks created and the unrouted remainder. *)
-let route_one g ~csr ~(buf : Sparse.Buf.buf) ~alpha (src, dst, gbps) =
-  let n = Graph.node_count g in
+(* Route one demand (possibly splitting) on the residual state in
+   [buf]; returns the unrouted remainder.  With [chunks], every
+   committed path is pushed onto it, newest first.  A path is a walk up
+   the search tree from [dst], so it crosses each edge once and neither
+   its bottleneck nor its commit depends on the direction of the walk;
+   consing on the way up lists it from [src]. *)
+let route_one s adj ~cap ~(buf : Sparse.Buf.buf) ~alpha ?chunks n
+    (src, dst, gbps) =
   let residual = buf.Sparse.Buf.residual in
   let usage = buf.Sparse.Buf.usage in
-  let chunks = ref [] in
-  let rec go remaining attempts =
-    if remaining <= eps then 0.0
-    else if attempts >= max_paths_per_demand then remaining
+  let pred = s.pred and from = s.from in
+  let record = Option.is_some chunks in
+  let remaining = ref gbps in
+  let attempts = ref 0 in
+  let blocked = ref false in
+  while
+    (not !blocked) && !remaining > eps && !attempts < max_paths_per_demand
+  do
+    if not (residual_dijkstra s adj ~cap ~buf ~alpha n src dst) then
+      blocked := true
     else begin
-      match residual_dijkstra ~csr ~buf ~alpha n src dst with
-      | None -> remaining
-      | Some pred ->
-        let path = path_from_pred g pred src dst in
-        let bottleneck =
-          List.fold_left
-            (fun acc eid -> Float.min acc residual.{eid})
-            infinity path
-        in
-        if bottleneck <= eps then remaining
-        else begin
-          let send = Float.min remaining bottleneck in
-          List.iter
-            (fun eid ->
-              residual.{eid} <- residual.{eid} -. send;
-              usage.{eid} <- usage.{eid} +. send)
-            path;
-          Metrics.Counter.inc m_paths;
-          chunks := { src; dst; gbps = send; edge_ids = path } :: !chunks;
-          go (remaining -. send) (attempts + 1)
-        end
+      let bottleneck = ref infinity in
+      let node = ref dst in
+      while !node <> src do
+        bottleneck := Float.min !bottleneck residual.{pred.(!node)};
+        node := from.(!node)
+      done;
+      if !bottleneck <= eps then blocked := true
+      else begin
+        let send = Float.min !remaining !bottleneck in
+        let path = ref [] in
+        let node = ref dst in
+        while !node <> src do
+          let eid = pred.(!node) in
+          residual.{eid} <- residual.{eid} -. send;
+          usage.{eid} <- usage.{eid} +. send;
+          if record then path := eid :: !path;
+          node := from.(!node)
+        done;
+        s.paths <- s.paths + 1;
+        (match chunks with
+        | None -> ()
+        | Some acc ->
+          acc := { src; dst; gbps = send; edge_ids = !path } :: !acc);
+        remaining := !remaining -. send;
+        incr attempts
+      end
     end
-  in
-  let leftover = go gbps 0 in
-  (List.rev !chunks, leftover)
+  done;
+  if !remaining <= eps then 0.0 else !remaining
 
 let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
   Metrics.Counter.inc m_routes;
@@ -163,6 +310,7 @@ let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
   List.iter (validate_demand n) demands;
   let m = Graph.edge_count g in
   let csr = Sparse.of_graph g in
+  let s = scratch n in
   let buf = Sparse.Buf.create m in
   let enabled_capacity = ref 0.0 in
   for id = 0 to m - 1 do
@@ -172,6 +320,11 @@ let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
       enabled_capacity := !enabled_capacity +. c
     end
   done;
+  (* Residual only falls during a solve: an edge without any now never
+     passes the search's gate, so the searches walk a compact adjacency
+     of the rest. *)
+  mark_residual s buf m;
+  let adj = compact s csr in
   let sorted =
     List.sort (fun (_, _, a) (_, _, b) -> compare b a) demands
   in
@@ -179,12 +332,13 @@ let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
   let unrouted = ref [] in
   List.iter
     (fun ((src, dst, _) as demand) ->
-      let chunks, leftover =
-        route_one g ~csr ~buf ~alpha:congestion_alpha demand
+      let leftover =
+        route_one s adj ~cap:csr.Sparse.capacity ~buf ~alpha:congestion_alpha
+          ~chunks:all_chunks n demand
       in
-      all_chunks := List.rev_append chunks !all_chunks;
       if leftover > eps then unrouted := (src, dst, leftover) :: !unrouted)
     sorted;
+  flush_counters s;
   {
     feasible = !unrouted = [];
     chunks = Array.of_list (List.rev !all_chunks);
@@ -204,14 +358,77 @@ let total_routed r =
   Array.fold_left (fun acc c -> acc +. c.gbps) 0.0 r.chunks
 
 let used_edges r =
-  let tbl = Hashtbl.create 64 in
-  Array.iteri (fun eid u -> if u > eps then Hashtbl.replace tbl eid ()) r.usage;
-  Hashtbl.fold (fun eid () acc -> eid :: acc) tbl [] |> List.sort compare
+  let used = ref [] in
+  for eid = Array.length r.usage - 1 downto 0 do
+    if r.usage.(eid) > eps then used := eid :: !used
+  done;
+  !used
 
-(* Shared core: the compiled CSR covers the whole graph; the failed
-   edge and disabled edges are excluded by leaving their residual at
-   zero, which the path search respects. *)
-let reroute_core ~csr ?(enabled = fun _ -> true) g ~base ~failed_edge =
+(* Load the first [m] entries of [buf] with the residual capacity and
+   usage the enabled edges have under [base]'s flow; every other edge
+   reads 0. *)
+let load_base ~(cap : Sparse.float_slab) ~enabled ~(buf : Sparse.Buf.buf) ~m
+    base =
+  let residual = buf.Sparse.Buf.residual in
+  let usage = buf.Sparse.Buf.usage in
+  for id = 0 to m - 1 do
+    if enabled id then begin
+      residual.{id} <- cap.{id} -. base.usage.(id);
+      usage.{id} <- base.usage.(id)
+    end
+    else begin
+      residual.{id} <- 0.0;
+      usage.{id} <- 0.0
+    end
+  done
+
+(* Take [failed_edge] out of [buf] (loaded from [base]), give back the
+   capacity held by the chunks that crossed it, and re-route their
+   demand on the residual.  True when all of it fits.  With [kept] and
+   [fresh], collects the chunks that stay (newest first) and the new
+   ones. *)
+let repair s adj ~cap ~(buf : Sparse.Buf.buf) ~base ~failed_edge ?kept ?fresh
+    n =
+  let residual = buf.Sparse.Buf.residual in
+  let usage = buf.Sparse.Buf.usage in
+  residual.{failed_edge} <- 0.0;
+  usage.{failed_edge} <- 0.0;
+  let rec crosses = function
+    | [] -> false
+    | eid :: rest -> eid = failed_edge || crosses rest
+  in
+  let affected = Hashtbl.create 16 in
+  Array.iter
+    (fun c ->
+      if crosses c.edge_ids then begin
+        List.iter
+          (fun eid ->
+            if eid <> failed_edge then begin
+              residual.{eid} <- residual.{eid} +. c.gbps;
+              usage.{eid} <- usage.{eid} -. c.gbps
+            end)
+          c.edge_ids;
+        let key = (c.src, c.dst) in
+        let prev = Option.value ~default:0.0 (Hashtbl.find_opt affected key) in
+        Hashtbl.replace affected key (prev +. c.gbps)
+      end
+      else match kept with None -> () | Some kept -> kept := c :: !kept)
+    base.chunks;
+  let ok = ref true in
+  Hashtbl.iter
+    (fun (src, dst) gbps ->
+      if !ok then begin
+        let leftover =
+          route_one s adj ~cap ~buf ~alpha:1.0 ?chunks:fresh n (src, dst, gbps)
+        in
+        if leftover > eps then ok := false
+      end)
+    affected;
+  !ok
+
+(* It returns a routing, so it fills a fresh buffer; as a single reroute
+   it walks the whole CSR rather than pay for a compaction. *)
+let reroute_without_edge ?(enabled = fun _ -> true) g ~base ~failed_edge =
   Metrics.Counter.inc m_reroutes;
   let failed_capacity = (Graph.edge g failed_edge).capacity in
   if base.usage.(failed_edge) <= eps then
@@ -220,63 +437,28 @@ let reroute_core ~csr ?(enabled = fun _ -> true) g ~base ~failed_edge =
     Some
       { base with enabled_capacity = base.enabled_capacity -. failed_capacity }
   else begin
-    let m = Graph.edge_count g in
-    let buf = Sparse.Buf.create m in
-    let residual = buf.Sparse.Buf.residual in
-    let usage = buf.Sparse.Buf.usage in
-    for id = 0 to m - 1 do
-      if enabled id && id <> failed_edge then begin
-        residual.{id} <- (csr : Sparse.t).Sparse.capacity.{id} -. base.usage.(id);
-        usage.{id} <- base.usage.(id)
-      end
-    done;
-    (* Give back the capacity held by chunks that crossed the failed
-       edge, and collect their demand for re-routing. *)
-    let affected = Hashtbl.create 16 in
-    let kept = ref [] in
-    Array.iter
-      (fun c ->
-        if List.mem failed_edge c.edge_ids then begin
-          List.iter
-            (fun eid ->
-              if eid <> failed_edge then begin
-                residual.{eid} <- residual.{eid} +. c.gbps;
-                usage.{eid} <- usage.{eid} -. c.gbps
-              end)
-            c.edge_ids;
-          let key = (c.src, c.dst) in
-          let prev = Option.value ~default:0.0 (Hashtbl.find_opt affected key) in
-          Hashtbl.replace affected key (prev +. c.gbps)
-        end
-        else kept := c :: !kept)
-      base.chunks;
-    let new_chunks = ref [] in
-    let ok = ref true in
-    Hashtbl.iter
-      (fun (src, dst) gbps ->
-        if !ok then begin
-          let chunks, leftover =
-            route_one g ~csr ~buf ~alpha:1.0 (src, dst, gbps)
-          in
-          new_chunks := List.rev_append chunks !new_chunks;
-          if leftover > eps then ok := false
-        end)
-      affected;
-    if not !ok then None
+    let csr = Sparse.of_graph g in
+    let s = scratch csr.Sparse.nodes in
+    let cap = csr.Sparse.capacity in
+    let buf = Sparse.Buf.create csr.Sparse.edges in
+    load_base ~cap ~enabled ~buf ~m:csr.Sparse.edges base;
+    let kept = ref [] and fresh = ref [] in
+    let ok =
+      repair s (csr_adjacency csr) ~cap ~buf ~base ~failed_edge ~kept ~fresh
+        csr.Sparse.nodes
+    in
+    flush_counters s;
+    if not ok then None
     else
       Some
         {
           feasible = true;
-          chunks = Array.of_list (List.rev_append !kept !new_chunks);
+          chunks = Array.of_list (List.rev_append !kept !fresh);
           unrouted = [];
           usage = Sparse.Buf.usage_to_array buf;
           enabled_capacity = base.enabled_capacity -. failed_capacity;
         }
   end
-
-let reroute_without_edge ?(enabled = fun _ -> true) g ~base ~failed_edge =
-  let csr = Sparse.of_graph g in
-  reroute_core ~csr ~enabled g ~base ~failed_edge
 
 let route_toggle ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g
     ~demands ~base toggle =
@@ -291,10 +473,8 @@ let route_toggle ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g
       invalid_arg "Router.route_toggle: Remove of a disabled edge";
     let enabled' id = enabled id && id <> eid in
     let repaired =
-      if base.feasible then begin
-        let csr = Sparse.of_graph g in
-        reroute_core ~csr ~enabled g ~base ~failed_edge:eid
-      end
+      if base.feasible then
+        reroute_without_edge ~enabled g ~base ~failed_edge:eid
       else None
     in
     (match repaired with
@@ -324,36 +504,86 @@ let route_toggle ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g
       route ~enabled:enabled' ~congestion_alpha g ~demands
     end
 
+(* One verdict-only failure check on the calling domain's scratch:
+   [load] fills its work buffer with the base state, and no routing is
+   built. *)
+let check_failure (csr : Sparse.t) adj ~load g ~base failed_edge =
+  Metrics.Counter.inc m_reroutes;
+  (* An unknown id fails as it does in [reroute_without_edge]. *)
+  ignore (Graph.edge g failed_edge);
+  if base.usage.(failed_edge) <= eps then true
+  else begin
+    let s = scratch csr.Sparse.nodes in
+    s.work <- at_least s.work csr.Sparse.edges;
+    load s.work;
+    let ok =
+      repair s adj ~cap:csr.Sparse.capacity ~buf:s.work ~base ~failed_edge
+        csr.Sparse.nodes
+    in
+    flush_counters s;
+    ok
+  end
+
 let survives_failure ?(enabled = fun _ -> true) g ~demands ~base ~failed_edge =
   ignore demands;
-  match reroute_without_edge ~enabled g ~base ~failed_edge with
-  | Some _ -> true
-  | None -> false
-
-let survives_all_single_failures ?(enabled = fun _ -> true) ?pool g ~demands
-    base =
-  ignore demands;
   let csr = Sparse.of_graph g in
+  check_failure csr (csr_adjacency csr)
+    ~load:(fun buf ->
+      load_base ~cap:csr.Sparse.capacity ~enabled ~buf ~m:csr.Sparse.edges base)
+    g ~base failed_edge
+
+let survives_all_single_failures ?(enabled = fun _ -> true) ?pool ?limit g
+    ~demands base =
+  ignore demands;
   (* Most-loaded edges are the likeliest to be irreplaceable: check
      them first so infeasible sets fail fast. *)
   let by_load_desc =
     used_edges base
     |> List.sort (fun a b -> compare base.usage.(b) base.usage.(a))
   in
-  let check eid =
-    match reroute_core ~csr ~enabled g ~base ~failed_edge:eid with
-    | Some _ -> true
-    | None -> false
+  let failures =
+    match limit with
+    | None -> by_load_desc
+    | Some k -> List.filteri (fun i _ -> i < k) by_load_desc
   in
-  match pool with
-  | None ->
-    (* The serial path short-circuits at the first irreplaceable edge. *)
-    List.for_all check by_load_desc
-  | Some p ->
-    (* Each per-edge check is pure over the shared base routing and the
-       immutable CSR, so the fan-out is safe; the verdict (a
-       conjunction) is independent of evaluation order, keeping
-       outcomes identical at every pool size.  The pooled path
-       evaluates every edge — no short-circuit — trading wasted work on
-       infeasible sets for wall-clock on the (common) feasible ones. *)
-    Poc_util.Pool.map_list p check by_load_desc |> List.for_all Fun.id
+  match failures with
+  | [] -> true
+  | _ :: _ -> (
+    let csr = Sparse.of_graph g in
+    let m = csr.Sparse.edges in
+    (* One base state and one compact adjacency serve the whole batch.
+       They live in this domain's scratch, and the checks, wherever
+       they run, only read them.  In a check an edge can hold residual
+       only if it is enabled or a base chunk crosses it (the failed
+       chunks give their capacity back), so only the other half-edges
+       are dropped. *)
+    let s = scratch csr.Sparse.nodes in
+    s.shared <- at_least s.shared m;
+    let shared = s.shared in
+    load_base ~cap:csr.Sparse.capacity ~enabled ~buf:shared ~m base;
+    mark_residual s shared m;
+    Array.iter
+      (fun c -> List.iter (fun eid -> Bytes.set s.keep eid '\001') c.edge_ids)
+      base.chunks;
+    let adj = compact s csr in
+    let load (work : Sparse.Buf.buf) =
+      let residual = shared.Sparse.Buf.residual in
+      let usage = shared.Sparse.Buf.usage in
+      for id = 0 to m - 1 do
+        work.Sparse.Buf.residual.{id} <- residual.{id};
+        work.Sparse.Buf.usage.{id} <- usage.{id}
+      done
+    in
+    let check = check_failure csr adj ~load g ~base in
+    match pool with
+    | None ->
+      (* The serial path short-circuits at the first irreplaceable edge. *)
+      List.for_all check failures
+    | Some p ->
+      (* Each check reads the shared state and works in its own
+         domain's scratch, and the verdict (a conjunction) does not
+         depend on evaluation order, so outcomes are identical at every
+         pool size.  The pooled path evaluates every edge — no
+         short-circuit — trading wasted work on infeasible sets for
+         wall-clock on the (common) feasible ones. *)
+      Poc_util.Pool.map_list p check failures |> List.for_all Fun.id)

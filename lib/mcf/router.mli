@@ -10,7 +10,16 @@
     surviving links, expresses the failure constraints of Figure 2.
 
     Demands are given per unordered node pair (links are undirected);
-    use {!Poc_traffic.Matrix.undirected_pair_demands} upstream. *)
+    use {!Poc_traffic.Matrix.undirected_pair_demands} upstream.
+
+    Every call may run on any domain, beside calls on other domains.
+    Search state, compact adjacencies and the buffers of verdict-only
+    failure checks live in per-domain scratch, reused from call to
+    call; the routings that {!route}, {!reroute_without_edge} and
+    {!route_toggle} return own fresh arrays, so later calls never
+    change them.  The counters [poc_router_dijkstra_total] and
+    [poc_router_paths_total] are tallied in the scratch and added once
+    per call (once per check in a failure batch). *)
 
 type demand = int * int * float
 (** [(node_a, node_b, gbps)] with [node_a <> node_b] and [gbps >= 0]. *)
@@ -97,8 +106,9 @@ val reroute_without_edge :
     routing over the enabled set minus [failed_edge], reusing [base]:
     chunks not crossing the failed edge keep their paths, the rest are
     re-routed on the residual capacity.  [None] when the re-route does
-    not fit.  This is the incremental primitive behind both failure
-    checks and the auction's prune loop. *)
+    not fit.  This is the incremental primitive behind the failure
+    checks and the auction's prune loops.  The returned routing owns
+    fresh arrays; nothing in it is shared with the router's scratch. *)
 
 val survives_failure :
   ?enabled:(int -> bool) ->
@@ -110,18 +120,31 @@ val survives_failure :
 (** [survives_failure g ~demands ~base ~failed_edge] checks feasibility
     with one edge removed, reusing [base]: demands not touching the
     failed edge keep their paths; affected demand is re-routed on the
-    residual capacity.  Conservative in the same sense as {!route}. *)
+    residual capacity.  Conservative in the same sense as {!route}.
+    The verdict is {!reroute_without_edge}'s, but no routing is built:
+    the check works in the calling domain's scratch and allocates no
+    buffer. *)
 
 val survives_all_single_failures :
   ?enabled:(int -> bool) ->
   ?pool:Poc_util.Pool.t ->
+  ?limit:int ->
   Poc_graph.Graph.t ->
   demands:demand list ->
   routing ->
   bool
 (** True when the routing survives the failure of each used edge in
-    turn (unused edges cannot hurt and are skipped).  Each per-edge
-    check reroutes against the same immutable base, so with [pool] they
-    fan out across worker domains; the verdict is identical at every
-    pool size (the serial path short-circuits, the pooled path checks
-    every edge). *)
+    turn (unused edges cannot hurt and are skipped).  Edges are checked
+    most-loaded first (ties by ascending id); [limit] keeps only the
+    first [limit] of that order — the auction's single-failure prune
+    spot-checks 25 — and by default every used edge is checked.
+
+    Each check is {!survives_failure}'s verdict against the same
+    immutable base.  The base residual and a compact adjacency (the
+    half-edges that can hold residual in some check) are built once
+    per batch, and each check copies the residual into its own
+    domain's scratch.  With [pool] the checks fan out across worker
+    domains; the verdict is identical at every pool size (the serial
+    path short-circuits, the pooled path checks every edge).  The
+    router's counters move exactly as they would under one
+    {!survives_failure} call per checked edge. *)

@@ -104,6 +104,133 @@ let qcheck_heap_property =
       in
       drain neg_infinity)
 
+(* The record-based heap the flat one replaced, kept verbatim as the
+   reference for tie order: every path the router picks rests on the
+   order in which equal keys pop. *)
+module Record_heap = struct
+  type 'a entry = { key : float; value : 'a }
+
+  type 'a t = { mutable data : 'a entry array; mutable len : int }
+
+  let create () = { data = [||]; len = 0 }
+
+  let clear h = h.len <- 0
+
+  let grow h entry =
+    let cap = Array.length h.data in
+    if h.len = cap then begin
+      let ncap = max 16 (2 * cap) in
+      let ndata = Array.make ncap entry in
+      Array.blit h.data 0 ndata 0 h.len;
+      h.data <- ndata
+    end
+
+  let push h key value =
+    let entry = { key; value } in
+    grow h entry;
+    h.data.(h.len) <- entry;
+    h.len <- h.len + 1;
+    let i = ref (h.len - 1) in
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      if h.data.(parent).key > h.data.(!i).key then begin
+        let tmp = h.data.(parent) in
+        h.data.(parent) <- h.data.(!i);
+        h.data.(!i) <- tmp;
+        i := parent
+      end
+      else continue := false
+    done
+
+  let pop h =
+    if h.len = 0 then None
+    else begin
+      let top = h.data.(0) in
+      h.len <- h.len - 1;
+      if h.len > 0 then begin
+        h.data.(0) <- h.data.(h.len);
+        let i = ref 0 in
+        let continue = ref true in
+        while !continue do
+          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+          let smallest = ref !i in
+          if l < h.len && h.data.(l).key < h.data.(!smallest).key then
+            smallest := l;
+          if r < h.len && h.data.(r).key < h.data.(!smallest).key then
+            smallest := r;
+          if !smallest <> !i then begin
+            let tmp = h.data.(!smallest) in
+            h.data.(!smallest) <- h.data.(!i);
+            h.data.(!i) <- tmp;
+            i := !smallest
+          end
+          else continue := false
+        done
+      end;
+      Some (top.key, top.value)
+    end
+end
+
+type heap_op = Push of float | Pop | Take | Clear
+
+let qcheck_heap_tie_order =
+  (* Few distinct keys (nan and the infinities among them), so most
+     pushes tie; each pushed value is its sequence number, so a
+     different tie order shows as a different popped value.  [Take]
+     pops through the allocation-free min_value/remove_min pair. *)
+  let keys = [| 0.0; 1.0; 1.0; 2.0; 2.0; 3.0; infinity; neg_infinity; nan |] in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun i -> Push keys.(i)) (int_bound (Array.length keys - 1)));
+          (2, return Pop);
+          (2, return Take);
+          (1, return Clear);
+        ])
+  in
+  let show = function
+    | Push k -> Printf.sprintf "push %g" k
+    | Pop -> "pop"
+    | Take -> "take"
+    | Clear -> "clear"
+  in
+  QCheck.Test.make ~name:"heap pops ties in the record heap's order" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops ->
+      let h = Heap.create () and r = Record_heap.create () in
+      let seq = ref 0 in
+      let same a b = compare a b = 0 in
+      let step ok = function
+        | Push k ->
+          incr seq;
+          Heap.push h k !seq;
+          Record_heap.push r k !seq;
+          ok
+        | Pop -> ok && same (Heap.pop h) (Record_heap.pop r)
+        | Take -> (
+          match Record_heap.pop r with
+          | None -> ok && Heap.is_empty h
+          | Some (_, v) ->
+            let v' = Heap.min_value h in
+            Heap.remove_min h;
+            ok && v = v')
+        | Clear ->
+          Heap.clear h;
+          Record_heap.clear r;
+          ok
+      in
+      let ok = List.fold_left step true ops in
+      let rec drain ok =
+        match Record_heap.pop r with
+        | None -> ok && Heap.is_empty h
+        | Some _ as top -> drain (ok && same (Heap.pop h) top)
+      in
+      drain ok && Heap.size h = 0)
+
 (* --- Shortest paths ------------------------------------------------------ *)
 
 let test_dijkstra_diamond () =
@@ -355,6 +482,7 @@ let suite =
     Alcotest.test_case "fold over edges" `Quick test_fold_edges;
     Alcotest.test_case "heap sorted pops" `Quick test_heap_sorted_pops;
     QCheck_alcotest.to_alcotest qcheck_heap_property;
+    QCheck_alcotest.to_alcotest qcheck_heap_tie_order;
     Alcotest.test_case "dijkstra diamond" `Quick test_dijkstra_diamond;
     Alcotest.test_case "shortest path structure" `Quick test_shortest_path_structure;
     Alcotest.test_case "shortest path enabled mask" `Quick test_shortest_path_respects_enabled;

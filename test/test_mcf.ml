@@ -181,6 +181,171 @@ let test_survives_all_jobs_invariant () =
       Alcotest.(check bool) "triangle survives (pooled)" true
         (Router.survives_all_single_failures ?pool g ~demands base))
 
+(* The auction's single-failure spot check as it stood before
+   [survives_all_single_failures ~limit] replaced it: the [limit]
+   most-loaded used edges, checked one [survives_failure] at a time —
+   serially with a short-circuit, or all of them on a pool. *)
+let reference_spot_check ?enabled ?pool ~limit g ~demands r =
+  let top =
+    Router.used_edges r
+    |> List.sort (fun a b -> compare r.Router.usage.(b) r.Router.usage.(a))
+    |> List.filteri (fun i _ -> i < limit)
+  in
+  let survives f =
+    Router.survives_failure ?enabled g ~demands ~base:r ~failed_edge:f
+  in
+  match pool with
+  | None -> List.for_all survives top
+  | Some p -> List.for_all Fun.id (Poc_util.Pool.map_list p survives top)
+
+let router_counters () =
+  List.map
+    (fun name ->
+      Poc_obs.Metrics.Counter.value
+        (Poc_obs.Metrics.counter Poc_obs.Metrics.default name))
+    [
+      "poc_router_routes_total";
+      "poc_router_reroutes_total";
+      "poc_router_dijkstra_total";
+      "poc_router_paths_total";
+    ]
+
+(* A call's result and how far it moved each router counter. *)
+let counted f =
+  let before = router_counters () in
+  let v = f () in
+  (v, List.map2 ( -. ) (router_counters ()) before)
+
+let test_limited_sweep_matches_reference () =
+  (* Each instance is checked as the auction's prune sees it — a
+     rerouted base with the removed edge disabled — and as a plain
+     solve, at several limits, serially and on pools of 2 and 4. *)
+  let verdicts = ref [] in
+  let compare_on ?pool (g, demands) =
+    let m = Graph.edge_count g in
+    let base = Router.route g ~demands in
+    let cases =
+      (None, base)
+      ::
+      (match Router.used_edges base with
+      | [] -> []
+      | used ->
+        let removed = List.nth used (m mod List.length used) in
+        (match Router.reroute_without_edge g ~base ~failed_edge:removed with
+        | None -> []
+        | Some r -> [ (Some (fun id -> id <> removed), r) ]))
+    in
+    List.iter
+      (fun (enabled, r) ->
+        List.iter
+          (fun limit ->
+            let want, want_work =
+              counted (fun () ->
+                  reference_spot_check ?enabled ?pool ~limit g ~demands r)
+            in
+            let got, got_work =
+              counted (fun () ->
+                  Router.survives_all_single_failures ?enabled ?pool ~limit g
+                    ~demands r)
+            in
+            verdicts := got :: !verdicts;
+            Alcotest.(check bool) "same verdict as the reference loop" want got;
+            Alcotest.(check (list (float 0.0)))
+              "same router counter deltas (routes, reroutes, searches, paths)"
+              want_work got_work)
+          [ 1; 2; 5; 25 ];
+        (* Verdict-only checks agree with the result-returning reroute. *)
+        List.iter
+          (fun f ->
+            Alcotest.(check bool) "survives_failure = reroute fits"
+              (Router.reroute_without_edge ?enabled g ~base:r ~failed_edge:f
+              <> None)
+              (Router.survives_failure ?enabled g ~demands ~base:r
+                 ~failed_edge:f))
+          (Router.used_edges r))
+      cases
+  in
+  let instances = List.init 16 (fun i -> random_instance (2000 + (i * 53))) in
+  List.iter compare_on instances;
+  List.iter
+    (fun jobs ->
+      Poc_util.Pool.with_pool ~jobs (fun pool ->
+          List.iter (compare_on ?pool) instances))
+    [ 2; 4 ];
+  Alcotest.(check bool) "both verdicts occur" true
+    (List.mem true !verdicts && List.mem false !verdicts)
+
+(* A 6x6 grid: a second, larger graph, so the domain's scratch grows
+   past the first graph's size between calls on it. *)
+let grid_instance () =
+  let g = Graph.create () in
+  let side = 6 in
+  Graph.add_nodes g (side * side);
+  for r = 0 to side - 1 do
+    for c = 0 to side - 1 do
+      let v = (r * side) + c in
+      if c + 1 < side then
+        ignore (Graph.add_edge g v (v + 1) ~weight:1.0 ~capacity:6.0);
+      if r + 1 < side then
+        ignore (Graph.add_edge g v (v + side) ~weight:1.5 ~capacity:6.0)
+    done
+  done;
+  (g, [ (0, 35, 4.0); (5, 30, 3.0); (12, 17, 2.5) ])
+
+let test_results_do_not_alias_scratch () =
+  let g, demands = random_instance 4242 in
+  let m = Graph.edge_count g in
+  let base = Router.route g ~demands in
+  let failed = List.hd (Router.used_edges base) in
+  let results =
+    [ ("route", base) ]
+    @ (match Router.reroute_without_edge g ~base ~failed_edge:failed with
+      | Some r -> [ ("reroute_without_edge", r) ]
+      | None -> [])
+    @ [
+        ( "route_toggle",
+          Router.route_toggle g ~demands ~base (Router.Remove failed) );
+      ]
+  in
+  let saved =
+    List.map
+      (fun (name, (r : Router.routing)) ->
+        (name, r, Array.copy r.Router.usage, Array.copy r.Router.chunks))
+      results
+  in
+  let unchanged after =
+    List.iter
+      (fun (name, (r : Router.routing), usage, chunks) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s usage unchanged %s" name after)
+          true (r.Router.usage = usage);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s chunks unchanged %s" name after)
+          true (r.Router.chunks = chunks))
+      saved
+  in
+  let g2, demands2 = grid_instance () in
+  let half = List.map (fun (a, b, d) -> (a, b, d /. 2.0)) demands in
+  for i = 1 to 50 do
+    let skip = i mod m in
+    let enabled id = id <> skip in
+    (match i mod 5 with
+    | 0 -> ignore (Router.route ~enabled g ~demands:half)
+    | 1 -> ignore (Router.reroute_without_edge g ~base ~failed_edge:skip)
+    | 2 -> ignore (Router.route_toggle g ~demands ~base (Router.Remove skip))
+    | 3 -> ignore (Router.survives_failure g ~demands ~base ~failed_edge:skip)
+    | _ ->
+      ignore (Router.survives_all_single_failures ~enabled g ~demands base));
+    if i = 25 then begin
+      let base2 = Router.route g2 ~demands:demands2 in
+      ignore (Router.survives_all_single_failures g2 ~demands:demands2 base2)
+    end
+  done;
+  unchanged "after 50 more calls";
+  Poc_util.Pool.with_pool ~jobs:2 (fun pool ->
+      ignore (Router.survives_all_single_failures ?pool g ~demands base));
+  unchanged "after a pooled failure sweep"
+
 let qcheck_conservation =
   QCheck.Test.make ~name:"routed + unrouted = offered" ~count:60
     QCheck.(int_range 0 10_000)
@@ -322,6 +487,10 @@ let suite =
       test_survives_all_jobs_invariant;
     Alcotest.test_case "route_toggle preconditions" `Quick
       test_toggle_preconditions;
+    Alcotest.test_case "limited failure sweep = reference spot check" `Quick
+      test_limited_sweep_matches_reference;
+    Alcotest.test_case "returned routings do not alias scratch" `Quick
+      test_results_do_not_alias_scratch;
     QCheck_alcotest.to_alcotest qcheck_conservation;
     QCheck_alcotest.to_alcotest qcheck_capacity_respected;
     QCheck_alcotest.to_alcotest qcheck_chunks_are_real_paths;
