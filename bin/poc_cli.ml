@@ -333,12 +333,14 @@ let flight_arg =
               forensics).  Journal bytes are identical with and without \
               it.")
 
-(* Where a run's box lives; creation makes the parent directory, so a
+(* Where a run's box lives; opening makes the parent directory, so a
    fresh store can receive its FLIGHT before the journal opens the
-   directory. *)
-let flight_box ~flight path =
+   directory.  A resume continues the box its earlier attempts left. *)
+let flight_box ~flight ~resume path =
   if not flight then None
-  else Some (Black_box.create (Forensics.flight_path_for path))
+  else
+    let open_box = if resume then Black_box.reopen else Black_box.create in
+    Some (open_box (Forensics.flight_path_for path))
 
 (* Run the supervised loop, honoring --journal/--resume.  Exit codes:
    10 for an injected crash (the journal is left ready to resume), 1
@@ -347,7 +349,7 @@ let run_supervised ~journal ~resume ?segment_bytes ?pool ?(flight = false) plan
     ~market ~schedule =
   match resume with
   | Some path -> (
-    let flight = flight_box ~flight path in
+    let flight = flight_box ~flight ~resume:true path in
     match
       Supervisor.resume ~journal:path ?flight ?pool plan ~market ~schedule
     with
@@ -359,7 +361,7 @@ let run_supervised ~journal ~resume ?segment_bytes ?pool ?(flight = false) plan
       exit 1)
   | None -> (
     try
-      let flight = Option.bind journal (flight_box ~flight) in
+      let flight = Option.bind journal (flight_box ~flight ~resume:false) in
       Supervisor.run ?journal ?flight ?segment_bytes ?pool plan ~market
         ~schedule
     with

@@ -223,10 +223,13 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
     | Some (Virtual p) -> p
     | None -> assert false
   in
+  (* Each offered link is scored once.  [score] is pure, so sorting on
+     the stored scores makes the same comparisons, in the same order,
+     as scoring inside the comparator. *)
   let ranked =
-    List.sort (fun a b -> compare (score problem price a) (score problem price b))
-      offered
-    |> Array.of_list
+    List.map (fun id -> (score problem price id, id)) offered
+    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
+    |> List.map snd |> Array.of_list
   in
   let n = Array.length ranked in
   let in_set = Array.make m false in

@@ -96,7 +96,7 @@ let utilization_summary plan =
     Poc_graph.Graph.fold_edges
       (fun e acc ->
         if enabled e.Poc_graph.Graph.id && e.capacity > 0.0 then begin
-          let u = plan.routing.Router.usage.(e.id) /. e.capacity in
+          let u = Router.usage plan.routing e.id /. e.capacity in
           if u > 0.0 then u :: acc else acc
         end
         else acc)

@@ -229,7 +229,8 @@ let start_slot t slot ~resume =
     let disk = t.disk_for ~run:slot.sid in
     let flight =
       if t.flight then
-        Some (Black_box.create (Filename.concat slot.store "FLIGHT"))
+        let open_box = if resume then Black_box.reopen else Black_box.create in
+        Some (open_box (Filename.concat slot.store "FLIGHT"))
       else None
     in
     match

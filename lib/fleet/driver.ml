@@ -654,8 +654,11 @@ let run ?pool ?(resume = false) ?kill_after cfg =
           let flight =
             if not cfg.flight then None
             else
+              let open_box =
+                if resume then Black_box.reopen else Black_box.create
+              in
               Some
-                (Black_box.create
+                (open_box
                    (Filename.concat
                       (Filename.concat cfg.store scen.id)
                       "FLIGHT"))

@@ -189,14 +189,20 @@ let durable_epoch (journal : (Journal.replayed, string) result) =
       @ List.map (fun (r : Journal.epoch_record) -> r.Journal.report)
           rep.Journal.records)
 
-(* The in-flight verdict: a crash incident names the exact point; else
-   the newest flight record past the durable horizon places the death
-   inside that epoch and phase. *)
+(* The in-flight verdict, from the newest attempt's records only (a
+   resumed run's box still holds its earlier attempts', each ending
+   where a resume marker follows): a crash incident names the exact
+   point; else the newest record past the durable horizon places the
+   death inside that epoch and phase. *)
 let in_flight ~durable flight =
   match flight with
   | None | Some (Error _) -> None
   | Some (Ok (img : Flight.image_data)) -> (
-    let newest_first = List.rev img.Flight.img_records in
+    let rec this_attempt = function
+      | r :: older when not (Black_box.is_resume r) -> r :: this_attempt older
+      | _ -> []
+    in
+    let newest_first = this_attempt (List.rev img.Flight.img_records) in
     let crash =
       List.find_opt
         (fun (r : Flight.record) ->

@@ -17,7 +17,10 @@
     The headline answer is {!field:analysis.a_in_flight}: the epoch and
     phase the process was inside when it died, derived from the newest
     flight record past the newest durable journal epoch (a crash
-    incident record wins when present).  [poc-cli forensics] renders
+    incident record wins when present).  Only the newest attempt's
+    records count: a box reopened by a resume still holds the earlier
+    attempts' records, crash incidents included, before the newest
+    resume marker ({!Poc_resilience.Black_box.mark_resume}).  [poc-cli forensics] renders
     {!render} (human table) or {!to_json} (one JSON document). *)
 
 module Flight = Poc_obs.Flight

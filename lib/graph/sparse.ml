@@ -92,11 +92,4 @@ module Buf = struct
     Bigarray.Array1.fill buf.residual 0.0;
     Bigarray.Array1.fill buf.usage 0.0;
     buf
-
-  let clear buf =
-    Bigarray.Array1.fill buf.residual 0.0;
-    Bigarray.Array1.fill buf.usage 0.0
-
-  let usage_to_array buf =
-    Array.init (Bigarray.Array1.dim buf.usage) (fun i -> buf.usage.{i})
 end

@@ -13,8 +13,8 @@
       ascending edge-insertion order — exactly the order
       {!Graph.neighbors} yields — so algorithms moved onto the CSR
       produce bit-identical results.
-    - {!Buf}, reusable [float64] flow buffers (residual / usage)
-      sized by edge count.
+    - {!Buf}, a pair of [float64] slabs (residual / usage) indexed by
+      edge id: the flow state a router solves in.
 
     Memory, for a graph with [V] nodes and [E] undirected edges
     (8-byte elements): CSR ≈ 8·(V+1) + 3·16·E + 8·E bytes ≈ 56·E for
@@ -61,19 +61,13 @@ val of_graph : Graph.t -> t
     O(1).  Safe to call concurrently from pool workers — each domain
     keeps its own compiled copy, so there is no shared mutable state. *)
 
-(** Reusable per-edge flow state for routing algorithms: two [float64]
-    slabs (residual and usage) indexed by edge id.  Capacity lives in
-    the CSR (field [capacity] of {!t}). *)
+(** Per-edge flow state for routing algorithms: two [float64] slabs
+    (residual and usage) indexed by edge id.  Capacity lives in the CSR
+    (field [capacity] of {!t}).  The router keeps these in per-domain
+    scratch and loads every entry it reads at the start of a call. *)
 module Buf : sig
   type buf = { residual : float_slab; usage : float_slab }
 
   val create : int -> buf
   (** [create edges] allocates zeroed residual/usage slabs. *)
-
-  val clear : buf -> unit
-  (** Zero both slabs (for reuse across solves). *)
-
-  val usage_to_array : buf -> float array
-  (** Copy the usage slab out to a heap [float array] — the shape the
-      rest of the tree consumes ({!Poc_mcf.Router.routing.usage}). *)
 end

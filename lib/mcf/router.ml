@@ -40,11 +40,17 @@ type demand = int * int * float
 
 type chunk = { src : int; dst : int; gbps : float; edge_ids : int list }
 
+(* The edges a routing carries flow on, ascending, with the Gbps on
+   each: every nonzero entry of the per-edge usage its solve left,
+   residues below eps included, because the searches divide by them.
+   Never mutated once built, so routings may share one. *)
+type flow = { edges : int array; carried : float array }
+
 type routing = {
   feasible : bool;
   chunks : chunk array;
   unrouted : demand list;
-  usage : float array;
+  flow : flow;
   enabled_capacity : float;
 }
 
@@ -89,10 +95,10 @@ let adjacency_create ~nodes ~half_edges =
   }
 
 (* Per-domain scratch (DESIGN.md, "Router scratch"): search state, the
-   compact adjacency, the buffers of verdict-only reroutes and the
-   counter tallies.  Sized for the largest graph the domain has routed.
-   Nothing in it escapes a call: the calls that return a routing still
-   allocate the buffer whose usage they return. *)
+   compact adjacency, the residual/usage buffers every call works in
+   and the counter tallies.  Sized for the largest graph the domain has
+   routed.  Nothing in it escapes a call: a returned routing gets its
+   own copy of the edges that carry flow. *)
 type scratch = {
   mutable dist : float array;
   mutable pred : int array; (* edge id into each reached node *)
@@ -102,7 +108,7 @@ type scratch = {
   mutable keep : Bytes.t; (* per edge id: may hold residual in this call *)
   mutable compact : adjacency;
   mutable shared : Sparse.Buf.buf; (* a failure batch's base state *)
-  mutable work : Sparse.Buf.buf; (* one verdict-only reroute's state *)
+  mutable work : Sparse.Buf.buf; (* the state of the solve or check in hand *)
   mutable searches : int;
   mutable paths : int;
 }
@@ -139,6 +145,11 @@ let scratch n =
 let at_least (buf : Sparse.Buf.buf) m =
   if Bigarray.Array1.dim buf.Sparse.Buf.residual >= m then buf
   else Sparse.Buf.create m
+
+(* The work buffer, with room for [m] edges. *)
+let work_buf s m =
+  s.work <- at_least s.work m;
+  s.work
 
 let flush_counters s =
   if s.searches > 0 then begin
@@ -304,6 +315,30 @@ let route_one s adj ~cap ~(buf : Sparse.Buf.buf) ~alpha ?chunks n
   done;
   if !remaining <= eps then 0.0 else !remaining
 
+(* The flow the first [m] usage entries of [buf] describe, in one pass
+   that packs the nonzero entries at the front of the buffer (each id
+   into [residual], exact as a float) and then copies them out at their
+   exact size.  It spends the buffer: every call loads all of it again
+   before reading it. *)
+let flow_of (buf : Sparse.Buf.buf) m =
+  let residual = buf.Sparse.Buf.residual in
+  let usage = buf.Sparse.Buf.usage in
+  let k = ref 0 in
+  for id = 0 to m - 1 do
+    let u = usage.{id} in
+    if u <> 0.0 then begin
+      residual.{!k} <- float_of_int id;
+      usage.{!k} <- u;
+      incr k
+    end
+  done;
+  let edges = Array.make !k 0 and carried = Array.create_float !k in
+  for i = 0 to !k - 1 do
+    edges.(i) <- int_of_float residual.{i};
+    carried.(i) <- usage.{i}
+  done;
+  { edges; carried }
+
 let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
   Metrics.Counter.inc m_routes;
   let n = Graph.node_count g in
@@ -311,14 +346,18 @@ let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
   let m = Graph.edge_count g in
   let csr = Sparse.of_graph g in
   let s = scratch n in
-  let buf = Sparse.Buf.create m in
+  let buf = work_buf s m in
+  let residual = buf.Sparse.Buf.residual in
+  let usage = buf.Sparse.Buf.usage in
   let enabled_capacity = ref 0.0 in
   for id = 0 to m - 1 do
+    usage.{id} <- 0.0;
     if enabled id then begin
       let c = csr.Sparse.capacity.{id} in
-      buf.Sparse.Buf.residual.{id} <- c;
+      residual.{id} <- c;
       enabled_capacity := !enabled_capacity +. c
     end
+    else residual.{id} <- 0.0
   done;
   (* Residual only falls during a solve: an edge without any now never
      passes the search's gate, so the searches walk a compact adjacency
@@ -343,38 +382,68 @@ let route ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g ~demands =
     feasible = !unrouted = [];
     chunks = Array.of_list (List.rev !all_chunks);
     unrouted = List.rev !unrouted;
-    usage = Sparse.Buf.usage_to_array buf;
+    flow = flow_of buf m;
     enabled_capacity = !enabled_capacity;
   }
 
+let usage r eid =
+  let { edges; carried } = r.flow in
+  let rec find lo hi =
+    if lo >= hi then 0.0
+    else begin
+      let mid = (lo + hi) / 2 in
+      let id = edges.(mid) in
+      if id = eid then carried.(mid)
+      else if id < eid then find (mid + 1) hi
+      else find lo mid
+    end
+  in
+  find 0 (Array.length edges)
+
 let max_utilization g r =
-  Graph.fold_edges
-    (fun e acc ->
-      if e.capacity > 0.0 then Float.max acc (r.usage.(e.id) /. e.capacity)
-      else acc)
-    g 0.0
+  let { edges; carried } = r.flow in
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun i id ->
+      let c = (Graph.edge g id).capacity in
+      if c > 0.0 then worst := Float.max !worst (carried.(i) /. c))
+    edges;
+  !worst
 
 let total_routed r =
   Array.fold_left (fun acc c -> acc +. c.gbps) 0.0 r.chunks
 
-let used_edges r =
+(* The edges carrying more than eps, ascending, each with its load. *)
+let used_loads r =
+  let { edges; carried } = r.flow in
   let used = ref [] in
-  for eid = Array.length r.usage - 1 downto 0 do
-    if r.usage.(eid) > eps then used := eid :: !used
+  for i = Array.length edges - 1 downto 0 do
+    if carried.(i) > eps then used := (carried.(i), edges.(i)) :: !used
   done;
   !used
 
+let used_edges r = List.map snd (used_loads r)
+
 (* Load the first [m] entries of [buf] with the residual capacity and
    usage the enabled edges have under [base]'s flow; every other edge
-   reads 0. *)
+   reads 0.  One pass, merged with the ascending flow. *)
 let load_base ~(cap : Sparse.float_slab) ~enabled ~(buf : Sparse.Buf.buf) ~m
     base =
   let residual = buf.Sparse.Buf.residual in
   let usage = buf.Sparse.Buf.usage in
+  let { edges; carried } = base.flow in
+  let next = ref 0 in
   for id = 0 to m - 1 do
+    let u =
+      if !next < Array.length edges && edges.(!next) = id then begin
+        incr next;
+        carried.(!next - 1)
+      end
+      else 0.0
+    in
     if enabled id then begin
-      residual.{id} <- cap.{id} -. base.usage.(id);
-      usage.{id} <- base.usage.(id)
+      residual.{id} <- cap.{id} -. u;
+      usage.{id} <- u
     end
     else begin
       residual.{id} <- 0.0;
@@ -426,22 +495,23 @@ let repair s adj ~cap ~(buf : Sparse.Buf.buf) ~base ~failed_edge ?kept ?fresh
     affected;
   !ok
 
-(* It returns a routing, so it fills a fresh buffer; as a single reroute
-   it walks the whole CSR rather than pay for a compaction. *)
+(* As a single reroute it walks the whole CSR rather than pay for a
+   compaction. *)
 let reroute_without_edge ?(enabled = fun _ -> true) g ~base ~failed_edge =
   Metrics.Counter.inc m_reroutes;
   let failed_capacity = (Graph.edge g failed_edge).capacity in
-  if base.usage.(failed_edge) <= eps then
+  if usage base failed_edge <= eps then
     (* Nothing crossed the edge: the routing is already valid without
        it; only the available capacity shrinks. *)
     Some
       { base with enabled_capacity = base.enabled_capacity -. failed_capacity }
   else begin
     let csr = Sparse.of_graph g in
+    let m = csr.Sparse.edges in
     let s = scratch csr.Sparse.nodes in
     let cap = csr.Sparse.capacity in
-    let buf = Sparse.Buf.create csr.Sparse.edges in
-    load_base ~cap ~enabled ~buf ~m:csr.Sparse.edges base;
+    let buf = work_buf s m in
+    load_base ~cap ~enabled ~buf ~m base;
     let kept = ref [] and fresh = ref [] in
     let ok =
       repair s (csr_adjacency csr) ~cap ~buf ~base ~failed_edge ~kept ~fresh
@@ -455,7 +525,7 @@ let reroute_without_edge ?(enabled = fun _ -> true) g ~base ~failed_edge =
           feasible = true;
           chunks = Array.of_list (List.rev_append !kept !fresh);
           unrouted = [];
-          usage = Sparse.Buf.usage_to_array buf;
+          flow = flow_of buf m;
           enabled_capacity = base.enabled_capacity -. failed_capacity;
         }
   end
@@ -511,13 +581,13 @@ let check_failure (csr : Sparse.t) adj ~load g ~base failed_edge =
   Metrics.Counter.inc m_reroutes;
   (* An unknown id fails as it does in [reroute_without_edge]. *)
   ignore (Graph.edge g failed_edge);
-  if base.usage.(failed_edge) <= eps then true
+  if usage base failed_edge <= eps then true
   else begin
     let s = scratch csr.Sparse.nodes in
-    s.work <- at_least s.work csr.Sparse.edges;
-    load s.work;
+    let buf = work_buf s csr.Sparse.edges in
+    load buf;
     let ok =
-      repair s adj ~cap:csr.Sparse.capacity ~buf:s.work ~base ~failed_edge
+      repair s adj ~cap:csr.Sparse.capacity ~buf ~base ~failed_edge
         csr.Sparse.nodes
     in
     flush_counters s;
@@ -538,8 +608,9 @@ let survives_all_single_failures ?(enabled = fun _ -> true) ?pool ?limit g
   (* Most-loaded edges are the likeliest to be irreplaceable: check
      them first so infeasible sets fail fast. *)
   let by_load_desc =
-    used_edges base
-    |> List.sort (fun a b -> compare base.usage.(b) base.usage.(a))
+    used_loads base
+    |> List.sort (fun (a, _) (b, _) -> Float.compare b a)
+    |> List.map snd
   in
   let failures =
     match limit with

@@ -13,13 +13,15 @@
     use {!Poc_traffic.Matrix.undirected_pair_demands} upstream.
 
     Every call may run on any domain, beside calls on other domains.
-    Search state, compact adjacencies and the buffers of verdict-only
-    failure checks live in per-domain scratch, reused from call to
-    call; the routings that {!route}, {!reroute_without_edge} and
-    {!route_toggle} return own fresh arrays, so later calls never
-    change them.  The counters [poc_router_dijkstra_total] and
-    [poc_router_paths_total] are tallied in the scratch and added once
-    per call (once per check in a failure batch). *)
+    Search state, compact adjacencies and the residual/usage buffers
+    every call solves in live in per-domain scratch, reused from call
+    to call.  A routing that {!route}, {!reroute_without_edge} or
+    {!route_toggle} returns holds its own copy of the edges it carries
+    flow on, so its memory is proportional to its flow, not to the
+    graph, and later calls never change it.  The counters
+    [poc_router_dijkstra_total] and [poc_router_paths_total] are
+    tallied in the scratch and added once per call (once per check in
+    a failure batch). *)
 
 type demand = int * int * float
 (** [(node_a, node_b, gbps)] with [node_a <> node_b] and [gbps >= 0]. *)
@@ -32,13 +34,23 @@ type chunk = {
 }
 (** One routed piece of a demand (demands may split across paths). *)
 
+type flow
+(** The Gbps a routing carries on each edge, held for the edges that
+    carry flow only; read it with {!usage}. *)
+
 type routing = {
   feasible : bool;
   chunks : chunk array;
   unrouted : demand list;        (** residual demand that found no path *)
-  usage : float array;           (** per edge id, Gbps carried *)
+  flow : flow;                   (** per-edge Gbps carried, see {!usage} *)
   enabled_capacity : float;      (** total capacity of enabled edges *)
 }
+
+val usage : routing -> int -> float
+(** [usage r eid] is the Gbps [r] carries on edge [eid], exactly as the
+    solve left it (a residue below the router's epsilon included), and
+    0 on an edge it does not use.  O(log k) for a routing that carries
+    flow on [k] edges. *)
 
 type toggle =
   | Remove of int  (** disable this currently-enabled edge id *)
@@ -107,8 +119,9 @@ val reroute_without_edge :
     chunks not crossing the failed edge keep their paths, the rest are
     re-routed on the residual capacity.  [None] when the re-route does
     not fit.  This is the incremental primitive behind the failure
-    checks and the auction's prune loops.  The returned routing owns
-    fresh arrays; nothing in it is shared with the router's scratch. *)
+    checks and the auction's prune loops.  The repair works in the
+    calling domain's scratch; the returned routing shares nothing with
+    it (see {!usage}). *)
 
 val survives_failure :
   ?enabled:(int -> bool) ->

@@ -23,7 +23,8 @@ type t = {
   cap : int;
   slots : string array;  (* framed record bytes; "" = never written *)
   mutable next : int;  (* next slot to overwrite *)
-  mutable total : int;  (* records ever emitted *)
+  mutable held : int;  (* slots holding a record *)
+  mutable total : int;  (* records ever emitted: the next record's seq *)
   mutable drained : int;  (* [seq] up to which the owner has drained *)
   pending : Buffer.t;  (* frames since the last drain, unless wrapped *)
   mu : Mutex.t;
@@ -35,6 +36,7 @@ let create ?(capacity = 1024) () =
     cap = capacity;
     slots = Array.make capacity "";
     next = 0;
+    held = 0;
     total = 0;
     drained = 0;
     pending = Buffer.create 256;
@@ -116,6 +118,7 @@ let emit t ?ts_us ~epoch ~phase kind =
       let framed = encode_record r in
       t.slots.(t.next) <- framed;
       t.next <- (t.next + 1) mod t.cap;
+      if t.held < t.cap then t.held <- t.held + 1;
       t.total <- t.total + 1;
       (* Once the undrained backlog exceeds the capacity an incremental
          append can no longer be assembled from live slots; stop
@@ -125,9 +128,9 @@ let emit t ?ts_us ~epoch ~phase kind =
 
 let seq t = locked t (fun () -> t.total)
 
-let stored t = locked t (fun () -> min t.total t.cap)
+let stored t = locked t (fun () -> t.held)
 
-let dropped t = locked t (fun () -> max 0 (t.total - t.cap))
+let dropped t = locked t (fun () -> t.total - t.held)
 
 let frame_payload framed =
   match Codec.next_frame framed ~pos:0 with
@@ -136,7 +139,7 @@ let frame_payload framed =
 
 let records t =
   locked t (fun () ->
-      let n = min t.total t.cap in
+      let n = t.held in
       let out = ref [] in
       for i = 1 to n do
         let slot = (t.next + t.cap - i) mod t.cap in
@@ -171,7 +174,7 @@ let image t =
   locked t (fun () ->
       let buf = Buffer.create 1024 in
       Buffer.add_string buf (header_frame t.cap);
-      let n = min t.total t.cap in
+      let n = t.held in
       (* oldest -> newest *)
       for i = n downto 1 do
         let slot = (t.next + t.cap - i) mod t.cap in
@@ -198,20 +201,21 @@ let decode_header payload =
       if cap < 1 || not (Codec.at_end r) then Error "bad flight header"
       else Ok cap
 
-(* The header frame, then one scan of the record frames after it. *)
+(* The header frame, then one scan of the record frames after it, which
+   starts at the returned offset. *)
 let scan_image data =
   match Codec.next_frame data ~pos:0 with
   | Codec.End -> Error "empty flight image"
   | Codec.Torn -> Error "flight image header damaged"
   | Codec.Frame { payload; next } -> (
     match decode_header payload with
-    | Ok cap -> Ok (cap, Codec.scan ~from:next ~decode:decode_record data)
+    | Ok cap -> Ok (cap, next, Codec.scan ~from:next ~decode:decode_record data)
     | Error e -> Error e
     | exception Codec.Corrupt _ -> Error "bad flight header")
 
 let decode_image data =
   Result.map
-    (fun (cap, s) ->
+    (fun (cap, _, s) ->
       (* Only the newest [cap] frames are the ring's contents; an
          append-grown image legitimately holds more. *)
       let frames = List.length s.Codec.frames in
@@ -227,4 +231,26 @@ let decode_image data =
     (scan_image data)
 
 let valid_prefix data =
-  match scan_image data with Ok (_, s) -> s.Codec.valid | Error _ -> 0
+  match scan_image data with Ok (_, _, s) -> s.Codec.valid | Error _ -> 0
+
+(* Each kept record's slot is its frame as the image holds it, so no
+   record is encoded again and every [seq] stays as emitted. *)
+let reopen ?capacity data =
+  Result.map
+    (fun (cap, first, s) ->
+      let t = create ?capacity () in
+      let skip = List.length s.Codec.frames - t.cap in
+      ignore
+        (List.fold_left
+           (fun (i, start) (r, stop) ->
+             if i >= skip then begin
+               t.slots.(t.next) <- String.sub data start (stop - start);
+               t.next <- (t.next + 1) mod t.cap;
+               t.held <- t.held + 1;
+               t.total <- max t.held (r.seq + 1)
+             end;
+             (i + 1, stop))
+           (0, first) s.Codec.frames);
+      t.drained <- t.total;
+      (t, if cap = t.cap then `Append_at s.Codec.valid else `Rewrite))
+    (scan_image data)

@@ -62,10 +62,11 @@ val seq : t -> int
 (** Total records ever emitted (the next record's [seq]). *)
 
 val stored : t -> int
-(** Records currently retained ([min seq capacity]). *)
+(** Records currently retained ([min seq capacity] for a recorder
+    from {!create}). *)
 
 val dropped : t -> int
-(** Records evicted since creation ([max 0 (seq - capacity)]). *)
+(** Records emitted but no longer retained ([seq - stored]). *)
 
 val records : t -> record list
 (** Retained records, oldest first — exactly the most recent
@@ -102,6 +103,20 @@ val decode_image : string -> (image_data, string) result
     crash, a checksum mismatch, or an undecodable payload ends the scan
     with [img_torn = true] and everything before it is kept.  [Error]
     only when the header frame itself is missing or damaged. *)
+
+val reopen :
+  ?capacity:int ->
+  string ->
+  (t * [ `Append_at of int | `Rewrite ], string) result
+(** A recorder that already holds an image's records: the newest
+    [capacity] (default 1024) of the records {!decode_image} reads from
+    it, each kept as the frame the image holds, so {!image} re-emits
+    them byte for byte.  They count as drained, and {!seq} continues
+    after the newest one's [seq].  Paired with how the image continues:
+    [`Append_at n] when its header stamps the recorder's capacity, so
+    the recorder's drains appended to its first [n] bytes (its
+    {!valid_prefix}) form a valid image; [`Rewrite] when it stamps
+    another, so only a fresh {!image} is.  [Error] as {!decode_image}. *)
 
 val valid_prefix : string -> int
 (** Length of the longest prefix of [data] that is a whole, valid

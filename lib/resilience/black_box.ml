@@ -19,26 +19,26 @@ let rewrite t =
   Disk.write_file_atomic t.disk t.bb_path img;
   t.bytes <- String.length img
 
-let create ?capacity ?(rewrite_bytes = 262144) ?disk path =
+(* The box may be opened before the journal makes its store directory
+   (the fleet hands one box per scenario to a run that has not opened
+   its journal yet). *)
+let prepare ~rewrite_bytes ?disk path =
   if rewrite_bytes < 1 then
-    invalid_arg "Black_box.create: rewrite_bytes must be >= 1";
+    invalid_arg "Black_box: rewrite_bytes must be >= 1";
   let disk = match disk with Some d -> d | None -> Disk.real () in
-  (* The box may be created before the journal makes its store
-     directory (the fleet hands one box per scenario to a run that has
-     not opened its journal yet). *)
   let dir = Filename.dirname path in
   if not (Disk.exists disk dir) then Disk.mkdir_p disk dir;
-  let t =
-    {
-      disk;
-      bb_path = path;
-      bb_ring = Flight.create ?capacity ();
-      rewrite_bytes;
-      bytes = 0;
-    }
-  in
+  disk
+
+(* A box whose file is [ring]'s image, written atomically. *)
+let fresh ~disk ~rewrite_bytes path ring =
+  let t = { disk; bb_path = path; bb_ring = ring; rewrite_bytes; bytes = 0 } in
   rewrite t;
   t
+
+let create ?capacity ?(rewrite_bytes = 262144) ?disk path =
+  let disk = prepare ~rewrite_bytes ?disk path in
+  fresh ~disk ~rewrite_bytes path (Flight.create ?capacity ())
 
 let append t bytes =
   let log = Log.reopen t.disk t.bb_path ~at:t.bytes ~truncate:false in
@@ -56,6 +56,36 @@ let flush t =
     else append t bytes
 
 let close t = flush t
+
+let mark_resume t =
+  Flight.emit t.bb_ring ~epoch:(-1) ~phase:""
+    (Flight.Event
+       {
+         name = "resume";
+         detail = Printf.sprintf "records=%d" (Flight.stored t.bb_ring);
+       });
+  flush t
+
+let is_resume (r : Flight.record) =
+  match r.Flight.kind with
+  | Flight.Event { name = "resume"; _ } -> true
+  | _ -> false
+
+(* The file already holds the reopened ring's frames: cut it to its
+   valid prefix, as [scrub] would, and append from there.  Only an
+   image stamped with another capacity is rewritten. *)
+let reopen ?capacity ?(rewrite_bytes = 262144) ?disk path =
+  let disk = prepare ~rewrite_bytes ?disk path in
+  match Disk.read_file disk path with
+  | exception Sys_error _ ->
+    fresh ~disk ~rewrite_bytes path (Flight.create ?capacity ())
+  | data -> (
+    match Flight.reopen ?capacity data with
+    | Ok (ring, `Append_at keep) ->
+      if keep < String.length data then Disk.truncate_file disk path keep;
+      { disk; bb_path = path; bb_ring = ring; rewrite_bytes; bytes = keep }
+    | Ok (ring, `Rewrite) -> fresh ~disk ~rewrite_bytes path ring
+    | Error _ -> fresh ~disk ~rewrite_bytes path (Flight.create ?capacity ()))
 
 let load ?disk path =
   let disk = match disk with Some d -> d | None -> Disk.real () in

@@ -2,11 +2,12 @@
 
     [Flight] rings and encodes; this module owns the file.  A box is a
     single [FLIGHT] file (living inside the journal store it narrates)
-    that starts as a header-only
-    image and grows by incremental appends: every {!flush} drains the
-    ring's pending frames and appends them through {!Log}, so the file
-    is durable at every epoch boundary and fault point without
-    rewriting.
+    that starts as a header-only image and grows by incremental
+    appends: every {!flush} drains the ring's pending frames and
+    appends them through {!Log}, so the file is durable at every epoch
+    boundary and fault point without rewriting.  A resumed attempt of
+    the run {!reopen}s the box instead, continuing the file its earlier
+    attempts left.
     When the file outgrows its byte budget (or the ring wrapped past an
     undrained backlog) the box compacts: the current ring image is
     rewritten atomically via [Disk.write_file_atomic], bounding the
@@ -28,9 +29,33 @@ type t
 val create :
   ?capacity:int -> ?rewrite_bytes:int -> ?disk:Disk.t -> string -> t
 (** Start a fresh box at [path]: atomically write a header-only image,
-    then append on every flush.  [capacity] is the ring's record count
+    then append on every flush.  Whatever was at [path] is replaced: a
+    fresh run claims its store.  [capacity] is the ring's record count
     (default 1024); [rewrite_bytes] the compaction budget in bytes
     (default 262144).  [disk] defaults to a fresh [Disk.real ()]. *)
+
+val reopen :
+  ?capacity:int -> ?rewrite_bytes:int -> ?disk:Disk.t -> string -> t
+(** Open the box of a resumed attempt (a [--resume], a registry retry,
+    a fleet resume): the newest [capacity] of the records {!load} reads
+    from [path], the ones a {!scrub} would keep, open the ring
+    unchanged ({!Poc_obs.Flight.reopen}), so the crash an earlier
+    attempt recorded survives.  The file is cut to that valid prefix
+    and appended to; it is rewritten only when its header stamps
+    another capacity.  A missing, unreadable or header-damaged file
+    starts header-only, as {!create}.  Parameters as {!create}. *)
+
+val mark_resume : t -> unit
+(** Record that a new attempt of the run starts here: emit a marker
+    (an [Event] named ["resume"], epoch [-1], no phase, detail
+    [records=N], the records the ring held before it) and flush it at
+    once.  The supervisor calls it when a run or a resume that it has
+    accepted opens on a box already holding records: a reopened box,
+    or one an in-process retry keeps. *)
+
+val is_resume : Poc_obs.Flight.record -> bool
+(** Whether a record is {!mark_resume}'s marker: the records after the
+    newest one are the newest attempt's. *)
 
 val ring : t -> Poc_obs.Flight.t
 (** The ring to emit into. *)

@@ -734,6 +734,13 @@ let validate_or_raise ~ladder ~market =
   | Ok () -> ()
   | Error msg -> invalid_arg msg
 
+(* An attempt that opens on a box already holding records (a resume, a
+   retry of the same run) starts with a marker, so forensics can tell
+   its records from the earlier attempts'. *)
+let mark_attempt = function
+  | Some b when Flight.seq (Black_box.ring b) > 0 -> Black_box.mark_resume b
+  | Some _ | None -> ()
+
 let open_run ?(ladder = Ladder.default_config) ?journal ?flight
     ?(snapshot_every = 4) ?segment_bytes ?disk ?pool (plan : Planner.plan)
     ~market ~schedule =
@@ -755,6 +762,7 @@ let open_run ?(ladder = Ladder.default_config) ?journal ?flight
           })
       journal
   in
+  mark_attempt flight;
   {
     l_ladder = ladder;
     l_journal = j;
@@ -876,6 +884,7 @@ let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
             carry_violations = prefix_violations;
           }
       | _ -> ());
+      mark_attempt flight;
       Ok
         {
           l_ladder = ladder;

@@ -122,10 +122,12 @@ val run :
     crash incidents into its ring and flushes it at every phase open,
     at each epoch boundary, and on every crash path — so a SIGKILL at
     any instant leaves a readable box naming the in-flight epoch and
-    phase.  The recorder never touches the journal or its disk:
-    journal bytes are identical with and without it, and with it
-    absent ([None]) every emission site is a single untaken branch
-    (zero allocation). *)
+    phase.  A box that already holds records (an earlier attempt's)
+    first gets a {!Black_box.mark_resume} marker, here and in
+    {!resume} once the journal is accepted.  The recorder never
+    touches the journal or its disk: journal bytes are identical with
+    and without it, and with it absent ([None]) every emission site is
+    a single untaken branch (zero allocation). *)
 
 val resume :
   ?ladder:Ladder.config ->

@@ -82,30 +82,24 @@ let get_option r get =
   | 1 -> Some (get r)
   | n -> raise (Corrupt (Printf.sprintf "bad option byte %d" n))
 
-(* CRC-32, IEEE 802.3 reflected polynomial, table-driven. *)
+(* CRC-32, IEEE 802.3 reflected polynomial, table-driven, on native
+   ints: every value fits in 32 bits, so no byte boxes an [Int32]. *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
+           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
          done;
          !c))
 
 let crc32 s =
   let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFFFFFF
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to String.length s - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
 
 let frame payload =
   let b = writer () in

@@ -4,6 +4,7 @@ module Chaos_matrix = Poc_fleet.Chaos_matrix
 module Driver = Poc_fleet.Driver
 module Fault = Poc_resilience.Fault
 module Pool = Poc_util.Pool
+module Forensics = Poc_forensics.Forensics
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -224,6 +225,34 @@ let test_fleet_end_to_end () =
         Alcotest.(check bool) "json carries no store path" false
           (contains json root))
 
+let test_fleet_flight_verdict_after_kill_chain () =
+  (* A month's in-process attempts share one flight box.  After a kill
+     chain that the month survives, the kills' crash incidents stay in
+     its timeline, and forensics finds nothing in flight: the
+     supervisor marks where each retry's attempt starts. *)
+  with_tmp_root (fun root ->
+      let cfg = { (small_config root) with Driver.flight = true } in
+      match Driver.run cfg with
+      | Error msg -> Alcotest.failf "fleet failed: %s" msg
+      | Ok (Driver.Interrupted _) -> Alcotest.fail "no kill-after requested"
+      | Ok (Driver.Finished report) ->
+        let (scen5, o5) = List.nth report.Driver.outcomes 5 in
+        Alcotest.(check int) "both kill points fired" 2 o5.Driver.kills;
+        match
+          Forensics.analyze (Filename.concat root scen5.Driver.id)
+        with
+        | Error msg -> Alcotest.failf "forensics: %s" msg
+        | Ok a ->
+          Alcotest.(check bool) "the kills are in the timeline" true
+            (List.exists
+               (fun (e : Forensics.entry) ->
+                 e.Forensics.e_label = "incident"
+                 && contains e.Forensics.e_detail "crash")
+               a.Forensics.a_entries);
+          Alcotest.(check (option (pair int string)))
+            "nothing is in flight after the month completed" None
+            a.Forensics.a_in_flight)
+
 let test_fleet_rejects_dirty_root_and_mismatch () =
   with_tmp_root (fun root ->
       let cfg = { (small_config root) with Driver.months = 1 } in
@@ -320,6 +349,8 @@ let suite =
       test_result_roundtrip;
     Alcotest.test_case "small fleet end-to-end with kill chains" `Slow
       test_fleet_end_to_end;
+    Alcotest.test_case "flight verdict after a survived kill chain" `Slow
+      test_fleet_flight_verdict_after_kill_chain;
     Alcotest.test_case "store root claims and manifest mismatch" `Slow
       test_fleet_rejects_dirty_root_and_mismatch;
     QCheck_alcotest.to_alcotest qcheck_fleet_determinism;

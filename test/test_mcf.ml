@@ -21,8 +21,8 @@ let test_simple_route () =
   let r = Router.route g ~demands:[ (0, 2, 6.0) ] in
   Alcotest.(check bool) "feasible" true r.Router.feasible;
   check_float "total routed" 6.0 (Router.total_routed r);
-  check_float "uses cheap path" 6.0 r.Router.usage.(e01);
-  check_float "uses cheap path (2nd hop)" 6.0 r.Router.usage.(e12)
+  check_float "uses cheap path" 6.0 (Router.usage r e01);
+  check_float "uses cheap path (2nd hop)" 6.0 (Router.usage r e12)
 
 let test_split_when_needed () =
   let g, _, _, e02 = chain_with_shortcut () in
@@ -30,7 +30,7 @@ let test_split_when_needed () =
   Alcotest.(check bool) "feasible by splitting" true r.Router.feasible;
   check_float "total" 12.0 (Router.total_routed r);
   Alcotest.(check bool) "overflow takes the long link" true
-    (r.Router.usage.(e02) > 0.0)
+    (Router.usage r e02 > 0.0)
 
 let test_infeasible_detected () =
   let g, _, _, _ = chain_with_shortcut () in
@@ -46,7 +46,7 @@ let test_capacity_never_exceeded () =
   Array.iter
     (fun (e : Graph.edge) ->
       Alcotest.(check bool) "usage <= capacity" true
-        (r.Router.usage.(e.id) <= e.capacity +. 1e-6))
+        (Router.usage r e.id <= e.capacity +. 1e-6))
     (Graph.edges g);
   Alcotest.(check bool) "max utilization <= 1" true
     (Router.max_utilization g r <= 1.0 +. 1e-6)
@@ -55,8 +55,8 @@ let test_enabled_mask_respected () =
   let g, e01, _, e02 = chain_with_shortcut () in
   let r = Router.route ~enabled:(fun id -> id <> e01) g ~demands:[ (0, 2, 3.0) ] in
   Alcotest.(check bool) "feasible via shortcut" true r.Router.feasible;
-  check_float "no use of disabled edge" 0.0 r.Router.usage.(e01);
-  check_float "shortcut carries it" 3.0 r.Router.usage.(e02)
+  check_float "no use of disabled edge" 0.0 (Router.usage r e01);
+  check_float "shortcut carries it" 3.0 (Router.usage r e02)
 
 let test_multiple_demands_sorted_by_size () =
   let g, _, _, _ = chain_with_shortcut () in
@@ -97,8 +97,8 @@ let test_reroute_shifts_traffic () =
   match Router.reroute_without_edge g ~base ~failed_edge:e01 with
   | None -> Alcotest.fail "shortcut can absorb the demand"
   | Some r ->
-    check_float "moved to shortcut" 4.0 r.Router.usage.(e02);
-    check_float "failed edge idle" 0.0 r.Router.usage.(e01)
+    check_float "moved to shortcut" 4.0 (Router.usage r e02);
+    check_float "failed edge idle" 0.0 (Router.usage r e01)
 
 let test_reroute_infeasible () =
   let g, e01, _, _ = chain_with_shortcut () in
@@ -188,7 +188,7 @@ let test_survives_all_jobs_invariant () =
 let reference_spot_check ?enabled ?pool ~limit g ~demands r =
   let top =
     Router.used_edges r
-    |> List.sort (fun a b -> compare r.Router.usage.(b) r.Router.usage.(a))
+    |> List.sort (fun a b -> compare (Router.usage r b) (Router.usage r a))
     |> List.filteri (fun i _ -> i < limit)
   in
   let survives f =
@@ -275,22 +275,27 @@ let test_limited_sweep_matches_reference () =
   Alcotest.(check bool) "both verdicts occur" true
     (List.mem true !verdicts && List.mem false !verdicts)
 
+(* A [w] x [h] grid, row-major node ids: latency-1 links along a row,
+   latency-[down] links between rows, all of capacity [cap]. *)
+let grid ~w ~h ~down ~cap =
+  let g = Graph.create () in
+  Graph.add_nodes g (w * h);
+  for r = 0 to h - 1 do
+    for c = 0 to w - 1 do
+      let v = (r * w) + c in
+      if c + 1 < w then
+        ignore (Graph.add_edge g v (v + 1) ~weight:1.0 ~capacity:cap);
+      if r + 1 < h then
+        ignore (Graph.add_edge g v (v + w) ~weight:down ~capacity:cap)
+    done
+  done;
+  g
+
 (* A 6x6 grid: a second, larger graph, so the domain's scratch grows
    past the first graph's size between calls on it. *)
 let grid_instance () =
-  let g = Graph.create () in
-  let side = 6 in
-  Graph.add_nodes g (side * side);
-  for r = 0 to side - 1 do
-    for c = 0 to side - 1 do
-      let v = (r * side) + c in
-      if c + 1 < side then
-        ignore (Graph.add_edge g v (v + 1) ~weight:1.0 ~capacity:6.0);
-      if r + 1 < side then
-        ignore (Graph.add_edge g v (v + side) ~weight:1.5 ~capacity:6.0)
-    done
-  done;
-  (g, [ (0, 35, 4.0); (5, 30, 3.0); (12, 17, 2.5) ])
+  ( grid ~w:6 ~h:6 ~down:1.5 ~cap:6.0,
+    [ (0, 35, 4.0); (5, 30, 3.0); (12, 17, 2.5) ] )
 
 let test_results_do_not_alias_scratch () =
   let g, demands = random_instance 4242 in
@@ -310,7 +315,7 @@ let test_results_do_not_alias_scratch () =
   let saved =
     List.map
       (fun (name, (r : Router.routing)) ->
-        (name, r, Array.copy r.Router.usage, Array.copy r.Router.chunks))
+        (name, r, Array.init m (Router.usage r), Array.copy r.Router.chunks))
       results
   in
   let unchanged after =
@@ -318,7 +323,7 @@ let test_results_do_not_alias_scratch () =
       (fun (name, (r : Router.routing), usage, chunks) ->
         Alcotest.(check bool)
           (Printf.sprintf "%s usage unchanged %s" name after)
-          true (r.Router.usage = usage);
+          true (Array.init m (Router.usage r) = usage);
         Alcotest.(check bool)
           (Printf.sprintf "%s chunks unchanged %s" name after)
           true (r.Router.chunks = chunks))
@@ -346,6 +351,122 @@ let test_results_do_not_alias_scratch () =
       ignore (Router.survives_all_single_failures ?pool g ~demands base));
   unchanged "after a pooled failure sweep"
 
+(* Every routing [route], [reroute_without_edge] and [route_toggle]
+   return for [random_instance seed]: the base, one reroute per used
+   edge, and a Remove and an Add toggle. *)
+let routings_of_seed seed =
+  let g, demands = random_instance seed in
+  let m = Graph.edge_count g in
+  let eid = seed mod m in
+  let without id = id <> eid in
+  let base = Router.route g ~demands in
+  let reroutes =
+    List.filter_map
+      (fun failed_edge -> Router.reroute_without_edge g ~base ~failed_edge)
+      (Router.used_edges base)
+  in
+  let removed = Router.route_toggle g ~demands ~base (Router.Remove eid) in
+  let added =
+    Router.route_toggle ~enabled:without g ~demands
+      ~base:(Router.route ~enabled:without g ~demands)
+      (Router.Add eid)
+  in
+  (g, (base :: reroutes) @ [ removed; added ])
+
+(* [usage] on every edge is the Gbps of the chunks crossing it, and
+   [used_edges] lists, ascending, the edges whose usage exceeds the
+   router's epsilon (1e-6). *)
+let flow_matches_chunks g (r : Router.routing) =
+  let m = Graph.edge_count g in
+  let sums = Array.make m 0.0 in
+  Array.iter
+    (fun (c : Router.chunk) ->
+      List.iter
+        (fun eid -> sums.(eid) <- sums.(eid) +. c.Router.gbps)
+        c.Router.edge_ids)
+    r.Router.chunks;
+  let ids = List.init m Fun.id in
+  List.for_all
+    (fun eid -> Float.abs (Router.usage r eid -. sums.(eid)) <= 1e-9)
+    ids
+  && Router.used_edges r
+     = List.filter (fun eid -> Router.usage r eid > 1e-6) ids
+
+let qcheck_flow_is_chunk_sums =
+  QCheck.Test.make
+    ~name:"usage = chunk sums, used_edges = usage above eps (jobs 1, 2, 4)"
+    ~count:12
+    QCheck.(list_of_size (Gen.return 6) (int_range 0 10_000))
+    (fun seeds ->
+      let check seed =
+        let g, routings = routings_of_seed seed in
+        List.for_all (flow_matches_chunks g) routings
+      in
+      List.for_all
+        (fun jobs ->
+          Poc_util.Pool.with_pool ~jobs (fun pool ->
+              (match pool with
+              | None -> List.map check seeds
+              | Some p -> Poc_util.Pool.map_list p check seeds)
+              |> List.for_all Fun.id))
+        [ 1; 2; 4 ])
+
+(* A 100 x 51 grid of unit-latency, 10 Gbps links (10,049 of them), and
+   demands of 6 Gbps between nodes two hops apart along a row: each
+   search settles a handful of nodes, and each routing carries flow on
+   a few edges. *)
+let long_grid () =
+  let w = 100 in
+  let demands =
+    List.init 8 (fun i ->
+        let v = (((i * 6) + 3) * w) + (i * 11) + 5 in
+        (v, v + 2, 6.0))
+  in
+  (grid ~w ~h:51 ~down:1.0 ~cap:10.0, demands)
+
+(* Words [f ()] allocates on the calling domain's minor and major heaps.
+   A routing that owned a per-link array would cost at least one word a
+   link.  (A Bigarray's payload lives outside the heap and does not
+   show here.) *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let test_calls_allocate_by_flow () =
+  let g, demands = long_grid () in
+  let m = Graph.edge_count g in
+  Alcotest.(check bool) "at least 10^4 links" true (m >= 10_000);
+  let base = Router.route g ~demands in
+  Alcotest.(check bool) "base feasible" true base.Router.feasible;
+  let failed = List.hd (Router.used_edges base) in
+  Alcotest.(check bool) "the removed edge carries flow" true
+    (Router.usage base failed > 1e-6);
+  Alcotest.(check bool) "a detour carries its flow" true
+    (Router.reroute_without_edge g ~base ~failed_edge:failed <> None);
+  (* Warm-up: the domain's scratch has grown to this graph. *)
+  ignore (Router.route_toggle g ~demands ~base (Router.Remove failed));
+  let over =
+    List.filter_map
+      (fun (name, call) ->
+        let words = words_allocated call in
+        if words < float_of_int m /. 10.0 then None
+        else Some (Printf.sprintf "%s %.0f" name words))
+    [
+      ("route", fun () -> Router.route g ~demands);
+      ( "reroute_without_edge",
+        fun () ->
+          Option.get (Router.reroute_without_edge g ~base ~failed_edge:failed)
+      );
+      ( "route_toggle (Remove e)",
+        fun () -> Router.route_toggle g ~demands ~base (Router.Remove failed) );
+    ]
+  in
+  if over <> [] then
+    Alcotest.failf "words allocated on a %d-link graph: %s" m
+      (String.concat ", " over)
+
 let qcheck_conservation =
   QCheck.Test.make ~name:"routed + unrouted = offered" ~count:60
     QCheck.(int_range 0 10_000)
@@ -365,7 +486,7 @@ let qcheck_capacity_respected =
       let g, demands = random_instance seed in
       let r = Router.route g ~demands in
       Graph.fold_edges
-        (fun e acc -> acc && r.Router.usage.(e.Graph.id) <= e.capacity +. 1e-6)
+        (fun e acc -> acc && Router.usage r e.Graph.id <= e.capacity +. 1e-6)
         g true)
 
 let qcheck_chunks_are_real_paths =
@@ -403,11 +524,11 @@ let qcheck_toggle_remove_superset_and_valid =
       let again = Router.route_toggle g ~demands ~base (Router.Remove eid) in
       let scratch = Router.route ~enabled:(fun id -> id <> eid) g ~demands in
       let superset = (not scratch.Router.feasible) || toggled.Router.feasible in
-      let removed_idle = Float.abs toggled.Router.usage.(eid) < 1e-9 in
+      let removed_idle = Float.abs (Router.usage toggled eid) < 1e-9 in
       let capacity_ok =
         Graph.fold_edges
           (fun e acc ->
-            acc && toggled.Router.usage.(e.Graph.id) <= e.capacity +. 1e-6)
+            acc && Router.usage toggled e.Graph.id <= e.capacity +. 1e-6)
           g true
       in
       let offered =
@@ -423,7 +544,8 @@ let qcheck_toggle_remove_superset_and_valid =
       in
       let deterministic =
         toggled.Router.feasible = again.Router.feasible
-        && toggled.Router.usage = again.Router.usage
+        && Array.init m (Router.usage toggled)
+           = Array.init m (Router.usage again)
       in
       superset && removed_idle && capacity_ok && conserves && deterministic)
 
@@ -444,7 +566,7 @@ let qcheck_toggle_add_superset =
       let capacity_ok =
         Graph.fold_edges
           (fun e acc ->
-            acc && toggled.Router.usage.(e.Graph.id) <= e.capacity +. 1e-6)
+            acc && Router.usage toggled e.Graph.id <= e.capacity +. 1e-6)
           g true
       in
       superset && capacity_ok)
@@ -491,9 +613,12 @@ let suite =
       test_limited_sweep_matches_reference;
     Alcotest.test_case "returned routings do not alias scratch" `Quick
       test_results_do_not_alias_scratch;
+    Alcotest.test_case "route, reroute and toggle allocate by flow, not links"
+      `Quick test_calls_allocate_by_flow;
     QCheck_alcotest.to_alcotest qcheck_conservation;
     QCheck_alcotest.to_alcotest qcheck_capacity_respected;
     QCheck_alcotest.to_alcotest qcheck_chunks_are_real_paths;
     QCheck_alcotest.to_alcotest qcheck_toggle_remove_superset_and_valid;
     QCheck_alcotest.to_alcotest qcheck_toggle_add_superset;
+    QCheck_alcotest.to_alcotest qcheck_flow_is_chunk_sums;
   ]

@@ -733,10 +733,11 @@ let test_flight_drain_appends_compose () =
   let t = Flight.create ~capacity:8 () in
   let file = Buffer.create 256 in
   Buffer.add_string file (Flight.image t);
-  let emit i =
+  let emit_to t i =
     Flight.emit t ~ts_us:(float_of_int i) ~epoch:i ~phase:"epoch"
       (Flight.Event { name = "e"; detail = string_of_int i })
   in
+  let emit = emit_to t in
   let flush () =
     match Flight.drain t with
     | `Empty -> ()
@@ -780,7 +781,35 @@ let test_flight_drain_appends_compose () =
       (keep > 0 && keep < String.length cut);
     (match Flight.decode_image (String.sub cut 0 keep) with
     | Ok d' -> Alcotest.(check bool) "prefix decodes clean" false d'.Flight.img_torn
-    | Error e -> Alcotest.failf "the valid prefix must decode: %s" e)
+    | Error e -> Alcotest.failf "the valid prefix must decode: %s" e);
+    (* reopening keeps the readable records byte for byte, and the
+       newest records only when the capacity is smaller *)
+    let newest = List.nth d.Flight.img_records 6 in
+    (match Flight.reopen ~capacity:8 cut with
+    | Error e -> Alcotest.failf "a torn image must reopen: %s" e
+    | Ok (_, `Rewrite) ->
+      Alcotest.fail "an image of the same capacity continues in place"
+    | Ok (r, `Append_at at) ->
+      Alcotest.(check int) "it continues at the valid prefix" keep at;
+      Alcotest.(check string) "reopened image is the valid prefix"
+        (String.sub cut 0 keep) (Flight.image r);
+      Alcotest.(check bool) "same records" true
+        (Flight.records r = d.Flight.img_records);
+      Alcotest.(check int) "seq continues after the newest record"
+        (newest.Flight.seq + 1) (Flight.seq r);
+      Alcotest.(check int) "reopened records count as drained" 0
+        (Flight.pending_bytes r);
+      emit_to r 21;
+      Alcotest.(check int) "a new record gets the next seq"
+        (newest.Flight.seq + 1)
+        (List.nth (Flight.records r) 7).Flight.seq);
+    match Flight.reopen ~capacity:4 cut with
+    | Error e -> Alcotest.failf "a torn image must reopen: %s" e
+    | Ok (_, `Append_at _) ->
+      Alcotest.fail "an image of another capacity must be rewritten"
+    | Ok (r, `Rewrite) ->
+      Alcotest.(check bool) "a smaller ring keeps the newest" true
+        (Flight.records r = List.filteri (fun i _ -> i >= 3) d.Flight.img_records)
 
 (* --- Prometheus exposition conformance ----------------------------------- *)
 

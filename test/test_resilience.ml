@@ -9,6 +9,7 @@ module Fault = Poc_resilience.Fault
 module Ladder = Poc_resilience.Ladder
 module Supervisor = Poc_resilience.Supervisor
 module Journal = Poc_resilience.Journal
+module Forensics = Poc_forensics.Forensics
 module Codec = Poc_util.Codec
 
 let contains haystack needle =
@@ -1313,6 +1314,182 @@ let test_flight_box_disk_fault_scrub () =
         Alcotest.(check string) "byte-identical after re-scrub" scrubbed
           (read_file path))
 
+let test_flight_box_reopen_continues_in_place () =
+  (* A reopened box keeps the file's valid prefix byte for byte (the
+     torn tail cut off, as a scrub would) and appends after it; only a
+     box of another capacity is rewritten. *)
+  with_tmp_store (fun dir ->
+      let path = Filename.concat dir "FLIGHT" in
+      let disk = Disk.real () in
+      let box = Black_box.create ~capacity:64 ~disk path in
+      let tick box i =
+        Flight.emit (Black_box.ring box) ~ts_us:(float_of_int i) ~epoch:1
+          ~phase:"epoch"
+          (Flight.Event { name = "tick"; detail = string_of_int i });
+        Black_box.flush box
+      in
+      for i = 0 to 9 do
+        tick box i
+      done;
+      Disk.power_cut disk (Disk.Short_write { drop = 5 });
+      let torn = read_file path in
+      let keep = Flight.valid_prefix torn in
+      let box = Black_box.reopen ~capacity:64 path in
+      Alcotest.(check string) "the file is cut to its valid prefix"
+        (String.sub torn 0 keep) (read_file path);
+      Alcotest.(check int) "the box appends from there" keep
+        (Black_box.file_bytes box);
+      tick box 10;
+      (match Black_box.load path with
+      | Error e -> Alcotest.failf "a reopened box must load: %s" e
+      | Ok img ->
+        Alcotest.(check bool) "clean after an append" false img.Flight.img_torn;
+        Alcotest.(check int) "nine kept records and the new one" 10
+          (List.length img.Flight.img_records);
+        Alcotest.(check int) "the new record continues the seq" 9
+          (List.nth img.Flight.img_records 9).Flight.seq);
+      ignore (Black_box.reopen ~capacity:4 path : Black_box.t);
+      match Black_box.load path with
+      | Error e -> Alcotest.failf "a rewritten box must load: %s" e
+      | Ok img ->
+        Alcotest.(check int) "another capacity rewrites the header" 4
+          img.Flight.img_capacity;
+        Alcotest.(check int) "every frame is the new ring's" 4
+          img.Flight.img_frames)
+
+let crash_plan_market () =
+  let plan =
+    match
+      Planner.build
+        (Planner.scaled_config ~sites:8 ~bps:3
+           {
+             Planner.default_config with
+             Planner.seed = 42;
+             rule = Acceptability.Handle_load;
+           })
+    with
+    | Ok p -> p
+    | Error msg -> Alcotest.failf "plan: %s" msg
+  in
+  (plan, { Epochs.default_config with Epochs.epochs = 6; seed = 42 })
+
+(* The chaos schedule plus crashes at the given epochs, all pre-settle.
+   Crashes stay out of the journal digest, so every such schedule
+   resumes every other's journal. *)
+let crash_schedule plan epochs =
+  match
+    Fault.compile plan.Planner.wan ~seed:2020
+      (chaos_specs plan
+      @ List.map
+          (fun at_epoch -> Fault.Crash { at_epoch; phase = Fault.Pre_settle })
+          epochs)
+  with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "crash schedule failed to compile: %s" msg
+
+let analyze store =
+  match Forensics.analyze store with
+  | Error msg -> Alcotest.failf "forensics: %s" msg
+  | Ok a -> a
+
+let crashes (a : Forensics.analysis) =
+  List.length
+    (List.filter
+       (fun (e : Forensics.entry) -> e.Forensics.e_detail = "crash: injected")
+       a.Forensics.a_entries)
+
+let in_flight = Alcotest.(option (pair int string))
+
+let test_flight_box_keeps_crash_across_resume () =
+  (* [chaos --sites 8 --bps 3 --epochs 6 --journal S --flight --crash
+     4:pre_settle], then resumes of S with the box reopened: one the
+     journal refuses, a second attempt that crashes at 6:pre_settle,
+     then one that completes.  Every crash stays in the timeline, and
+     the in-flight verdict names only the newest attempt's. *)
+  let plan, market = crash_plan_market () in
+  with_tmp_store (fun store ->
+      let path = Forensics.flight_path_for store in
+      (match
+         Supervisor.run plan ~journal:store ~flight:(Black_box.create path)
+           ~market ~schedule:(crash_schedule plan [ 4 ])
+       with
+      | _ -> Alcotest.fail "expected an injected crash"
+      | exception Supervisor.Injected_crash _ -> ());
+      let a = analyze store in
+      Alcotest.check in_flight "the first attempt died at 4:pre_settle"
+        (Some (4, "pre_settle")) a.Forensics.a_in_flight;
+      (* A resume the journal refuses starts no attempt. *)
+      (match
+         Supervisor.resume ~journal:store ~flight:(Black_box.reopen path) plan
+           ~market:{ market with Epochs.epochs = 7 }
+           ~schedule:(crash_schedule plan [ 4 ])
+       with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a resume with another horizon must be refused");
+      Alcotest.check in_flight "a refused resume leaves the verdict alone"
+        (Some (4, "pre_settle")) (analyze store).Forensics.a_in_flight;
+      (match
+         Supervisor.resume ~honor_crashes:true ~journal:store
+           ~flight:(Black_box.reopen path) plan ~market
+           ~schedule:(crash_schedule plan [ 6 ])
+       with
+      | _ -> Alcotest.fail "expected the second attempt to crash"
+      | exception Supervisor.Injected_crash _ -> ());
+      let a = analyze store in
+      Alcotest.check in_flight "the second attempt died at 6:pre_settle"
+        (Some (6, "pre_settle")) a.Forensics.a_in_flight;
+      Alcotest.(check int) "both crashes are in the timeline" 2 (crashes a);
+      let resumed = Black_box.reopen path in
+      (match
+         Supervisor.resume ~journal:store ~flight:resumed plan ~market
+           ~schedule:(crash_schedule plan [ 4 ])
+       with
+      | Error msg -> Alcotest.failf "resume failed: %s" msg
+      | Ok _ -> ());
+      Black_box.close resumed;
+      let a = analyze store in
+      Alcotest.check in_flight "nothing is in flight after the last attempt"
+        None a.Forensics.a_in_flight;
+      Alcotest.(check int) "the earlier crashes are still in the timeline" 2
+        (crashes a);
+      Alcotest.(check bool) "the resumed run's last epoch is recorded too"
+        true
+        (List.exists
+           (fun (e : Forensics.entry) ->
+             e.Forensics.e_source = Forensics.Src_flight
+             && e.Forensics.e_epoch = 6
+             && e.Forensics.e_label = "span_close")
+           a.Forensics.a_entries))
+
+let test_flight_box_fresh_run_starts_empty () =
+  (* Two fresh runs over one store: the second claims the directory
+     (its journal clears the old segments) and its box starts
+     header-only, so nothing of the first run's crash remains. *)
+  let plan, market = crash_plan_market () in
+  with_tmp_store (fun store ->
+      let path = Forensics.flight_path_for store in
+      (match
+         Supervisor.run plan ~journal:store ~flight:(Black_box.create path)
+           ~market ~schedule:(crash_schedule plan [ 4 ])
+       with
+      | _ -> Alcotest.fail "expected an injected crash"
+      | exception Supervisor.Injected_crash _ -> ());
+      let box = Black_box.create path in
+      ignore
+        (Supervisor.run plan ~journal:store ~flight:box ~market
+           ~schedule:(crash_schedule plan [])
+          : Supervisor.report);
+      Black_box.close box;
+      let a = analyze store in
+      Alcotest.(check int) "no crash in the timeline" 0 (crashes a);
+      Alcotest.check in_flight "nothing is in flight" None
+        a.Forensics.a_in_flight;
+      match a.Forensics.a_flight with
+      | Some (Ok img) ->
+        Alcotest.(check bool) "no resume marker either" false
+          (List.exists Black_box.is_resume img.Flight.img_records)
+      | _ -> Alcotest.fail "the second run's box must load")
+
 let test_disk_retry_schedule_resets_on_success () =
   (* Fail, succeed, fail: the second failure restarts the backoff at
      the base delay (same jitter draw) instead of continuing to climb. *)
@@ -1412,4 +1589,10 @@ let suite =
       test_journal_byte_identical_with_flight;
     Alcotest.test_case "flight box survives disk fault + scrub" `Quick
       test_flight_box_disk_fault_scrub;
+    Alcotest.test_case "flight box reopen continues the file in place"
+      `Quick test_flight_box_reopen_continues_in_place;
+    Alcotest.test_case "flight box keeps the crash across a resume" `Quick
+      test_flight_box_keeps_crash_across_resume;
+    Alcotest.test_case "flight box of a fresh run over a store starts empty"
+      `Quick test_flight_box_fresh_run_starts_empty;
   ]
