@@ -11,8 +11,9 @@
    path (repair to populate + warm hits thereafter) over from-scratch —
    the >= 5x headline.  A second part replays a small market at jobs
    {1,4} with the cache enabled and disabled and checks the four runs
-   byte-identical via Epochs.encode_result: the determinism claim the
-   cache and the incremental router must both uphold. *)
+   byte-identical (their results marshalled, every float bit-exact):
+   the determinism claim the cache and the incremental router must
+   both uphold. *)
 
 module Wan = Poc_topology.Wan
 module Graph = Poc_graph.Graph
@@ -185,7 +186,7 @@ let part_identity ~seed =
       let results =
         Pool.with_pool ~jobs (fun pool -> Epochs.run ?pool plan market)
       in
-      String.concat "" (List.map Epochs.encode_result results)
+      Marshal.to_string results [ Marshal.No_sharing ]
     in
     let runs =
       List.map

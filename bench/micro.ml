@@ -33,12 +33,6 @@ let tests pool =
            ignore (Matrix.gravity (Prng.create 9) wan ~total_gbps:600.0 ())));
     Test.make ~name:"mcf-route-feasibility"
       (Staged.stage (fun () -> ignore (Router.route wan.Wan.graph ~demands)));
-    Test.make ~name:"yen-5-shortest-paths"
-      (Staged.stage (fun () ->
-           ignore
-             (Poc_graph.Paths.k_shortest_paths wan.Wan.graph 0
-                (Poc_graph.Graph.node_count wan.Wan.graph - 1)
-                5)));
     Test.make ~name:"vcg-greedy-selection"
       (Staged.stage (fun () -> ignore (Poc_auction.Vcg.select_greedy problem)));
     Test.make ~name:"vcg-greedy-selection-pool2"

@@ -94,7 +94,8 @@ let parties ledger =
 let conservation ledger =
   List.fold_left (fun acc p -> acc +. net ledger p) 0.0 (parties ledger)
 
-let check ?(tolerance = 1e-6) ledger =
+let check ledger =
+  let tolerance = 1e-6 in
   let problems = ref [] in
   let bad msg = problems := msg :: !problems in
   let c = conservation ledger in

@@ -44,9 +44,9 @@ val conservation : ledger -> float
 (** Sum of nets over every party appearing in the ledger — always 0 up
     to float noise. *)
 
-val check : ?tolerance:float -> ledger -> (unit, string) result
+val check : ledger -> (unit, string) result
 (** The ledger invariants the supervised epoch loop asserts after every
-    settled epoch: zero-sum within [tolerance] (default [1e-6]) and a
+    settled epoch: zero-sum within [1e-6] and a
     finite posted price.  All offending checks are reported in one
     message. *)
 

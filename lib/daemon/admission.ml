@@ -7,20 +7,14 @@ type 'a decision =
 
 type 'a t = {
   hw : int;
-  retry_base : float;
-  retry_cap : float;
   mutable queue : 'a entry list;  (* ascending seq *)
   mutable last_seq : int;
   mutable streak : int;  (* consecutive rejections *)
 }
 
-let create ?(high_water = 64) ?(retry_base = 0.05) ?(retry_cap = 1.0) () =
+let create ?(high_water = 64) () =
   if high_water < 1 then invalid_arg "Admission: high_water must be >= 1";
-  if (not (Float.is_finite retry_base)) || retry_base <= 0.0 then
-    invalid_arg "Admission: retry_base must be positive";
-  if (not (Float.is_finite retry_cap)) || retry_cap < retry_base then
-    invalid_arg "Admission: retry_cap must be >= retry_base";
-  { hw = high_water; retry_base; retry_cap; queue = []; last_seq = 0; streak = 0 }
+  { hw = high_water; queue = []; last_seq = 0; streak = 0 }
 
 let high_water t = t.hw
 let depth t = List.length t.queue
@@ -73,10 +67,8 @@ let offer t e =
       Admitted { shed = Some v }
     | Some _ | None ->
       t.streak <- t.streak + 1;
-      let backoff =
-        t.retry_base *. (2.0 ** float_of_int (min 30 (t.streak - 1)))
-      in
-      Rejected { retry_after = Float.min t.retry_cap backoff }
+      let backoff = 0.05 *. (2.0 ** float_of_int (min 30 (t.streak - 1))) in
+      Rejected { retry_after = Float.min 1.0 backoff }
 
 let drain t ~epoch =
   let ready, rest =

@@ -33,10 +33,10 @@ type 'a decision =
 
 type 'a t
 
-val create : ?high_water:int -> ?retry_base:float -> ?retry_cap:float ->
-  unit -> 'a t
-(** Defaults: [high_water = 64] (must be >= 1), [retry_base = 0.05]s
-    doubling per consecutive rejection up to [retry_cap = 1.0]s. *)
+val create : ?high_water:int -> unit -> 'a t
+(** [high_water] defaults to 64 and must be >= 1.  A rejection's
+    [retry_after] is 0.05 s, doubling per consecutive rejection up to
+    1 s. *)
 
 val high_water : 'a t -> int
 val depth : 'a t -> int

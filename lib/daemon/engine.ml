@@ -106,7 +106,6 @@ type t = {
      by this process (replayed intake entries have no admit instant). *)
   admit_us : (int, float) Hashtbl.t;
   mutable quiesced : bool;
-  mutable flush : unit -> unit;
 }
 
 let set_queue_gauges t =
@@ -121,7 +120,7 @@ let set_queue_gauges t =
     Metrics.Gauge.set g_flight_records
       (float_of_int (Flight.stored (Black_box.ring b)))
 
-let create ?ladder ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
+let create ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
     ?(high_water = 64) ?(resume = false) ?(honor_crashes = false) ~store
     ~intake plan ~market ~schedule =
   let disk = match disk with Some d -> d | None -> Disk.real () in
@@ -144,7 +143,6 @@ let create ?ladder ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
         fb = flight;
         admit_us = Hashtbl.create 64;
         quiesced = false;
-        flush = (fun () -> ());
       }
     in
     set_queue_gauges t;
@@ -153,7 +151,7 @@ let create ?ladder ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
   if resume then
     let t0 = Clock.now_us () in
     match
-      Supervisor.open_resume ?ladder ~honor_crashes ~journal:store ?flight
+      Supervisor.open_resume ~honor_crashes ~journal:store ?flight
         ~disk ?pool plan ~market ~schedule
     with
     | Error _ as e -> e
@@ -208,14 +206,13 @@ let create ?ladder ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
         finish loop ilog (List.rev accepted) shed_seqs)
   else
     let loop =
-      Supervisor.open_run ?ladder ~journal:store ?flight ~snapshot_every
+      Supervisor.open_run ~journal:store ?flight ~snapshot_every
         ?segment_bytes ~disk ?pool plan ~market ~schedule
     in
     finish loop
       (Intake.create ~disk ~on_retry:intake_retry intake)
       [] (Hashtbl.create 64)
 
-let set_flush t f = t.flush <- f
 let next_epoch t = Supervisor.next_epoch t.loop
 let queue_depth t = Admission.depth t.admission
 
@@ -232,8 +229,7 @@ let suspend t =
   (match Supervisor.next_epoch t.loop with
   | Some _ -> Supervisor.suspend t.loop
   | None -> ignore (Supervisor.finish t.loop));
-  Intake.close t.ilog;
-  t.flush ()
+  Intake.close t.ilog
 
 (* Best-effort teardown of a run whose loop may already be dead (an
    [Injected_crash] closes the journal and kills the loop before the
@@ -438,7 +434,6 @@ let dispatch t = function
     | Error msg -> ([ "ERR scrub " ^ msg ], Continue))
   | Protocol.Quiesce ->
     t.quiesced <- true;
-    t.flush ();
     ( [ Printf.sprintf "OK quiesced queue=%d" (Admission.depth t.admission) ],
       Continue )
   | Protocol.Shutdown -> (
@@ -446,12 +441,10 @@ let dispatch t = function
     | None ->
       ignore (Supervisor.finish t.loop);
       Intake.close t.ilog;
-      t.flush ();
       ([ "BYE complete" ], Stop 0)
     | Some e ->
       Supervisor.suspend t.loop;
       Intake.close t.ilog;
-      t.flush ();
       ([ Printf.sprintf "BYE resumable next=%d" e ], Stop 0))
 
 let handle t req =

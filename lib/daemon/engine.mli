@@ -1,10 +1,13 @@
 (** The daemon's single-writer core: a {!Poc_resilience.Supervisor}
     loop held open across requests, fronted by admission control and
-    the durable intake log — everything [poc-cli serve] does except the
-    socket.
+    the durable intake log — everything [poc-cli serve] does for one
+    run except the socket.
 
     The engine is deliberately transport-free so tests and benches can
-    drive the exact production request path ({!handle}) in-process.
+    drive one run's request handling ({!handle}) in-process.  [serve]
+    reaches it through [Registry.dispatch], which answers the
+    daemon-wide verbs ([QUIESCE], [SHUTDOWN], [METRICS], [OPEN],
+    [CLOSE], [RUNS]) itself and runs the observability flush.
     One engine owns one supervised run: requests arrive strictly
     sequentially (the server's event loop is the single writer), live
     updates wait in the {!Admission} queue until the next [EPOCH]
@@ -27,7 +30,6 @@
 module Supervisor = Poc_resilience.Supervisor
 module Disk = Poc_resilience.Disk
 module Fault = Poc_resilience.Fault
-module Ladder = Poc_resilience.Ladder
 module Black_box = Poc_resilience.Black_box
 
 type t
@@ -37,7 +39,6 @@ type action =
   | Stop of int  (** close the service and exit with this code *)
 
 val create :
-  ?ladder:Ladder.config ->
   ?snapshot_every:int ->
   ?segment_bytes:int ->
   ?disk:Disk.t ->
@@ -79,10 +80,6 @@ val handle : t -> Protocol.request -> string list * action
     first, terminal last — see {!Protocol}) and what the server should
     do next.  Counts the request and observes its latency.  Raises
     whatever the run raises mid-[EPOCH]; the loop is dead afterwards. *)
-
-val set_flush : t -> (unit -> unit) -> unit
-(** Install the observability flush hook ([QUIESCE] and [SHUTDOWN]
-    invoke it); defaults to a no-op. *)
 
 val next_epoch : t -> int option
 val queue_depth : t -> int

@@ -56,7 +56,6 @@ type t = {
   flight : bool;
   high_water : int;
   attempt_cap : int;
-  delays : float list;  (* restart backoff schedule, from retry_policy *)
   fault_seed : int;
   fault_run : int;
   fault_specs : Fault.spec list;
@@ -242,7 +241,6 @@ let start_slot t slot ~resume =
     | exception exn -> Error (Supervisor.Refused (absorb slot exn))
     | Error _ as e -> e
     | Ok engine ->
-      Engine.set_flush engine t.flush;
       slot.engine <- Some engine;
       slot.state <- Serving;
       set_state_gauges slot;
@@ -325,6 +323,9 @@ let slots_sorted t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.slots []
   |> List.sort (fun a b -> compare a.sid b.sid)
 
+(* The restart backoff: the disk layer's transient-retry schedule. *)
+let restart_delays = Disk.retry_delays Disk.default_retry_policy
+
 let make_slot t id ~epochs ~seed =
   let dir = run_dir t.root id in
   mkdir_p dir;
@@ -335,7 +336,7 @@ let make_slot t id ~epochs ~seed =
     intake = Filename.concat dir "intake.log";
     m = { t.base_market with Epochs.epochs; seed };
     recovery =
-      Recovery.create ~cap:t.attempt_cap ~delays:t.delays
+      Recovery.create ~cap:t.attempt_cap ~delays:restart_delays
         (if id = t.fault_run then t.fault_specs else []);
     engine = None;
     state = Starting;
@@ -400,9 +401,8 @@ let open_runs t runs =
   open_ids 0
 
 let create ?(snapshot_every = 4) ?(segment_bytes = 65536) ?pool
-    ?(flight = false) ?(high_water = 64) ?(attempt_cap = 3)
-    ?(retry_policy = Disk.default_retry_policy)
-    ?disk_for ?(resume = false) ?(runs = 1) ?(max_runs = 8) ?(fault_run = 0)
+    ?(flight = false) ?(high_water = 64) ?(attempt_cap = 3) ?disk_for
+    ?(resume = false) ?(runs = 1) ?(max_runs = 8) ?(fault_run = 0)
     ?(fault_specs = []) ?(fault_seed = 2020) ~root plan ~market () =
   let problems =
     List.filter_map
@@ -416,11 +416,10 @@ let create ?(snapshot_every = 4) ?(segment_bytes = 65536) ?pool
   in
   if problems <> [] then Error (String.concat "; " problems)
   else
-    let delays = Disk.retry_delays retry_policy in
-    mkdir_p root;
     (* RUNS has a disk of its own: a run's storage faults never reach
        it. *)
     let disk = Engine.retrying_disk () in
+    mkdir_p root;
     let path = manifest_path root in
     match
       if resume then Result.map Option.some (manifest_read disk root market)
@@ -446,7 +445,6 @@ let create ?(snapshot_every = 4) ?(segment_bytes = 65536) ?pool
           flight;
           high_water;
           attempt_cap;
-          delays;
           fault_seed;
           fault_run;
           fault_specs;
@@ -468,11 +466,7 @@ let create ?(snapshot_every = 4) ?(segment_bytes = 65536) ?pool
       if Result.is_error result then Log.close manifest;
       result
 
-let set_flush t f =
-  t.flush <- f;
-  Hashtbl.iter
-    (fun _ s -> match s.engine with Some e -> Engine.set_flush e f | None -> ())
-    t.slots
+let set_flush t f = t.flush <- f
 
 let banner t =
   let per_run =
@@ -563,7 +557,11 @@ let close_run t ~run =
       ( [ Printf.sprintf "GONE run=%d quarantined: %s" run cause ],
         Engine.Continue )
     | Starting | Serving | Failing _ ->
-      (match slot.engine with Some e -> Engine.suspend e | None -> ());
+      (match slot.engine with
+      | Some e ->
+        Engine.suspend e;
+        t.flush ()
+      | None -> ());
       slot.engine <- None;
       close_slot t slot;
       ([ Printf.sprintf "OK run=%d closed" run ], Engine.Continue))

@@ -75,7 +75,6 @@ val create :
   ?flight:bool ->
   ?high_water:int ->
   ?attempt_cap:int ->
-  ?retry_policy:Disk.retry_policy ->
   ?disk_for:(run:int -> Disk.t) ->
   ?resume:bool ->
   ?runs:int ->
@@ -94,10 +93,10 @@ val create :
     [fault_specs] compiles injected crash/storage specs into run
     [fault_run]'s (default 0) schedule only — the fault-isolation
     drill's hook.  [attempt_cap] (default 3) bounds restart attempts
-    before quarantine; [retry_policy] shapes the restart backoff
-    exactly as {!Disk.retry_delays}.  [disk_for] substitutes the
-    per-run, per-attempt disk (default: a fresh
-    {!Engine.retrying_disk} each attempt, so storage-fault damage
+    before quarantine; restarts back off on the
+    {!Disk.default_retry_policy} schedule ({!Disk.retry_delays}).
+    [disk_for] substitutes the per-run, per-attempt disk (default: a
+    fresh {!Engine.retrying_disk} each attempt, so storage-fault damage
     stays with the attempt it hit).
 
     [resume:true] replays [root/RUNS] and brings back every recorded
@@ -125,8 +124,9 @@ val tick : t -> now_us:float -> unit
     deterministically. *)
 
 val set_flush : t -> (unit -> unit) -> unit
-(** Install the observability flush hook on the registry and every open
-    engine. *)
+(** Install the observability flush hook (default a no-op).  It runs
+    once per [QUIESCE], per [SHUTDOWN], per {!suspend_all}, and per
+    [CLOSE] of a run with an open engine. *)
 
 val suspend_all : t -> unit
 (** Suspend every open run resumably (completed horizons are recorded

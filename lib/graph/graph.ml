@@ -92,15 +92,3 @@ let fold_edges f g init =
     acc := f g.edges.(i) !acc
   done;
   !acc
-
-let copy g =
-  {
-    nodes = g.nodes;
-    edges = Array.copy g.edges;
-    edge_len = g.edge_len;
-    adjacency = Array.map (fun l -> l) (Array.copy g.adjacency);
-    version = g.version;
-  }
-
-let pp ppf g =
-  Format.fprintf ppf "graph(%d nodes, %d edges)" g.nodes g.edge_len

@@ -60,8 +60,3 @@ val neighbors : t -> node -> (node * edge) list
 val degree : t -> node -> int
 
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-
-val copy : t -> t
-
-val pp : Format.formatter -> t -> unit
-(** Short "nodes/edges" description. *)

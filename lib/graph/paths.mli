@@ -11,9 +11,6 @@ type path = Graph.edge list
 val path_weight : path -> float
 (** Sum of edge weights. *)
 
-val path_nodes : src:Graph.node -> path -> Graph.node list
-(** Node sequence visited, starting at [src]. *)
-
 val dijkstra :
   ?enabled:(int -> bool) -> Graph.t -> Graph.node ->
   float array * int option array
@@ -29,9 +26,6 @@ val hop_distance :
   ?enabled:(int -> bool) -> Graph.t -> Graph.node -> Graph.node -> int option
 (** BFS hop count. *)
 
-val connected :
-  ?enabled:(int -> bool) -> Graph.t -> Graph.node -> Graph.node -> bool
-
 val components : ?enabled:(int -> bool) -> Graph.t -> int array
 (** [components g] labels every node with a component index. *)
 
@@ -40,12 +34,3 @@ val component_count : ?enabled:(int -> bool) -> Graph.t -> int
 val is_connected : ?enabled:(int -> bool) -> Graph.t -> bool
 (** True when the whole node set is one component (trivially true for
     graphs with fewer than two nodes). *)
-
-val k_shortest_paths :
-  ?enabled:(int -> bool) -> Graph.t -> Graph.node -> Graph.node -> int ->
-  path list
-(** Yen's algorithm: up to [k] loopless paths in nondecreasing weight
-    order. *)
-
-val bridges : ?enabled:(int -> bool) -> Graph.t -> int list
-(** Edge ids whose removal increases the number of components. *)

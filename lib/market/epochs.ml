@@ -109,61 +109,6 @@ type epoch_result = {
   failure : failure option;
 }
 
-module Codec = Poc_util.Codec
-
-let encode_result r =
-  let w = Codec.writer () in
-  Codec.put_int w r.epoch;
-  Codec.put_f64 w r.spend;
-  Codec.put_f64 w r.price_per_gbps;
-  Codec.put_int w r.selected_links;
-  Codec.put_int w r.recalled_links;
-  Codec.put_f64 w r.supplier_hhi;
-  Codec.put_option w
-    (fun w f ->
-      Codec.put_u8 w
-        (match f with No_acceptable_selection -> 0 | Empty_offer_pool -> 1))
-    r.failure;
-  Codec.frame (Codec.contents w)
-
-let decode_result s =
-  match Codec.next_frame s ~pos:0 with
-  | Codec.End | Codec.Torn -> Error "Epochs: torn or truncated result record"
-  | Codec.Frame { next; _ } when next <> String.length s ->
-    (* One record means one frame: bytes after it are either a framing
-       bug or a concatenated stream handed to the wrong decoder. *)
-    Error
-      (Printf.sprintf "Epochs: %d trailing bytes after the result record"
-         (String.length s - next))
-  | Codec.Frame { payload; next = _ } -> (
-    match
-      let r = Codec.reader payload in
-      let epoch = Codec.get_int r in
-      let spend = Codec.get_f64 r in
-      let price_per_gbps = Codec.get_f64 r in
-      let selected_links = Codec.get_int r in
-      let recalled_links = Codec.get_int r in
-      let supplier_hhi = Codec.get_f64 r in
-      let failure =
-        Codec.get_option r (fun r ->
-            match Codec.get_u8 r with
-            | 0 -> No_acceptable_selection
-            | 1 -> Empty_offer_pool
-            | n -> raise (Codec.Corrupt (Printf.sprintf "failure tag %d" n)))
-      in
-      {
-        epoch;
-        spend;
-        price_per_gbps;
-        selected_links;
-        recalled_links;
-        supplier_hhi;
-        failure;
-      }
-    with
-    | r -> Ok r
-    | exception Codec.Corrupt msg -> Error ("Epochs: corrupt result: " ^ msg))
-
 let supplier_hhi (outcome : Vcg.outcome) =
   let payments =
     Array.to_list outcome.bp_results

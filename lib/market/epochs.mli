@@ -59,16 +59,6 @@ type epoch_result = {
   failure : failure option; (** [None] when the auction cleared *)
 }
 
-val encode_result : epoch_result -> string
-(** One framed, checksummed binary record ([Poc_util.Codec] framing).
-    Floats round-trip bit-exactly, including the NaN sentinels of
-    failed epochs. *)
-
-val decode_result : string -> (epoch_result, string) result
-(** Inverse of {!encode_result}.  [Error] (never an exception) on a
-    torn, truncated or checksum-corrupted record, and on trailing
-    bytes after the record — one record is exactly one frame. *)
-
 (** {2 The market core}
 
     {!run} loops over {!advance}; the supervised loop

@@ -4,7 +4,6 @@ type t = {
   disk : Disk.t;
   bb_path : string;
   bb_ring : Flight.t;
-  rewrite_bytes : int;
   mutable bytes : int;  (* on-disk size as of the last flush *)
 }
 
@@ -14,6 +13,10 @@ let path t = t.bb_path
 
 let file_bytes t = t.bytes
 
+(* The compaction budget: a flush that would take the file past it
+   rewrites the ring's image instead of appending. *)
+let rewrite_bytes = 262144
+
 let rewrite t =
   let img = Flight.image t.bb_ring in
   Disk.write_file_atomic t.disk t.bb_path img;
@@ -22,23 +25,20 @@ let rewrite t =
 (* The box may be opened before the journal makes its store directory
    (the fleet hands one box per scenario to a run that has not opened
    its journal yet). *)
-let prepare ~rewrite_bytes ?disk path =
-  if rewrite_bytes < 1 then
-    invalid_arg "Black_box: rewrite_bytes must be >= 1";
+let prepare ?disk path =
   let disk = match disk with Some d -> d | None -> Disk.real () in
   let dir = Filename.dirname path in
   if not (Disk.exists disk dir) then Disk.mkdir_p disk dir;
   disk
 
 (* A box whose file is [ring]'s image, written atomically. *)
-let fresh ~disk ~rewrite_bytes path ring =
-  let t = { disk; bb_path = path; bb_ring = ring; rewrite_bytes; bytes = 0 } in
+let fresh ~disk path ring =
+  let t = { disk; bb_path = path; bb_ring = ring; bytes = 0 } in
   rewrite t;
   t
 
-let create ?capacity ?(rewrite_bytes = 262144) ?disk path =
-  let disk = prepare ~rewrite_bytes ?disk path in
-  fresh ~disk ~rewrite_bytes path (Flight.create ?capacity ())
+let create ?capacity ?disk path =
+  fresh ~disk:(prepare ?disk path) path (Flight.create ?capacity ())
 
 let append t bytes =
   let log = Log.reopen t.disk t.bb_path ~at:t.bytes ~truncate:false in
@@ -52,7 +52,7 @@ let flush t =
   | `Empty -> ()
   | `Wrapped -> rewrite t
   | `Append bytes ->
-    if t.bytes + String.length bytes > t.rewrite_bytes then rewrite t
+    if t.bytes + String.length bytes > rewrite_bytes then rewrite t
     else append t bytes
 
 let close t = flush t
@@ -74,18 +74,17 @@ let is_resume (r : Flight.record) =
 (* The file already holds the reopened ring's frames: cut it to its
    valid prefix, as [scrub] would, and append from there.  Only an
    image stamped with another capacity is rewritten. *)
-let reopen ?capacity ?(rewrite_bytes = 262144) ?disk path =
-  let disk = prepare ~rewrite_bytes ?disk path in
+let reopen ?capacity ?disk path =
+  let disk = prepare ?disk path in
   match Disk.read_file disk path with
-  | exception Sys_error _ ->
-    fresh ~disk ~rewrite_bytes path (Flight.create ?capacity ())
+  | exception Sys_error _ -> fresh ~disk path (Flight.create ?capacity ())
   | data -> (
     match Flight.reopen ?capacity data with
     | Ok (ring, `Append_at keep) ->
       if keep < String.length data then Disk.truncate_file disk path keep;
-      { disk; bb_path = path; bb_ring = ring; rewrite_bytes; bytes = keep }
-    | Ok (ring, `Rewrite) -> fresh ~disk ~rewrite_bytes path ring
-    | Error _ -> fresh ~disk ~rewrite_bytes path (Flight.create ?capacity ()))
+      { disk; bb_path = path; bb_ring = ring; bytes = keep }
+    | Ok (ring, `Rewrite) -> fresh ~disk path ring
+    | Error _ -> fresh ~disk path (Flight.create ?capacity ()))
 
 let load ?disk path =
   let disk = match disk with Some d -> d | None -> Disk.real () in

@@ -8,8 +8,8 @@
     boundary and fault point without rewriting.  A resumed attempt of
     the run {!reopen}s the box instead, continuing the file its earlier
     attempts left.
-    When the file outgrows its byte budget (or the ring wrapped past an
-    undrained backlog) the box compacts: the current ring image is
+    When the file outgrows its 256 KiB budget (or the ring wrapped past
+    an undrained backlog) the box compacts: the current ring image is
     rewritten atomically via [Disk.write_file_atomic], bounding the
     file at roughly the budget however long the run.
 
@@ -26,16 +26,13 @@
 
 type t
 
-val create :
-  ?capacity:int -> ?rewrite_bytes:int -> ?disk:Disk.t -> string -> t
+val create : ?capacity:int -> ?disk:Disk.t -> string -> t
 (** Start a fresh box at [path]: atomically write a header-only image,
     then append on every flush.  Whatever was at [path] is replaced: a
     fresh run claims its store.  [capacity] is the ring's record count
-    (default 1024); [rewrite_bytes] the compaction budget in bytes
-    (default 262144).  [disk] defaults to a fresh [Disk.real ()]. *)
+    (default 1024).  [disk] defaults to a fresh [Disk.real ()]. *)
 
-val reopen :
-  ?capacity:int -> ?rewrite_bytes:int -> ?disk:Disk.t -> string -> t
+val reopen : ?capacity:int -> ?disk:Disk.t -> string -> t
 (** Open the box of a resumed attempt (a [--resume], a registry retry,
     a fleet resume): the newest [capacity] of the records {!load} reads
     from [path], the ones a {!scrub} would keep, open the ring

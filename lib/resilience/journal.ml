@@ -281,7 +281,7 @@ let get_snapshot_body r =
 
 (* --- digest ------------------------------------------------------------- *)
 
-let digest ~(market : Epochs.config) ~(ladder : Ladder.config) schedule =
+let digest ~(market : Epochs.config) schedule =
   let w = Codec.writer () in
   Codec.put_int w market.Epochs.epochs;
   Codec.put_f64 w market.Epochs.cost_trend;
@@ -300,9 +300,11 @@ let digest ~(market : Epochs.config) ~(ladder : Ladder.config) schedule =
         Codec.put_u8 w 2;
         Codec.put_f64 w f)
     market.Epochs.strategies;
-  Codec.put_list w Codec.put_f64 ladder.Ladder.relax_factors;
-  Codec.put_bool w ladder.Ladder.step_rules;
-  Codec.put_int w ladder.Ladder.max_attempts;
+  (* The ladder, as the bytes its former settings wrote (factors,
+     step-down on, an 8-rung budget), so older stores still resume. *)
+  Codec.put_list w Codec.put_f64 Ladder.relax_factors;
+  Codec.put_bool w true;
+  Codec.put_int w 8;
   (* Crash and disk-fault points are excluded: they kill the process,
      not the market, and a resumed run ignores them — so a journal
      written under a crash-injecting schedule can be resumed under the

@@ -10,8 +10,8 @@
     [Poc_util.Codec]), appended and flushed after every epoch:
 
     - one segment header identifying the run (format version, segment
-      id and byte budget, market seed and horizon, a digest of market +
-      ladder config and the compiled fault schedule, snapshot cadence)
+      id and byte budget, market seed and horizon, a digest of market
+      config, ladder and the compiled fault schedule, snapshot cadence)
       and, from the second segment on, a {!carry};
     - one {!epoch_record} per completed epoch — the epoch report with
       every float stored bit-exact, the fault events applied, the
@@ -131,16 +131,12 @@ type carry = {
 val version : int
 (** Current journal format version. *)
 
-val digest :
-  market:Poc_market.Epochs.config ->
-  ladder:Ladder.config ->
-  Fault.schedule ->
-  int64
+val digest : market:Poc_market.Epochs.config -> Fault.schedule -> int64
 (** Checksum binding a journal to the run that wrote it; resuming under
-    a different market config, ladder config or fault schedule is
-    refused with a clear error instead of silently diverging.  Crash
-    and storage-fault points are excluded from the digest, so the
-    schedule that crashed a run and the same schedule without its
+    a different market config, ladder or fault schedule is refused with
+    a clear error instead of silently diverging.  Crash and
+    storage-fault points are excluded from the digest, so the schedule
+    that crashed a run and the same schedule without its
     [Crash]/[Storage] specs digest identically. *)
 
 type t

@@ -9,31 +9,7 @@ type step =
   | Connectivity_only
   | External_transit
 
-type config = {
-  relax_factors : float list;
-  step_rules : bool;
-  max_attempts : int;
-}
-
-let default_config =
-  { relax_factors = [ 0.9; 0.75; 0.5 ]; step_rules = true; max_attempts = 8 }
-
-let config_problems config =
-  let bad = ref [] in
-  let check ok msg = if not ok then bad := msg :: !bad in
-  List.iter
-    (fun f ->
-      check
-        (Float.is_finite f && f > 0.0 && f <= 1.0)
-        (Printf.sprintf "relax factor %g must be in (0,1]" f))
-    config.relax_factors;
-  check (config.max_attempts >= 1) "max_attempts must be >= 1";
-  List.rev !bad
-
-let validate_config config =
-  match config_problems config with
-  | [] -> Ok ()
-  | problems -> Error ("Ladder: " ^ String.concat "; " problems)
+let relax_factors = [ 0.9; 0.75; 0.5 ]
 
 type engaged = {
   step : step;
@@ -48,14 +24,10 @@ let weaker_rules = function
   | Acceptability.Single_link_failure -> [ Acceptability.Handle_load ]
   | Acceptability.Handle_load -> []
 
-let rungs ~rule config =
-  let relax = List.map (fun f -> Relax_demand f) config.relax_factors in
-  let stepped =
-    if config.step_rules then List.map (fun r -> Step_down r) (weaker_rules rule)
-    else []
-  in
-  let all = relax @ stepped @ [ Connectivity_only; External_transit ] in
-  List.filteri (fun i _ -> i < config.max_attempts) all
+let rungs ~rule =
+  List.map (fun f -> Relax_demand f) relax_factors
+  @ List.map (fun r -> Step_down r) (weaker_rules rule)
+  @ [ Connectivity_only; External_transit ]
 
 (* Offered (id, standalone price) pairs of the problem, unbanned only. *)
 let offered_prices ~banned (problem : Vcg.problem) =
@@ -132,11 +104,8 @@ let try_step ~banned ?pool (problem : Vcg.problem) = function
     in
     Option.map (fun o -> (o, 1.0)) (pay_as_bid problem links)
 
-let engage ~banned ?pool config (problem : Vcg.problem) =
-  (match validate_config config with
-  | Ok () -> ()
-  | Error msg -> invalid_arg msg);
-  let steps = rungs ~rule:problem.Vcg.rule config in
+let engage ~banned ?pool (problem : Vcg.problem) =
+  let steps = rungs ~rule:problem.Vcg.rule in
   let winner_at i step (outcome, demand_scale) =
     { step; attempts = i + 1; outcome; demand_scale }
   in

@@ -1,11 +1,10 @@
 (** The degradation ladder: what the POC does when an auction comes up
     infeasible instead of aborting the epoch.
 
-    Rungs are tried in order, each costing one attempt against a
-    bounded retry budget:
+    Rungs are tried in order, each costing one attempt:
 
     + retry under the {e same} acceptability rule with the demand
-      matrix relaxed by each configured factor (shed load, keep the
+      matrix relaxed by each of {!relax_factors} (shed load, keep the
       resilience guarantee);
     + step the rule down — Constraint #3 -> #2 -> #1 — at full demand
       (keep the load, shed the failure guarantee);
@@ -23,18 +22,9 @@ type step =
   | Connectivity_only
   | External_transit
 
-type config = {
-  relax_factors : float list;  (** tried in order, e.g. [0.9; 0.75; 0.5] *)
-  step_rules : bool;           (** enable the rule step-down rungs *)
-  max_attempts : int;          (** total rung budget per engagement *)
-}
-
-val default_config : config
-(** [relax_factors = [0.9; 0.75; 0.5]], rule step-down enabled,
-    [max_attempts = 8]. *)
-
-val validate_config : config -> (unit, string) result
-(** All offending fields in one message. *)
+val relax_factors : float list
+(** The demand factors of the relax rungs, in the order tried:
+    [[0.9; 0.75; 0.5]]. *)
 
 type engaged = {
   step : step;                      (** the rung that succeeded *)
@@ -43,13 +33,15 @@ type engaged = {
   demand_scale : float;             (** 1.0 except under [Relax_demand] *)
 }
 
-val rungs : rule:Poc_auction.Acceptability.t -> config -> step list
-(** The ladder for a plan using [rule], truncated to [max_attempts]. *)
+val rungs : rule:Poc_auction.Acceptability.t -> step list
+(** The ladder for a plan using [rule]: the three relax rungs, then a
+    step down to each weaker rule (none under Constraint #1, two under
+    #3), then connectivity only and external transit — five to seven
+    rungs. *)
 
 val engage :
   banned:(int -> bool) ->
   ?pool:Poc_util.Pool.t ->
-  config ->
   Poc_auction.Vcg.problem ->
   engaged option
 (** Runs the ladder over the problem restricted to unbanned links.

@@ -296,7 +296,6 @@ let apply_update st ~n_bps u =
    accumulate in reverse chronological order and include any prefix
    recovered from a journal on resume. *)
 type loop = {
-  l_ladder : Ladder.config;
   l_journal : Journal.t option;
   l_flight : Black_box.t option;
   l_snapshot_every : int;
@@ -333,7 +332,6 @@ let step ?(updates = []) loop =
   let schedule = loop.l_schedule in
   let journal = loop.l_journal in
   let pool = loop.l_pool in
-  let ladder = loop.l_ladder in
   let base_problem = plan.Planner.problem in
   let n_bps = Array.length base_problem.Vcg.bids in
   if loop.l_closed then invalid_arg "Supervisor.step: loop is closed";
@@ -462,9 +460,9 @@ let step ?(updates = []) loop =
             | Some outcome -> (Healthy, Some outcome, 0)
             | None -> (
               let rung_budget =
-                List.length (Ladder.rungs ~rule:problem.Vcg.rule ladder)
+                List.length (Ladder.rungs ~rule:problem.Vcg.rule)
               in
-              match Ladder.engage ~banned ?pool ladder problem with
+              match Ladder.engage ~banned ?pool problem with
               | Some e ->
                 ( Degraded e.Ladder.step,
                   Some e.Ladder.outcome,
@@ -726,11 +724,8 @@ let drive loop =
   in
   go ()
 
-let validate_or_raise ~ladder ~market =
-  (match Epochs.validate_config market with
-  | Ok () -> ()
-  | Error msg -> invalid_arg msg);
-  match Ladder.validate_config ladder with
+let validate_or_raise market =
+  match Epochs.validate_config market with
   | Ok () -> ()
   | Error msg -> invalid_arg msg
 
@@ -741,10 +736,9 @@ let mark_attempt = function
   | Some b when Flight.seq (Black_box.ring b) > 0 -> Black_box.mark_resume b
   | Some _ | None -> ()
 
-let open_run ?(ladder = Ladder.default_config) ?journal ?flight
-    ?(snapshot_every = 4) ?segment_bytes ?disk ?pool (plan : Planner.plan)
-    ~market ~schedule =
-  validate_or_raise ~ladder ~market;
+let open_run ?journal ?flight ?(snapshot_every = 4) ?segment_bytes ?disk
+    ?pool (plan : Planner.plan) ~market ~schedule =
+  validate_or_raise market;
   if snapshot_every < 1 then
     invalid_arg "Supervisor: snapshot_every must be >= 1";
   let disk = match disk with Some d -> d | None -> Disk.real () in
@@ -758,13 +752,12 @@ let open_run ?(ladder = Ladder.default_config) ?journal ?flight
             market_epochs = market.Epochs.epochs;
             n_bps = Array.length plan.Planner.problem.Vcg.bids;
             snapshot_every;
-            digest = Journal.digest ~market ~ladder schedule;
+            digest = Journal.digest ~market schedule;
           })
       journal
   in
   mark_attempt flight;
   {
-    l_ladder = ladder;
     l_journal = j;
     l_flight = flight;
     l_snapshot_every = snapshot_every;
@@ -782,11 +775,11 @@ let open_run ?(ladder = Ladder.default_config) ?journal ?flight
     l_closed = false;
   }
 
-let run ?ladder ?journal ?flight ?snapshot_every ?segment_bytes ?disk ?pool
+let run ?journal ?flight ?snapshot_every ?segment_bytes ?disk ?pool
     (plan : Planner.plan) ~market ~schedule =
   drive
-    (open_run ?ladder ?journal ?flight ?snapshot_every ?segment_bytes ?disk
-       ?pool plan ~market ~schedule)
+    (open_run ?journal ?flight ?snapshot_every ?segment_bytes ?disk ?pool plan
+       ~market ~schedule)
 
 type refusal = Completed | Refused of string
 
@@ -794,9 +787,9 @@ let refusal_to_string = function
   | Completed -> "journal records a completed run; nothing to resume"
   | Refused msg -> msg
 
-let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
-    ~journal:path ?flight ?disk ?pool (plan : Planner.plan) ~market ~schedule =
-  validate_or_raise ~ladder ~market;
+let open_resume ?(honor_crashes = false) ~journal:path ?flight ?disk ?pool
+    (plan : Planner.plan) ~market ~schedule =
+  validate_or_raise market;
   let disk = match disk with Some d -> d | None -> Disk.real () in
   match Journal.replay ~disk path with
   | Error msg -> Error (Refused msg)
@@ -817,7 +810,7 @@ let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
           ("bandwidth providers", h.Journal.n_bps, n_bps);
         ]
       @
-      if Int64.equal h.Journal.digest (Journal.digest ~market ~ladder schedule)
+      if Int64.equal h.Journal.digest (Journal.digest ~market schedule)
       then []
       else
         [ "config digest differs (market, ladder or fault schedule changed)" ]
@@ -887,7 +880,6 @@ let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
       mark_attempt flight;
       Ok
         {
-          l_ladder = ladder;
           l_journal = Some t;
           l_flight = flight;
           l_snapshot_every = h.Journal.snapshot_every;
@@ -905,9 +897,9 @@ let open_resume ?(ladder = Ladder.default_config) ?(honor_crashes = false)
           l_closed = false;
         }
 
-let resume ?ladder ?honor_crashes ~journal ?flight ?disk ?pool
-    (plan : Planner.plan) ~market ~schedule =
-  open_resume ?ladder ?honor_crashes ~journal ?flight ?disk ?pool plan ~market
+let resume ?honor_crashes ~journal ?flight ?disk ?pool (plan : Planner.plan)
+    ~market ~schedule =
+  open_resume ?honor_crashes ~journal ?flight ?disk ?pool plan ~market
     ~schedule
   |> Result.map drive
   |> Result.map_error refusal_to_string

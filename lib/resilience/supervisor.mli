@@ -90,7 +90,6 @@ exception Injected_crash of { epoch : int; phase : Fault.phase }
     after the close and before the raise. *)
 
 val run :
-  ?ladder:Ladder.config ->
   ?journal:string ->
   ?flight:Black_box.t ->
   ?snapshot_every:int ->
@@ -102,7 +101,7 @@ val run :
   schedule:Fault.schedule ->
   report
 (** Raises [Invalid_argument] with the aggregate validation message on
-    a bad market or ladder config; never raises on injected faults
+    a bad market config; never raises on injected faults
     other than {!Injected_crash}.  [journal] durably records the run
     (see {!Journal}); [snapshot_every] (default 4, must be >= 1) sets
     the snapshot cadence.  [segment_bytes] sets the store's rotation
@@ -130,7 +129,6 @@ val run :
     a single untaken branch (zero allocation). *)
 
 val resume :
-  ?ladder:Ladder.config ->
   ?honor_crashes:bool ->
   journal:string ->
   ?flight:Black_box.t ->
@@ -192,7 +190,6 @@ val validate_update : n_bps:int -> update -> (unit, string) result
     {!step} raises [Invalid_argument] on the same condition. *)
 
 val open_run :
-  ?ladder:Ladder.config ->
   ?journal:string ->
   ?flight:Black_box.t ->
   ?snapshot_every:int ->
@@ -203,7 +200,7 @@ val open_run :
   market:Poc_market.Epochs.config ->
   schedule:Fault.schedule ->
   loop
-(** Validate configs, create the journal (when requested) and return a
+(** Validate the config, create the journal (when requested) and return a
     loop positioned at epoch 1.  Same arguments and failure modes as
     {!run}. *)
 
@@ -217,7 +214,6 @@ type refusal =
 val refusal_to_string : refusal -> string
 
 val open_resume :
-  ?ladder:Ladder.config ->
   ?honor_crashes:bool ->
   journal:string ->
   ?flight:Black_box.t ->

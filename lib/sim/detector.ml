@@ -27,7 +27,8 @@ let group_means results ~key =
     (fun k (s, n) acc -> (k, s /. float_of_int (max 1 n), n) :: acc)
     sums []
 
-let detect ?(threshold = 0.75) (report : Fabric.report) =
+let detect (report : Fabric.report) =
+  let threshold = 0.75 in
   (* Partition results by destination LMP. *)
   let by_dst = Hashtbl.create 16 in
   Array.iter
@@ -88,5 +89,4 @@ let to_observations suspicions =
       })
     suspicions
 
-let audit ?threshold report =
-  detect ?threshold report |> to_observations |> Terms.violations
+let audit report = detect report |> to_observations |> Terms.violations

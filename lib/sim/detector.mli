@@ -18,10 +18,9 @@ type suspicion = {
 
 and against = Src of int | App of string
 
-val detect :
-  ?threshold:float -> Fabric.report -> suspicion list
+val detect : Fabric.report -> suspicion list
 (** [detect report] flags (lmp, group) pairs whose delivery ratio is
-    below [threshold] (default 0.75) times the LMP's baseline, with
+    below 0.75 times the LMP's baseline, with
     congestion discounted: groups whose shortfall is explained by
     link congestion (the same share every flow on that path suffers)
     are not flagged. *)
@@ -31,7 +30,6 @@ val to_observations : suspicion list -> Poc_core.Terms.observation list
     [Commercial_preference] — the detector has ruled out congestion,
     and no posted price or security excuse is on file). *)
 
-val audit :
-  ?threshold:float -> Fabric.report -> (Poc_core.Terms.observation * string) list
+val audit : Fabric.report -> (Poc_core.Terms.observation * string) list
 (** Detect, convert and judge in one step: the violations the POC
     would act on. *)

@@ -118,7 +118,7 @@ let entry ?(apply_epoch = 1) ?(priority = 0) seq =
   { Admission.seq; apply_epoch; priority; payload = seq }
 
 let test_admission_bounds_and_backpressure () =
-  let q = Admission.create ~high_water:3 ~retry_base:0.05 ~retry_cap:0.2 () in
+  let q = Admission.create ~high_water:3 () in
   for s = 1 to 3 do
     match Admission.offer q (entry s) with
     | Admission.Admitted { shed = None } -> ()
@@ -130,11 +130,11 @@ let test_admission_bounds_and_backpressure () =
     | Admission.Rejected { retry_after } -> retry_after
     | _ -> Alcotest.fail "queue past high water must reject equals"
   in
-  let r1 = retry 1 and r2 = retry 2 and r3 = retry 3 and r4 = retry 4 in
-  Alcotest.(check (float 1e-9)) "base retry" 0.05 r1;
-  Alcotest.(check (float 1e-9)) "doubles" 0.1 r2;
-  Alcotest.(check (float 1e-9)) "doubles again" 0.2 r3;
-  Alcotest.(check (float 1e-9)) "capped" 0.2 r4;
+  let retries = List.map retry [ 1; 2; 3; 4; 5; 6; 7 ] in
+  Alcotest.(check (list (float 1e-9)))
+    "0.05 s, doubling per rejection, capped at 1 s"
+    [ 0.05; 0.1; 0.2; 0.4; 0.8; 1.0; 1.0 ]
+    retries;
   Alcotest.(check int) "depth never exceeded" 3 (Admission.depth q)
 
 let test_admission_sheds_lowest_priority_oldest () =

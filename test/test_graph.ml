@@ -1,10 +1,9 @@
-(* Tests for Poc_graph: structure, heap, shortest paths, k-shortest
-   paths, connectivity, bridges and max-flow. *)
+(* Tests for Poc_graph: structure, heap, shortest paths, connectivity
+   and the CSR views. *)
 
 module Graph = Poc_graph.Graph
 module Heap = Poc_graph.Heap
 module Paths = Poc_graph.Paths
-module Flow = Poc_graph.Flow
 module Sparse = Poc_graph.Sparse
 module Prng = Poc_util.Prng
 
@@ -246,8 +245,7 @@ let test_shortest_path_structure () =
   | Some p ->
     Alcotest.(check (list int)) "takes the cheap branch" [ e01; e13 ]
       (List.map (fun (e : Graph.edge) -> e.id) p);
-    check_float "weight" 2.0 (Paths.path_weight p);
-    Alcotest.(check (list int)) "node walk" [ 0; 1; 3 ] (Paths.path_nodes ~src:0 p)
+    check_float "weight" 2.0 (Paths.path_weight p)
 
 let test_shortest_path_respects_enabled () =
   let g, e01, _, e02, e23, _ = diamond () in
@@ -295,110 +293,6 @@ let qcheck_dijkstra_matches_bfs_on_unit_weights =
           | Some h -> Float.abs (dist.(v) -. float_of_int h) < 1e-9)
         (List.init n Fun.id))
 
-(* --- k shortest paths ----------------------------------------------------- *)
-
-let test_yen_diamond () =
-  let g, _, _, _, _, _ = diamond () in
-  let paths = Paths.k_shortest_paths g 0 3 3 in
-  Alcotest.(check int) "three distinct paths" 3 (List.length paths);
-  let weights = List.map Paths.path_weight paths in
-  Alcotest.(check (list (float 1e-9))) "sorted weights" [ 2.0; 4.0; 5.0 ] weights
-
-let test_yen_k_larger_than_paths () =
-  let g = Graph.create () in
-  Graph.add_nodes g 2;
-  ignore (Graph.add_edge g 0 1 ~weight:1.0 ~capacity:1.0);
-  Alcotest.(check int) "only one path exists" 1
-    (List.length (Paths.k_shortest_paths g 0 1 5))
-
-let qcheck_yen_sorted_and_distinct =
-  QCheck.Test.make ~name:"yen paths sorted and loopless" ~count:30
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = random_graph seed ~nodes:9 ~edges:8 in
-      let paths = Paths.k_shortest_paths g 0 8 4 in
-      let weights = List.map Paths.path_weight paths in
-      let sorted = List.sort compare weights in
-      let ids = List.map (List.map (fun (e : Graph.edge) -> e.id)) paths in
-      let distinct = List.sort_uniq compare ids in
-      let loopless p =
-        let nodes = Paths.path_nodes ~src:0 p in
-        List.length (List.sort_uniq compare nodes) = List.length nodes
-      in
-      weights = sorted
-      && List.length distinct = List.length ids
-      && List.for_all loopless paths)
-
-(* --- Bridges -------------------------------------------------------------- *)
-
-let test_bridges_chain () =
-  let g = Graph.create () in
-  Graph.add_nodes g 3;
-  let a = Graph.add_edge g 0 1 ~weight:1.0 ~capacity:1.0 in
-  let b = Graph.add_edge g 1 2 ~weight:1.0 ~capacity:1.0 in
-  Alcotest.(check (list int)) "both are bridges" [ a; b ] (Paths.bridges g)
-
-let test_bridges_cycle () =
-  let g = Graph.create () in
-  Graph.add_nodes g 3;
-  ignore (Graph.add_edge g 0 1 ~weight:1.0 ~capacity:1.0);
-  ignore (Graph.add_edge g 1 2 ~weight:1.0 ~capacity:1.0);
-  ignore (Graph.add_edge g 2 0 ~weight:1.0 ~capacity:1.0);
-  Alcotest.(check (list int)) "no bridges in a cycle" [] (Paths.bridges g)
-
-let test_bridges_parallel_edges () =
-  let g = Graph.create () in
-  Graph.add_nodes g 2;
-  ignore (Graph.add_edge g 0 1 ~weight:1.0 ~capacity:1.0);
-  ignore (Graph.add_edge g 0 1 ~weight:1.0 ~capacity:1.0);
-  Alcotest.(check (list int)) "parallel edges are not bridges" []
-    (Paths.bridges g)
-
-(* --- Max flow -------------------------------------------------------------- *)
-
-let test_max_flow_diamond () =
-  let g, _, _, _, _, _ = diamond () in
-  let r = Flow.max_flow g 0 3 in
-  (* 10 via top, 5 via bottom, 1 via chord *)
-  check_float "flow value" 16.0 r.Flow.value
-
-let test_max_flow_bottleneck () =
-  let g = Graph.create () in
-  Graph.add_nodes g 3;
-  ignore (Graph.add_edge g 0 1 ~weight:1.0 ~capacity:100.0);
-  let bottleneck = Graph.add_edge g 1 2 ~weight:1.0 ~capacity:3.0 in
-  let r = Flow.max_flow g 0 2 in
-  check_float "bottleneck limits" 3.0 r.Flow.value;
-  Alcotest.(check (list int)) "cut is the bottleneck" [ bottleneck ]
-    r.Flow.cut_edges
-
-let test_max_flow_disconnected () =
-  let g = Graph.create () in
-  Graph.add_nodes g 2;
-  let r = Flow.max_flow g 0 1 in
-  check_float "zero flow" 0.0 r.Flow.value
-
-let qcheck_maxflow_equals_mincut =
-  QCheck.Test.make ~name:"max-flow = min-cut capacity" ~count:40
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = random_graph seed ~nodes:8 ~edges:10 in
-      let r = Flow.max_flow g 0 7 in
-      Float.abs (r.Flow.value -. Flow.cut_capacity g r.Flow.cut_edges) < 1e-6)
-
-let qcheck_maxflow_bounded_by_degree_capacity =
-  QCheck.Test.make ~name:"max-flow bounded by incident capacity" ~count:40
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = random_graph seed ~nodes:8 ~edges:10 in
-      let r = Flow.max_flow g 0 7 in
-      let cap_at v =
-        List.fold_left
-          (fun acc (e : Graph.edge) -> acc +. e.capacity)
-          0.0 (Graph.incident g v)
-      in
-      r.Flow.value <= cap_at 0 +. 1e-9 && r.Flow.value <= cap_at 7 +. 1e-9)
-
 (* --- Sparse (CSR) ---------------------------------------------------------- *)
 
 let test_sparse_matches_neighbors () =
@@ -435,45 +329,6 @@ let test_sparse_memoized_and_invalidated () =
   Alcotest.(check int) "rebuilt view sees the new edge"
     (Graph.edge_count g) c.Sparse.edges
 
-(* max_flow_without_edge must agree exactly with a from-scratch solve,
-   on both its fast path (removed edge idle) and its fallback. *)
-let qcheck_incremental_flow_matches_scratch =
-  QCheck.Test.make ~name:"max_flow_without_edge = from-scratch max_flow"
-    ~count:80
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = random_graph seed ~nodes:8 ~edges:10 in
-      let m = Graph.edge_count g in
-      if m = 0 then true
-      else begin
-        let edge = seed * 19 mod m in
-        let prev = Flow.max_flow g 0 7 in
-        let inc = Flow.max_flow_without_edge g 0 7 ~prev ~edge in
-        let scratch = Flow.max_flow ~enabled:(fun id -> id <> edge) g 0 7 in
-        Float.abs (inc.Flow.value -. scratch.Flow.value) < 1e-6
-        && Float.abs inc.Flow.edge_flow.(edge) < 1e-9
-        && Float.abs
-             (inc.Flow.value -. Flow.cut_capacity g inc.Flow.cut_edges)
-           < 1e-6
-        && not (List.mem edge inc.Flow.cut_edges)
-      end)
-
-let qcheck_edge_flow_conserves =
-  QCheck.Test.make ~name:"edge_flow: net outflow at source = value" ~count:40
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let g = random_graph seed ~nodes:8 ~edges:10 in
-      let r = Flow.max_flow g 0 7 in
-      let net_out v =
-        List.fold_left
-          (fun acc (e : Graph.edge) ->
-            if e.Graph.u = v then acc +. r.Flow.edge_flow.(e.Graph.id)
-            else acc -. r.Flow.edge_flow.(e.Graph.id))
-          0.0 (Graph.incident g v)
-      in
-      Float.abs (net_out 0 -. r.Flow.value) < 1e-6
-      && Float.abs (net_out 7 +. r.Flow.value) < 1e-6)
-
 let suite =
   [
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
@@ -489,21 +344,8 @@ let suite =
     Alcotest.test_case "disconnected graphs" `Quick test_disconnected;
     Alcotest.test_case "hop distance" `Quick test_hop_distance;
     QCheck_alcotest.to_alcotest qcheck_dijkstra_matches_bfs_on_unit_weights;
-    Alcotest.test_case "yen on diamond" `Quick test_yen_diamond;
-    Alcotest.test_case "yen exhausts paths" `Quick test_yen_k_larger_than_paths;
-    QCheck_alcotest.to_alcotest qcheck_yen_sorted_and_distinct;
-    Alcotest.test_case "bridges on a chain" `Quick test_bridges_chain;
-    Alcotest.test_case "no bridges on a cycle" `Quick test_bridges_cycle;
-    Alcotest.test_case "parallel edges never bridge" `Quick test_bridges_parallel_edges;
-    Alcotest.test_case "max flow diamond" `Quick test_max_flow_diamond;
-    Alcotest.test_case "max flow bottleneck & cut" `Quick test_max_flow_bottleneck;
-    Alcotest.test_case "max flow disconnected" `Quick test_max_flow_disconnected;
-    QCheck_alcotest.to_alcotest qcheck_maxflow_equals_mincut;
-    QCheck_alcotest.to_alcotest qcheck_maxflow_bounded_by_degree_capacity;
     Alcotest.test_case "sparse CSR matches neighbors" `Quick
       test_sparse_matches_neighbors;
     Alcotest.test_case "sparse memo keyed on version" `Quick
       test_sparse_memoized_and_invalidated;
-    QCheck_alcotest.to_alcotest qcheck_incremental_flow_matches_scratch;
-    QCheck_alcotest.to_alcotest qcheck_edge_flow_conserves;
   ]

@@ -145,68 +145,6 @@ let test_supplier_hhi_of_outcome () =
   let h = Epochs.supplier_hhi outcome in
   Alcotest.(check bool) "in (0,1]" true (h > 0.0 && h <= 1.0)
 
-let test_result_codec_roundtrip () =
-  let results =
-    Epochs.run (plan ()) { Epochs.default_config with Epochs.epochs = 3; seed = 5 }
-  in
-  Alcotest.(check bool) "fixture produced results" true (results <> []);
-  List.iter
-    (fun r ->
-      match Epochs.decode_result (Epochs.encode_result r) with
-      | Ok r' ->
-        Alcotest.(check bool)
-          (Printf.sprintf "epoch %d round-trips" r.Epochs.epoch)
-          true
-          (compare r r' = 0)
-      | Error msg -> Alcotest.failf "decode failed: %s" msg)
-    results
-
-let test_result_codec_preserves_nan_sentinels () =
-  let failed =
-    {
-      Epochs.epoch = 4;
-      spend = Float.nan;
-      price_per_gbps = Float.nan;
-      selected_links = 0;
-      recalled_links = 3;
-      supplier_hhi = Float.nan;
-      failure = Some Epochs.Empty_offer_pool;
-    }
-  in
-  match Epochs.decode_result (Epochs.encode_result failed) with
-  | Ok r ->
-    (* structural compare treats NaN = NaN, which is what we want here *)
-    Alcotest.(check bool) "failed epoch round-trips, NaNs intact" true
-      (compare r failed = 0)
-  | Error msg -> Alcotest.failf "decode failed: %s" msg
-
-let test_result_codec_rejects_corruption () =
-  let enc =
-    Epochs.encode_result
-      {
-        Epochs.epoch = 1;
-        spend = 10.0;
-        price_per_gbps = 1.0;
-        selected_links = 2;
-        recalled_links = 0;
-        supplier_hhi = 0.5;
-        failure = None;
-      }
-  in
-  let bad = Bytes.of_string enc in
-  Bytes.set bad
-    (Bytes.length bad - 1)
-    (Char.chr (Char.code (Bytes.get bad (Bytes.length bad - 1)) lxor 0xFF));
-  (match Epochs.decode_result (Bytes.to_string bad) with
-  | Ok _ -> Alcotest.fail "a flipped byte must not decode"
-  | Error _ -> ());
-  (match Epochs.decode_result "" with
-  | Ok _ -> Alcotest.fail "an empty record must not decode"
-  | Error _ -> ());
-  match Epochs.decode_result (String.sub enc 0 (String.length enc - 3)) with
-  | Ok _ -> Alcotest.fail "a truncated record must not decode"
-  | Error _ -> ()
-
 let suite =
   [
     Alcotest.test_case "epoch count" `Quick test_epoch_count;
@@ -225,10 +163,4 @@ let suite =
     Alcotest.test_case "empty offer pool reported" `Quick
       test_empty_offer_pool_reported;
     Alcotest.test_case "supplier HHI of outcome" `Quick test_supplier_hhi_of_outcome;
-    Alcotest.test_case "epoch result codec round-trip" `Quick
-      test_result_codec_roundtrip;
-    Alcotest.test_case "epoch result codec preserves NaN sentinels" `Quick
-      test_result_codec_preserves_nan_sentinels;
-    Alcotest.test_case "epoch result codec rejects corruption" `Quick
-      test_result_codec_rejects_corruption;
   ]

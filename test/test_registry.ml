@@ -287,6 +287,32 @@ let test_open_close_runs_lifecycle () =
           (has_prefix "OK run=2 opened" line)
       | _ -> Alcotest.fail "unexpected reopen shape")
 
+(* The installed flush re-renders every observability artifact (the
+   whole trace, the metrics file), so a daemon-wide verb runs it once,
+   however many runs it touches. *)
+let test_one_flush_per_verb () =
+  let flushes_of root verbs =
+    let reg = must_create (Registry.create ~runs:3 ~root (plan ()) ~market ()) in
+    let n = ref 0 in
+    Registry.set_flush reg (fun () -> incr n);
+    List.map
+      (fun verb ->
+        n := 0;
+        (match verb with
+        | "suspend_all" -> Registry.suspend_all reg
+        | line -> ignore (dispatch reg line));
+        (verb, !n))
+      verbs
+  in
+  let once verbs = List.map (fun v -> (v, 1)) verbs in
+  let check verbs =
+    with_tmp_root (fun root ->
+        Alcotest.(check (list (pair string int)))
+          "one flush per verb" (once verbs) (flushes_of root verbs))
+  in
+  check [ "QUIESCE"; "CLOSE 2"; "SHUTDOWN" ];
+  check [ "suspend_all" ]
+
 let test_unknown_run_answers_err () =
   with_tmp_root (fun root ->
       let reg =
@@ -511,6 +537,8 @@ let suite =
       test_open_close_runs_lifecycle;
     Alcotest.test_case "unknown run answers ERR" `Slow
       test_unknown_run_answers_err;
+    Alcotest.test_case "one observability flush per verb" `Slow
+      test_one_flush_per_verb;
     Alcotest.test_case "fault isolation + quarantine (jobs=1)" `Slow
       (test_fault_isolation_quarantine 1);
     Alcotest.test_case "fault isolation + quarantine (jobs=2)" `Slow

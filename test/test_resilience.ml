@@ -95,40 +95,47 @@ let test_fault_failure_emits_repair () =
 (* --- Ladder --- *)
 
 let test_ladder_rung_order () =
-  let rungs =
-    Ladder.rungs ~rule:Acceptability.Single_link_failure Ladder.default_config
+  let relax =
+    [ Ladder.Relax_demand 0.9; Ladder.Relax_demand 0.75; Ladder.Relax_demand 0.5 ]
   in
-  let expected =
+  let fallbacks = [ Ladder.Connectivity_only; Ladder.External_transit ] in
+  List.iter
+    (fun (rule, step_downs) ->
+      Alcotest.(check bool)
+        (Acceptability.name rule ^ ": relax, then step down, then fallbacks")
+        true
+        (Ladder.rungs ~rule
+        = relax @ List.map (fun r -> Ladder.Step_down r) step_downs @ fallbacks))
     [
-      Ladder.Relax_demand 0.9;
-      Ladder.Relax_demand 0.75;
-      Ladder.Relax_demand 0.5;
-      Ladder.Step_down Acceptability.Handle_load;
-      Ladder.Connectivity_only;
-      Ladder.External_transit;
+      (Acceptability.Handle_load, []);
+      (Acceptability.Single_link_failure, [ Acceptability.Handle_load ]);
+      ( Acceptability.Per_pair_failure,
+        [ Acceptability.Single_link_failure; Acceptability.Handle_load ] );
     ]
-  in
-  Alcotest.(check bool) "relax, then step down, then fallbacks" true
-    (rungs = expected)
 
-let test_ladder_respects_attempt_budget () =
-  let config = { Ladder.default_config with Ladder.max_attempts = 2 } in
-  let rungs = Ladder.rungs ~rule:Acceptability.Handle_load config in
-  Alcotest.(check int) "budget truncates the ladder" 2 (List.length rungs)
+(* --- Journal digest --- *)
 
-let test_ladder_validation_lists_every_problem () =
-  let bad =
-    { Ladder.relax_factors = [ 1.5; -0.1 ]; step_rules = true; max_attempts = 0 }
+(* Every existing store carries its run's digest in each segment
+   header, and resume refuses a mismatch: a change to the digest's
+   bytes strands them all.  The value is the one stores written so far
+   hold for this run. *)
+let test_journal_digest_pinned () =
+  let config =
+    Planner.scaled_config ~sites:8 ~bps:3
+      { Planner.default_config with Planner.seed = 7 }
   in
-  match Ladder.validate_config bad with
-  | Ok () -> Alcotest.fail "expected validation failure"
-  | Error msg ->
-    List.iter
-      (fun needle ->
-        Alcotest.(check bool)
-          (Printf.sprintf "message mentions %S" needle)
-          true (contains msg needle))
-      [ "relax factor 1.5"; "relax factor -0.1"; "max_attempts must be >= 1" ]
+  match Planner.build config with
+  | Error msg -> Alcotest.failf "plan failed: %s" msg
+  | Ok plan -> (
+    match
+      Fault.compile plan.Planner.wan ~seed:5
+        [ Fault.Link_failure { at_epoch = 3; count = 2; duration = 2 } ]
+    with
+    | Error msg -> Alcotest.failf "schedule failed: %s" msg
+    | Ok schedule ->
+      let market = { Epochs.default_config with Epochs.epochs = 6; seed = 11 } in
+      Alcotest.(check int64) "digest" 1985217042L
+        (Journal.digest ~market schedule))
 
 (* --- Supervisor --- *)
 
@@ -1130,15 +1137,13 @@ let test_ladder_engage_pool_invariant () =
   in
   List.iter
     (fun (label, banned) ->
-      let serial = Ladder.engage ~banned Ladder.default_config problem in
+      let serial = Ladder.engage ~banned problem in
       if label = "nothing banned" && serial = None then
         Alcotest.fail "fixture should engage when nothing is banned";
       List.iter
         (fun jobs ->
           Poc_util.Pool.with_pool ~jobs (fun pool ->
-              let par =
-                Ladder.engage ~banned ?pool Ladder.default_config problem
-              in
+              let par = Ladder.engage ~banned ?pool problem in
               Alcotest.(check string)
                 (Printf.sprintf "%s: jobs=%d matches serial" label jobs)
                 (engaged_key serial) (engaged_key par);
@@ -1520,10 +1525,7 @@ let suite =
     Alcotest.test_case "link failure emits matching repair" `Quick
       test_fault_failure_emits_repair;
     Alcotest.test_case "ladder rungs in order" `Quick test_ladder_rung_order;
-    Alcotest.test_case "ladder respects attempt budget" `Quick
-      test_ladder_respects_attempt_budget;
-    Alcotest.test_case "ladder validation lists every problem" `Quick
-      test_ladder_validation_lists_every_problem;
+    Alcotest.test_case "journal digest pinned" `Quick test_journal_digest_pinned;
     Alcotest.test_case "chaos run degrades and recovers" `Slow
       test_chaos_run_degrades_and_recovers;
     Alcotest.test_case "chaos invariants hold" `Slow test_chaos_invariants_hold;
