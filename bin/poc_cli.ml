@@ -972,13 +972,14 @@ let serve_cmd =
             Printf.eprintf "serve: %s\n" msg;
             1
           | Ok registry ->
+            Poc_daemon.Registry.set_flush registry flush;
             Printf.eprintf "%s\nlistening on %s\n%!"
               (Poc_daemon.Registry.banner registry)
               socket;
             Poc_daemon.Server.serve
               { Poc_daemon.Server.socket_path = socket; metrics_port;
                 idle_timeout }
-              registry ~flush)
+              registry)
     in
     exit code
   in

@@ -188,11 +188,11 @@ let satisfied ?pool problem ~enabled =
 
 (* The one memo layer over the two pure functions of a candidate set
    (its acceptability verdict and its selection cost): a {!Feascache}
-   probe keyed on the set's bit-string, one character per link. *)
-let memoized find add cache in_set compute =
-  let key =
-    String.init (Array.length in_set) (fun i -> if in_set.(i) then '1' else '0')
-  in
+   probe.  A selector keeps its candidate set as a bit-string, one
+   character per link ('1' in the set, '0' not), which is exactly the
+   set's key, so a probe copies it instead of rendering one. *)
+let memoized find add cache set compute =
+  let key = Bytes.to_string set in
   match find cache key with
   | Some v -> v
   | None ->
@@ -212,42 +212,51 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
   in
   let table = ownership problem in
   let m = Array.length table in
-  let offered =
-    List.filter
-      (fun id -> table.(id) <> None && not (banned id))
-      (List.init m Fun.id)
-  in
-  let price id =
-    match table.(id) with
-    | Some (Owned_by bp) -> Bid.single_price problem.bids.(bp) id
-    | Some (Virtual p) -> p
-    | None -> assert false
-  in
-  (* Each offered link is scored once.  [score] is pure, so sorting on
-     the stored scores makes the same comparisons, in the same order,
-     as scoring inside the comparator. *)
+  (* Every owned link's price, looked up once. *)
+  let prices = Array.make m nan in
+  Array.iteri
+    (fun id owner ->
+      match owner with
+      | Some (Owned_by bp) -> prices.(id) <- Bid.single_price problem.bids.(bp) id
+      | Some (Virtual p) -> prices.(id) <- p
+      | None -> ())
+    table;
+  let price id = prices.(id) in
+  (* The offered ids, ascending, each scored once.  A stable sort on
+     the stored scores keeps equal scores in ascending id order, as the
+     stable sort of (score, id) pairs it replaces did. *)
   let ranked =
-    List.map (fun id -> (score problem price id, id)) offered
-    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
-    |> List.map snd |> Array.of_list
+    let offered = ref [] in
+    for id = m - 1 downto 0 do
+      if table.(id) <> None && not (banned id) then offered := id :: !offered
+    done;
+    Array.of_list !offered
   in
+  let scores = Array.make m nan in
+  Array.iter (fun id -> scores.(id) <- score problem price id) ranked;
+  Array.stable_sort (fun a b -> Float.compare scores.(a) scores.(b)) ranked;
   let n = Array.length ranked in
-  let in_set = Array.make m false in
+  let set = Bytes.make m '0' in
+  let enabled id = Bytes.get set id = '1' in
+  let put id present = Bytes.set set id (if present then '1' else '0') in
   let set_prefix k =
-    Array.fill in_set 0 m false;
+    Bytes.fill set 0 m '0';
     for i = 0 to k - 1 do
-      in_set.(ranked.(i)) <- true
+      put ranked.(i) true
     done
   in
-  let enabled id = in_set.(id) in
   let current_links () =
-    List.filter (fun id -> in_set.(id)) (List.init m Fun.id)
+    let links = ref [] in
+    for id = m - 1 downto 0 do
+      if enabled id then links := id :: !links
+    done;
+    !links
   in
   (* The pruning stages re-probe the same sets constantly.  Nested
      submissions from a pool worker run inline, so passing the pool down
      is safe wherever an evaluation happens. *)
   let rule_ok () =
-    memoized Feascache.find_feas Feascache.add_feas cache in_set (fun () ->
+    memoized Feascache.find_feas Feascache.add_feas cache set (fun () ->
         satisfied ?pool problem ~enabled)
   in
   let check_prefix k =
@@ -268,8 +277,8 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
         while !got < size && not (exhausted ()) do
           let id = ranked.(!cursor) in
           incr cursor;
-          if not in_set.(id) then begin
-            in_set.(id) <- true;
+          if not (enabled id) then begin
+            put id true;
             added := id :: !added;
             incr got
           end
@@ -291,7 +300,7 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
            let additions = Array.of_list additions_list in
            let total = Array.length additions in
            let apply keep =
-             Array.iteri (fun i id -> in_set.(id) <- i < keep) additions
+             Array.iteri (fun i id -> put id (i < keep)) additions
            in
            let check keep =
              apply keep;
@@ -316,11 +325,11 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
     | Some links ->
       (* Warm start: begin from a known-good selection (minus whatever
          is now banned) and repair. *)
-      Array.fill in_set 0 m false;
+      Bytes.fill set 0 m '0';
       List.iter
         (fun id ->
           if id >= 0 && id < m && table.(id) <> None && not (banned id) then
-            in_set.(id) <- true)
+            put id true)
         links;
       repair_current ()
     | None ->
@@ -364,10 +373,10 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
       match idle with
       | [] -> ()
       | _ :: _ ->
-        List.iter (fun id -> in_set.(id) <- false) idle;
+        List.iter (fun id -> put id false) idle;
         if not (check ()) then
           (* Rare: the idle links were implicit backups; restore. *)
-          List.iter (fun id -> in_set.(id) <- true) idle
+          List.iter (fun id -> put id true) idle
     in
     try_free_drop rule_ok;
     (* Prune, most expensive first.  Rule #1 removals are validated by
@@ -382,7 +391,7 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
         let removals = Array.of_list (List.rev removals_rev) in
         let total = Array.length removals in
         let apply keep =
-          Array.iteri (fun i id -> in_set.(id) <- i >= keep) removals
+          Array.iteri (fun i id -> put id (i >= keep)) removals
         in
         let check keep =
           apply keep;
@@ -417,7 +426,7 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
           with
           | None -> ()
           | Some r ->
-            in_set.(id) <- false;
+            put id false;
             removed := id :: !removed;
             base := r)
         budgeted;
@@ -430,8 +439,8 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
       let budgeted = List.filteri (fun i _ -> i < limit) by_price_desc in
       List.iter
         (fun id ->
-          in_set.(id) <- false;
-          if not (rule_ok ()) then in_set.(id) <- true)
+          put id false;
+          if not (rule_ok ()) then put id true)
         budgeted
     in
     (* Rule #2 deep prune: each removal is validated by an incremental
@@ -460,12 +469,12 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
           with
           | None -> ()
           | Some r ->
-            in_set.(id) <- false;
+            put id false;
             if spot_survives r then begin
               base := r;
               removed := id :: !removed
             end
-            else in_set.(id) <- true)
+            else put id true)
         budgeted;
       rollback_if_needed !removed
     in
@@ -485,18 +494,18 @@ let optimize_from ~score ?(banned = fun _ -> false) ?init ?(light = false)
        which matters because the Clarke pivots are differences of two
        such costs. *)
     let current_cost () =
-      memoized Feascache.find_cost Feascache.add_cost cache in_set (fun () ->
+      memoized Feascache.find_cost Feascache.add_cost cache set (fun () ->
           selection_cost_with_table problem table (current_links ()))
     in
-    let snapshot () = Array.copy in_set in
-    let restore saved = Array.blit saved 0 in_set 0 m in
+    let snapshot () = Bytes.copy set in
+    let restore saved = Bytes.blit saved 0 set 0 m in
     let widen () =
       let want = max 64 (List.length (current_links ()) / 2) in
       let added = ref 0 in
       Array.iter
         (fun id ->
-          if !added < want && not in_set.(id) then begin
-            in_set.(id) <- true;
+          if !added < want && not (enabled id) then begin
+            put id true;
             incr added
           end)
         ranked
@@ -601,15 +610,15 @@ let select_exact ?(banned = fun _ -> false) ?cache ?pool problem =
      folding the per-shard winners in range order is bit-identical to
      the serial scan. *)
   let eval_range (lo, hi) =
-    let in_set = Array.make m false in
-    let enabled id = in_set.(id) in
+    let set = Bytes.make m '0' in
+    let enabled id = Bytes.get set id = '1' in
     let best = ref None in
     for mask = lo to hi - 1 do
-      Array.fill in_set 0 m false;
+      Bytes.fill set 0 m '0';
       let links = ref [] in
       for i = 0 to n - 1 do
         if mask land (1 lsl i) <> 0 then begin
-          in_set.(offered.(i)) <- true;
+          Bytes.set set offered.(i) '1';
           links := offered.(i) :: !links
         end
       done;
@@ -623,7 +632,7 @@ let select_exact ?(banned = fun _ -> false) ?cache ?pool problem =
           match cache with
           | None -> satisfied problem ~enabled
           | Some c ->
-            memoized Feascache.find_feas Feascache.add_feas c in_set (fun () ->
+            memoized Feascache.find_feas Feascache.add_feas c set (fun () ->
                 satisfied problem ~enabled)
         in
         if ok then best := Some (cost, mask, links)

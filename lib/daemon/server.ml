@@ -59,8 +59,7 @@ let reply_run = function
   | Protocol.Close_run { run } -> run
   | Protocol.List_runs -> -1
 
-let serve cfg registry ~flush =
-  Registry.set_flush registry flush;
+let serve cfg registry =
   if Sys.file_exists cfg.socket_path then Sys.remove cfg.socket_path;
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind srv (Unix.ADDR_UNIX cfg.socket_path);
@@ -95,8 +94,7 @@ let serve cfg registry ~flush =
       http_srv;
     (try Sys.remove cfg.socket_path with Sys_error _ -> ());
     Sys.set_signal Sys.sigterm !old_term;
-    Sys.set_signal Sys.sigint !old_int;
-    flush ()
+    Sys.set_signal Sys.sigint !old_int
   in
   let exit_code = ref None in
   let respond c ~run lines =

@@ -35,8 +35,8 @@ type config = {
   idle_timeout : float;       (** partial-request timeout, seconds *)
 }
 
-val serve : config -> Registry.t -> flush:(unit -> unit) -> int
-(** Run until shutdown; returns the process exit code.  [flush] is
-    installed as the registry's observability hook and additionally run
-    on every exit path, so killed runs still leave complete Prometheus
-    snapshots and well-formed trace JSON behind. *)
+val serve : config -> Registry.t -> int
+(** Run until shutdown; returns the process exit code.  The loop itself
+    flushes no observability sink: a [SHUTDOWN] or a signal suspend
+    runs the registry's flush hook ({!Registry.set_flush}) once, and
+    the process's exit writes the final files. *)

@@ -1,13 +1,14 @@
 (* Keys and values live in two parallel arrays: the keys in a flat
-   (unboxed) float array, the values beside them, so a push stores no
-   per-entry record.  Sifts move a hole instead of swapping, but make
+   (unboxed) float array, the int values beside them, so a push stores
+   no per-entry record and no store into either array is a pointer
+   store.  Sifts move a hole instead of swapping, but make
    exactly the comparisons of the swap-based heap this replaces (the
    element at the hole is always the one being sifted), so entries with
    equal keys still pop in the same order. *)
 
-type 'a t = {
+type t = {
   mutable keys : float array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable len : int;
 }
 
@@ -19,12 +20,12 @@ let size h = h.len
 
 let clear h = h.len <- 0
 
-let grow h value =
+let grow h =
   let cap = Array.length h.keys in
   if h.len = cap then begin
     let ncap = max 16 (2 * cap) in
     let keys = Array.make ncap 0.0 in
-    let values = Array.make ncap value in
+    let values = Array.make ncap 0 in
     Array.blit h.keys 0 keys 0 h.len;
     Array.blit h.values 0 values 0 h.len;
     h.keys <- keys;
@@ -32,7 +33,7 @@ let grow h value =
   end
 
 let push h key value =
-  grow h value;
+  grow h;
   let keys = h.keys and values = h.values in
   (* Sift up. *)
   let i = ref h.len in

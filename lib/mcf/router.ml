@@ -95,20 +95,26 @@ let adjacency_create ~nodes ~half_edges =
   }
 
 (* Per-domain scratch (DESIGN.md, "Router scratch"): search state, the
-   compact adjacency, the residual/usage buffers every call works in
-   and the counter tallies.  Sized for the largest graph the domain has
-   routed.  Nothing in it escapes a call: a returned routing gets its
-   own copy of the edges that carry flow. *)
+   compact adjacency, the residual/usage buffers every call works in,
+   the crossing index, the displaced-demand table and the counter
+   tallies.  Sized for the largest graph the domain has routed.
+   Nothing in it escapes a call: a returned routing gets its own copy
+   of the edges that carry flow. *)
 type scratch = {
   mutable dist : float array;
   mutable pred : int array; (* edge id into each reached node *)
   mutable from : int array; (* node at the other end of that edge *)
   mutable settled : bool array;
-  heap : int Heap.t;
+  heap : Heap.t;
   mutable keep : Bytes.t; (* per edge id: may hold residual in this call *)
   mutable compact : adjacency;
   mutable shared : Sparse.Buf.buf; (* a failure batch's base state *)
   mutable work : Sparse.Buf.buf; (* the state of the solve or check in hand *)
+  mutable crossing_at : Sparse.int_slab;
+      (* a failure batch's index: edge [e]'s base chunks are
+         [crossing.{crossing_at.{e}} .. crossing.{crossing_at.{e+1} - 1}] *)
+  mutable crossing : Sparse.int_slab; (* base chunk indices, in chunk order *)
+  affected : (int * int, float) Hashtbl.t; (* displaced Gbps per pair *)
   mutable searches : int;
   mutable paths : int;
 }
@@ -125,6 +131,9 @@ let scratch_key : scratch Domain.DLS.key =
         compact = adjacency_create ~nodes:0 ~half_edges:0;
         shared = Sparse.Buf.create 0;
         work = Sparse.Buf.create 0;
+        crossing_at = Sparse.int_slab_create 0;
+        crossing = Sparse.int_slab_create 0;
+        affected = Hashtbl.create 16;
         searches = 0;
         paths = 0;
       })
@@ -150,6 +159,10 @@ let at_least (buf : Sparse.Buf.buf) m =
 let work_buf s m =
   s.work <- at_least s.work m;
   s.work
+
+(* A slab of at least [n] ints, kept at the largest size asked for. *)
+let int_slab_at_least slab n =
+  if Bigarray.Array1.dim slab >= n then slab else Sparse.int_slab_create n
 
 let flush_counters s =
   if s.searches > 0 then begin
@@ -451,38 +464,108 @@ let load_base ~(cap : Sparse.float_slab) ~enabled ~(buf : Sparse.Buf.buf) ~m
     end
   done
 
+let rec crosses failed_edge = function
+  | [] -> false
+  | eid :: rest -> eid = failed_edge || crosses failed_edge rest
+
+(* Write the indices of [base]'s chunks that cross [failed_edge], in
+   chunk order, to the front of [s.crossing] and return how many there
+   are; with [kept], collect the other chunks on it, newest first.  A
+   batch's index lives in the same slab, but a scan never runs while a
+   batch on this domain is being checked. *)
+let scan_crossing s ~base ~failed_edge ?kept () =
+  let chunks = base.chunks in
+  s.crossing <- int_slab_at_least s.crossing (Array.length chunks);
+  let crossing = s.crossing in
+  let k = ref 0 in
+  for i = 0 to Array.length chunks - 1 do
+    let c = chunks.(i) in
+    if crosses failed_edge c.edge_ids then begin
+      crossing.{!k} <- i;
+      incr k
+    end
+    else match kept with None -> () | Some kept -> kept := c :: !kept
+  done;
+  !k
+
+let rec count_crossings (at : Sparse.int_slab) = function
+  | [] -> ()
+  | eid :: rest ->
+    at.{eid + 1} <- at.{eid + 1} + 1;
+    count_crossings at rest
+
+let rec file_crossings (at : Sparse.int_slab) (crossing : Sparse.int_slab) i =
+  function
+  | [] -> ()
+  | eid :: rest ->
+    crossing.{at.{eid}} <- i;
+    at.{eid} <- at.{eid} + 1;
+    file_crossings at crossing i rest
+
+(* Build the batch's crossing index over the first [m] edges in
+   [s.crossing_at] and [s.crossing]: for each edge, the indices of the
+   base chunks that cross it, in chunk order.  A path crosses each edge
+   once, so an edge lists a chunk at most once.  Counting sort: count
+   per edge, prefix-sum into starts, file each chunk using the starts
+   as cursors (which leaves each at its edge's end), then shift the
+   ends back into starts. *)
+let index_crossings s ~m chunks =
+  s.crossing_at <- int_slab_at_least s.crossing_at (m + 1);
+  let at = s.crossing_at in
+  for e = 0 to m do
+    at.{e} <- 0
+  done;
+  for i = 0 to Array.length chunks - 1 do
+    count_crossings at chunks.(i).edge_ids
+  done;
+  for e = 1 to m do
+    at.{e} <- at.{e} + at.{e - 1}
+  done;
+  s.crossing <- int_slab_at_least s.crossing at.{m};
+  let crossing = s.crossing in
+  for i = 0 to Array.length chunks - 1 do
+    file_crossings at crossing i chunks.(i).edge_ids
+  done;
+  for e = m downto 1 do
+    at.{e} <- at.{e - 1}
+  done;
+  at.{0} <- 0
+
+(* Hand [gbps] back to every edge of a displaced path but the failed
+   one. *)
+let rec give_back (buf : Sparse.Buf.buf) ~failed_edge gbps = function
+  | [] -> ()
+  | eid :: rest ->
+    if eid <> failed_edge then begin
+      let residual = buf.Sparse.Buf.residual and usage = buf.Sparse.Buf.usage in
+      residual.{eid} <- residual.{eid} +. gbps;
+      usage.{eid} <- usage.{eid} -. gbps
+    end;
+    give_back buf ~failed_edge gbps rest
+
 (* Take [failed_edge] out of [buf] (loaded from [base]), give back the
-   capacity held by the chunks that crossed it, and re-route their
-   demand on the residual.  True when all of it fits.  With [kept] and
-   [fresh], collects the chunks that stay (newest first) and the new
-   ones. *)
-let repair s adj ~cap ~(buf : Sparse.Buf.buf) ~base ~failed_edge ?kept ?fresh
-    n =
+   capacity held by the chunks that crossed it, [base.chunks.(i)] for
+   each [i] in [crossing.{first} .. crossing.{last - 1}], and re-route
+   their demand on the residual.  True when all of it fits.  With
+   [fresh], collects the new chunks.  The displaced demand is summed
+   per pair in the domain's [affected] table and re-routed in its
+   iteration order; [Hashtbl.reset] gives the table back its initial 16
+   buckets, so that order is a fresh [Hashtbl.create 16]'s. *)
+let repair s adj ~cap ~(buf : Sparse.Buf.buf) ~base ~failed_edge
+    ~(crossing : Sparse.int_slab) ~first ~last ?fresh n =
   let residual = buf.Sparse.Buf.residual in
   let usage = buf.Sparse.Buf.usage in
   residual.{failed_edge} <- 0.0;
   usage.{failed_edge} <- 0.0;
-  let rec crosses = function
-    | [] -> false
-    | eid :: rest -> eid = failed_edge || crosses rest
-  in
-  let affected = Hashtbl.create 16 in
-  Array.iter
-    (fun c ->
-      if crosses c.edge_ids then begin
-        List.iter
-          (fun eid ->
-            if eid <> failed_edge then begin
-              residual.{eid} <- residual.{eid} +. c.gbps;
-              usage.{eid} <- usage.{eid} -. c.gbps
-            end)
-          c.edge_ids;
-        let key = (c.src, c.dst) in
-        let prev = Option.value ~default:0.0 (Hashtbl.find_opt affected key) in
-        Hashtbl.replace affected key (prev +. c.gbps)
-      end
-      else match kept with None -> () | Some kept -> kept := c :: !kept)
-    base.chunks;
+  let affected = s.affected in
+  Hashtbl.reset affected;
+  for k = first to last - 1 do
+    let c = base.chunks.(crossing.{k}) in
+    give_back buf ~failed_edge c.gbps c.edge_ids;
+    let key = (c.src, c.dst) in
+    let prev = Option.value ~default:0.0 (Hashtbl.find_opt affected key) in
+    Hashtbl.replace affected key (prev +. c.gbps)
+  done;
   let ok = ref true in
   Hashtbl.iter
     (fun (src, dst) gbps ->
@@ -496,7 +579,8 @@ let repair s adj ~cap ~(buf : Sparse.Buf.buf) ~base ~failed_edge ?kept ?fresh
   !ok
 
 (* As a single reroute it walks the whole CSR rather than pay for a
-   compaction. *)
+   compaction, and finds the crossing chunks in the scan that collects
+   the kept ones. *)
 let reroute_without_edge ?(enabled = fun _ -> true) g ~base ~failed_edge =
   Metrics.Counter.inc m_reroutes;
   let failed_capacity = (Graph.edge g failed_edge).capacity in
@@ -513,9 +597,10 @@ let reroute_without_edge ?(enabled = fun _ -> true) g ~base ~failed_edge =
     let buf = work_buf s m in
     load_base ~cap ~enabled ~buf ~m base;
     let kept = ref [] and fresh = ref [] in
+    let last = scan_crossing s ~base ~failed_edge ~kept () in
     let ok =
-      repair s (csr_adjacency csr) ~cap ~buf ~base ~failed_edge ~kept ~fresh
-        csr.Sparse.nodes
+      repair s (csr_adjacency csr) ~cap ~buf ~base ~failed_edge
+        ~crossing:s.crossing ~first:0 ~last ~fresh csr.Sparse.nodes
     in
     flush_counters s;
     if not ok then None
@@ -576,8 +661,9 @@ let route_toggle ?(enabled = fun _ -> true) ?(congestion_alpha = 1.0) g
 
 (* One verdict-only failure check on the calling domain's scratch:
    [load] fills its work buffer with the base state, and no routing is
-   built. *)
-let check_failure (csr : Sparse.t) adj ~load g ~base failed_edge =
+   built.  With [index], a batch's crossing index, the chunks crossing
+   the failed edge are read from it; without, a scan finds them. *)
+let check_failure (csr : Sparse.t) adj ~load ?index g ~base failed_edge =
   Metrics.Counter.inc m_reroutes;
   (* An unknown id fails as it does in [reroute_without_edge]. *)
   ignore (Graph.edge g failed_edge);
@@ -586,9 +672,16 @@ let check_failure (csr : Sparse.t) adj ~load g ~base failed_edge =
     let s = scratch csr.Sparse.nodes in
     let buf = work_buf s csr.Sparse.edges in
     load buf;
+    let cap = csr.Sparse.capacity and n = csr.Sparse.nodes in
     let ok =
-      repair s adj ~cap:csr.Sparse.capacity ~buf ~base ~failed_edge
-        csr.Sparse.nodes
+      match index with
+      | Some (at, crossing) ->
+        repair s adj ~cap ~buf ~base ~failed_edge ~crossing
+          ~first:at.{failed_edge} ~last:at.{failed_edge + 1} n
+      | None ->
+        let last = scan_crossing s ~base ~failed_edge () in
+        repair s adj ~cap ~buf ~base ~failed_edge ~crossing:s.crossing ~first:0
+          ~last n
     in
     flush_counters s;
     ok
@@ -622,20 +715,22 @@ let survives_all_single_failures ?(enabled = fun _ -> true) ?pool ?limit g
   | _ :: _ -> (
     let csr = Sparse.of_graph g in
     let m = csr.Sparse.edges in
-    (* One base state and one compact adjacency serve the whole batch.
-       They live in this domain's scratch, and the checks, wherever
-       they run, only read them.  In a check an edge can hold residual
-       only if it is enabled or a base chunk crosses it (the failed
-       chunks give their capacity back), so only the other half-edges
-       are dropped. *)
+    (* One base state, one crossing index and one compact adjacency
+       serve the whole batch.  They live in this domain's scratch, and
+       the checks, wherever they run, only read them.  In a check an
+       edge can hold residual only if it is enabled or a base chunk
+       crosses it (the failed chunks give their capacity back), so only
+       the other half-edges are dropped. *)
     let s = scratch csr.Sparse.nodes in
     s.shared <- at_least s.shared m;
     let shared = s.shared in
     load_base ~cap:csr.Sparse.capacity ~enabled ~buf:shared ~m base;
     mark_residual s shared m;
-    Array.iter
-      (fun c -> List.iter (fun eid -> Bytes.set s.keep eid '\001') c.edge_ids)
-      base.chunks;
+    index_crossings s ~m base.chunks;
+    let at = s.crossing_at in
+    for id = 0 to m - 1 do
+      if at.{id + 1} > at.{id} then Bytes.set s.keep id '\001'
+    done;
     let adj = compact s csr in
     let load (work : Sparse.Buf.buf) =
       let residual = shared.Sparse.Buf.residual in
@@ -645,7 +740,7 @@ let survives_all_single_failures ?(enabled = fun _ -> true) ?pool ?limit g
         work.Sparse.Buf.usage.{id} <- usage.{id}
       done
     in
-    let check = check_failure csr adj ~load g ~base in
+    let check = check_failure csr adj ~load ~index:(at, s.crossing) g ~base in
     match pool with
     | None ->
       (* The serial path short-circuits at the first irreplaceable edge. *)

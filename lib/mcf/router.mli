@@ -13,8 +13,10 @@
     use {!Poc_traffic.Matrix.undirected_pair_demands} upstream.
 
     Every call may run on any domain, beside calls on other domains.
-    Search state, compact adjacencies and the residual/usage buffers
-    every call solves in live in per-domain scratch, reused from call
+    Search state (node arrays and the {!Poc_graph.Heap}), compact
+    adjacencies, the residual/usage buffers every call solves in, a
+    failure batch's crossing index and the table a repair sums its
+    displaced demand in live in per-domain scratch, reused from call
     to call.  A routing that {!route}, {!reroute_without_edge} or
     {!route_toggle} returns holds its own copy of the edges it carries
     flow on, so its memory is proportional to its flow, not to the
@@ -153,10 +155,15 @@ val survives_all_single_failures :
     spot-checks 25 — and by default every used edge is checked.
 
     Each check is {!survives_failure}'s verdict against the same
-    immutable base.  The base residual and a compact adjacency (the
-    half-edges that can hold residual in some check) are built once
-    per batch, and each check copies the residual into its own
-    domain's scratch.  With [pool] the checks fan out across worker
+    immutable base.  The base residual, a crossing index (for each
+    edge, the base chunks that cross it, in chunk order) and a compact
+    adjacency (the half-edges that can hold residual in some check) are
+    built once per batch in the calling domain's scratch, so no batch
+    allocates a buffer.  Each check copies the residual into its own
+    domain's scratch and reads the chunks its failed edge displaces
+    from the index, where {!survives_failure} finds them by scanning
+    every chunk; both then re-route the displaced demand the same
+    way.  With [pool] the checks fan out across worker
     domains; the verdict is identical at every pool size (the serial
     path short-circuits, the pooled path checks every edge).  The
     router's counters move exactly as they would under one

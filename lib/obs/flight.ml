@@ -109,6 +109,28 @@ let decode_record payload =
     raise (Codec.Corrupt "flight: trailing bytes in record");
   { seq; ts_us; epoch; phase; kind }
 
+(* [decode_record]'s checks, on the same bytes in the same order, with
+   nothing built: the tag, every string's length and the trailing bytes.
+   Only the [seq] is read. *)
+let record_seq payload =
+  let r = Codec.reader payload in
+  let tag = Codec.get_u8 r in
+  let seq = Codec.get_int r in
+  Codec.skip r 16 (* ts_us, epoch *);
+  Codec.skip_string r (* phase *);
+  (match tag with
+  | 0 -> Codec.skip_string r
+  | 1 | 4 ->
+    Codec.skip_string r;
+    Codec.skip r 8
+  | 2 | 3 ->
+    Codec.skip_string r;
+    Codec.skip_string r
+  | n -> raise (Codec.Corrupt (Printf.sprintf "flight: unknown tag %d" n)));
+  if not (Codec.at_end r) then
+    raise (Codec.Corrupt "flight: trailing bytes in record");
+  seq
+
 (* --- ring ---------------------------------------------------------------- *)
 
 let emit t ?ts_us ~epoch ~phase kind =
@@ -202,14 +224,16 @@ let decode_header payload =
       else Ok cap
 
 (* The header frame, then one scan of the record frames after it, which
-   starts at the returned offset. *)
-let scan_image data =
+   starts at the returned offset.  [decode] is [decode_record] or
+   [record_seq]: both refuse exactly the same frames, so the scan stops
+   at the same frame with the same verdict either way. *)
+let scan_image ~decode data =
   match Codec.next_frame data ~pos:0 with
   | Codec.End -> Error "empty flight image"
   | Codec.Torn -> Error "flight image header damaged"
   | Codec.Frame { payload; next } -> (
     match decode_header payload with
-    | Ok cap -> Ok (cap, next, Codec.scan ~from:next ~decode:decode_record data)
+    | Ok cap -> Ok (cap, next, Codec.scan ~from:next ~decode data)
     | Error e -> Error e
     | exception Codec.Corrupt _ -> Error "bad flight header")
 
@@ -228,13 +252,16 @@ let decode_image data =
         img_frames = frames;
         img_torn = s.Codec.verdict <> Codec.Clean;
       })
-    (scan_image data)
+    (scan_image ~decode:decode_record data)
 
 let valid_prefix data =
-  match scan_image data with Ok (_, _, s) -> s.Codec.valid | Error _ -> 0
+  match scan_image ~decode:decode_record data with
+  | Ok (_, _, s) -> s.Codec.valid
+  | Error _ -> 0
 
 (* Each kept record's slot is its frame as the image holds it, so no
-   record is encoded again and every [seq] stays as emitted. *)
+   record is decoded or encoded again and every [seq] stays as
+   emitted. *)
 let reopen ?capacity data =
   Result.map
     (fun (cap, first, s) ->
@@ -242,15 +269,15 @@ let reopen ?capacity data =
       let skip = List.length s.Codec.frames - t.cap in
       ignore
         (List.fold_left
-           (fun (i, start) (r, stop) ->
+           (fun (i, start) (seq, stop) ->
              if i >= skip then begin
                t.slots.(t.next) <- String.sub data start (stop - start);
                t.next <- (t.next + 1) mod t.cap;
                t.held <- t.held + 1;
-               t.total <- max t.held (r.seq + 1)
+               t.total <- max t.held (seq + 1)
              end;
              (i + 1, stop))
            (0, first) s.Codec.frames);
       t.drained <- t.total;
       (t, if cap = t.cap then `Append_at s.Codec.valid else `Rewrite))
-    (scan_image data)
+    (scan_image ~decode:record_seq data)

@@ -70,11 +70,16 @@ let simulate (plan : Planner.plan) config =
       Router.total_routed r /. total_demand
     end
   in
-  (* Event queue keyed by time. *)
+  (* Event queue keyed by time, of events encoded as ints: [2·id] for
+     a failure of link [id], [2·id+1] for its repair. *)
   let queue = Heap.create () in
+  let push t = function
+    | Fail id -> Heap.push queue t (2 * id)
+    | Repair id -> Heap.push queue t ((2 * id) + 1)
+  in
+  let decode code = if code land 1 = 0 then Fail (code / 2) else Repair (code / 2) in
   List.iter
-    (fun id ->
-      Heap.push queue (Prng.exponential rng (1.0 /. config.mtbf_hours)) (Fail id))
+    (fun id -> push (Prng.exponential rng (1.0 /. config.mtbf_hours)) (Fail id))
     selected;
   let samples = ref [] in
   let weighted = ref 0.0 in
@@ -85,19 +90,18 @@ let simulate (plan : Planner.plan) config =
     match Heap.pop queue with
     | None -> (prev_time, prev_fraction)
     | Some (t, _) when t >= config.horizon_hours -> (prev_time, prev_fraction)
-    | Some (t, ev) ->
+    | Some (t, code) ->
+      let ev = decode code in
       weighted := !weighted +. (prev_fraction *. (t -. prev_time));
       (match ev with
       | Fail id ->
         Hashtbl.replace failed id ();
         incr failures;
         max_concurrent := max !max_concurrent (Hashtbl.length failed);
-        Heap.push queue (t +. Prng.exponential rng (1.0 /. config.mttr_hours))
-          (Repair id)
+        push (t +. Prng.exponential rng (1.0 /. config.mttr_hours)) (Repair id)
       | Repair id ->
         Hashtbl.remove failed id;
-        Heap.push queue (t +. Prng.exponential rng (1.0 /. config.mtbf_hours))
-          (Fail id));
+        push (t +. Prng.exponential rng (1.0 /. config.mtbf_hours)) (Fail id));
       let fraction = delivered_fraction () in
       worst := Float.min !worst fraction;
       samples :=

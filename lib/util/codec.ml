@@ -73,6 +73,12 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
+let skip r n =
+  need r n;
+  r.pos <- r.pos + n
+
+let skip_string r = skip r (get_u32 r)
+
 let get_list r get = List.init (get_u32 r) (fun _ -> get r)
 let get_f64_array r = Array.init (get_u32 r) (fun _ -> get_f64 r)
 

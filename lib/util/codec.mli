@@ -58,6 +58,13 @@ val get_list : reader -> (reader -> 'a) -> 'a list
 val get_option : reader -> (reader -> 'a) -> 'a option
 val get_f64_array : reader -> float array
 
+val skip : reader -> int -> unit
+(** Step over [n] bytes, with the short-read check of a [get_*]. *)
+
+val skip_string : reader -> unit
+(** Step over a string as {!get_string} reads it, checking its length
+    the same way, without copying it. *)
+
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3 polynomial) as a non-negative int in
     [\[0, 2^32)]; [crc32 "123456789" = 0xCBF43926]. *)

@@ -3,13 +3,20 @@
 # must produce loadable Chrome trace-event JSON (spans for every epoch
 # phase, fault events in the chaos trace) and a parseable Prometheus
 # text exposition, and tracing must not change what the run computes.
+# A traced daemon session must leave the same two files behind when it
+# shuts down.
 set -eu
 
 cd "$(dirname "$0")/.."
 dune build bin/poc_cli.exe
 
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+serve_pid=""
+cleanup() {
+  if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi
+  rm -rf "$workdir"
+}
+trap cleanup EXIT
 
 cli=_build/default/bin/poc_cli.exe
 
@@ -97,5 +104,68 @@ assert serial == jobs2, f"span names diverge: {serial} vs {jobs2}"
 print("ok: --jobs 2 trace covers the same span names")
 EOF
 echo "ok: --jobs 2 runs compute identical results to serial runs"
+
+# The daemon writes its trace and metrics files at shutdown: a traced
+# `serve` session (a BID, an EPOCH, then SHUTDOWN) exits 0 and leaves
+# trace-event JSON with the supervisor's epoch phase spans and a
+# Prometheus exposition with the router's counters.
+sock="$workdir/serve.sock"
+"$cli" serve --root "$workdir/serve" --socket "$sock" \
+  --sites 8 --bps 3 --epochs 4 \
+  --trace "$workdir/serve.json" --metrics "$workdir/serve.prom" \
+  > "$workdir/serve.log" 2>&1 &
+serve_pid=$!
+i=0
+while [ ! -S "$sock" ]; do
+  i=$((i + 1))
+  if [ "$i" -gt 100 ]; then
+    cat "$workdir/serve.log" >&2
+    echo "FAIL: daemon socket never appeared" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+"$cli" ctl --socket "$sock" "BID 1 0 1.07 2" "EPOCH 2" "SHUTDOWN" \
+  > "$workdir/serve-ctl.txt"
+status=0
+wait "$serve_pid" || status=$?
+serve_pid=""
+if [ "$status" -ne 0 ]; then
+  cat "$workdir/serve.log" >&2
+  echo "FAIL: traced daemon exited $status" >&2
+  exit 1
+fi
+grep -q "^BYE " "$workdir/serve-ctl.txt" || {
+  cat "$workdir/serve-ctl.txt" >&2
+  echo "FAIL: daemon did not acknowledge SHUTDOWN" >&2
+  exit 1
+}
+python3 - "$workdir/serve.json" "$workdir/serve.prom" <<'EOF'
+import json, sys
+
+trace, prom = sys.argv[1:]
+with open(trace) as f:
+    doc = json.load(f)
+events = doc["traceEvents"]
+assert events, "serve trace is empty"
+for e in events:
+    assert e["ph"] in ("X", "i"), f"unexpected phase {e['ph']}"
+    assert e["ts"] >= 0, "negative timestamp"
+names = {e["name"] for e in events}
+for span in ("epoch", "drift", "auction", "routing", "settlement", "journal"):
+    assert span in names, f"serve trace missing the {span} span: {sorted(names)}"
+
+samples = {}
+with open(prom) as f:
+    for line in f:
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        name, value = line.rsplit(" ", 1)
+        samples[name] = float(value)
+assert samples.get("poc_router_dijkstra_total", 0) > 0, \
+    "serve metrics lack poc_router_dijkstra_total"
+print("ok: traced daemon session left valid trace and metrics files")
+EOF
 
 echo "trace smoke: all checks passed"

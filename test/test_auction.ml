@@ -415,6 +415,79 @@ let test_setup_margin () =
   check_float "20% margin" (wan.Wan.links.(link).Wan.true_cost *. 1.2)
     (Bid.single_price problem.Vcg.bids.(0) link)
 
+(* --- Figure 2 outcome pins ------------------------------------------------- *)
+
+(* The Figure 2 instance of the repository benchmark's fig2 workload:
+   16 sites, 4 BPs, seed 42, built the way Planner.build builds it.
+   Its outcomes under each constraint are pinned as literals, so a
+   kernel change that moves one path tie fails here rather than agree
+   with itself. *)
+let figure2_problem rule =
+  let module Planner = Poc_core.Planner in
+  let seed = 42 in
+  let config =
+    Planner.scaled_config ~sites:16 ~bps:4
+      { Planner.default_config with Planner.seed }
+  in
+  let wan = Wan.generate ~params:config.Planner.params ~seed () in
+  let capacity =
+    Array.fold_left
+      (fun acc (l : Wan.logical_link) -> acc +. l.Wan.capacity)
+      0.0 wan.Wan.links
+  in
+  let matrix =
+    Poc_traffic.Matrix.gravity (Prng.create (seed * 7919)) wan
+      ~total_gbps:(capacity *. config.Planner.demand_fraction)
+      ()
+  in
+  Setup.problem ~margin:config.Planner.bid_margin wan matrix ~rule
+
+let test_figure2_pins () =
+  let pins =
+    [
+      ( Acc.Handle_load,
+        14,
+        "0x1.da145b81fc9e6p+18",
+        "0x1.1224b91491e37p+19",
+        [ "0x1.96f08714b586ep+15"; "0x0p+0"; "0x1.f16b61468d161p+18"; "0x0p+0" ]
+      );
+      ( Acc.Single_link_failure,
+        19,
+        "0x1.66bd1e0d8ce06p+19",
+        "0x1.7186e973c8c66p+19",
+        [ "0x1.6a33f8a7a4dep+18"; "0x0p+0"; "0x1.78d9da3fecaecp+18"; "0x0p+0" ]
+      );
+      ( Acc.Per_pair_failure,
+        31,
+        "0x1.41db59c996113p+20",
+        "0x1.41db59c996112p+20",
+        [
+          "0x1.f3a2ee5003701p+17";
+          "0x1.1d5a8badf7ecep+19";
+          "0x1.a6c8de282ab34p+18";
+          "0x1.60efd3d1dffc7p+15";
+        ] );
+    ]
+  in
+  List.iter
+    (fun (rule, links, cost, total, payments) ->
+      let name what = Printf.sprintf "%s %s" (Acc.name rule) what in
+      match Vcg.run (figure2_problem rule) with
+      | None -> Alcotest.failf "%s: no acceptable selection" (Acc.name rule)
+      | Some o ->
+        Alcotest.(check int) (name "selection size") links
+          (List.length o.Vcg.selection.Vcg.selected);
+        Alcotest.(check string) (name "cost") cost
+          (Printf.sprintf "%h" o.Vcg.selection.Vcg.cost);
+        Alcotest.(check string) (name "total payment") total
+          (Printf.sprintf "%h" o.Vcg.total_payment);
+        Alcotest.(check (list string)) (name "BP payments") payments
+          (Array.to_list
+             (Array.map
+                (fun (r : Vcg.bp_result) -> Printf.sprintf "%h" r.Vcg.payment)
+                o.Vcg.bp_results)))
+    pins
+
 (* --- Properties on random small instances ------------------------------------------ *)
 
 let random_problem seed =
@@ -644,6 +717,8 @@ let suite =
       test_volume_discount_in_mechanism;
     Alcotest.test_case "setup problem valid" `Quick test_setup_problem_valid;
     Alcotest.test_case "setup margin" `Quick test_setup_margin;
+    Alcotest.test_case "Figure 2 outcomes pinned (16 sites, 4 BPs, seed 42)"
+      `Quick test_figure2_pins;
     QCheck_alcotest.to_alcotest qcheck_exact_beats_greedy;
     QCheck_alcotest.to_alcotest qcheck_individual_rationality;
     QCheck_alcotest.to_alcotest qcheck_strategyproof_random;

@@ -95,11 +95,11 @@ let qcheck_heap_property =
     QCheck.(list (float_range 0.0 1000.0))
     (fun keys ->
       let h = Heap.create () in
-      List.iter (fun k -> Heap.push h k ()) keys;
+      List.iteri (fun i k -> Heap.push h k i) keys;
       let rec drain prev =
         match Heap.pop h with
         | None -> true
-        | Some (k, ()) -> k >= prev && drain k
+        | Some (k, _) -> k >= prev && drain k
       in
       drain neg_infinity)
 

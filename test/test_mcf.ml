@@ -185,11 +185,12 @@ let test_survives_all_jobs_invariant () =
    [survives_all_single_failures ~limit] replaced it: the [limit]
    most-loaded used edges, checked one [survives_failure] at a time —
    serially with a short-circuit, or all of them on a pool. *)
-let reference_spot_check ?enabled ?pool ~limit g ~demands r =
+let reference_spot_check ?enabled ?pool ?limit g ~demands r =
   let top =
     Router.used_edges r
     |> List.sort (fun a b -> compare (Router.usage r b) (Router.usage r a))
-    |> List.filteri (fun i _ -> i < limit)
+    |> List.filteri (fun i _ ->
+           match limit with None -> true | Some k -> i < k)
   in
   let survives f =
     Router.survives_failure ?enabled g ~demands ~base:r ~failed_edge:f
@@ -274,6 +275,100 @@ let test_limited_sweep_matches_reference () =
     [ 2; 4 ];
   Alcotest.(check bool) "both verdicts occur" true
     (List.mem true !verdicts && List.mem false !verdicts)
+
+(* A failure batch reads the chunks each check displaces from the
+   batch's crossing index; [survives_failure] finds them by scanning the
+   base's chunks.  On random instances, as a plain solve and as the
+   auction's prune sees them (a rerouted base with the removed edge
+   disabled), serially and on pools of 2 and 4, with every edge, one or
+   the 25 most loaded checked, the two agree on the verdict and on how
+   far each router counter moves. *)
+let qcheck_indexed_batch_matches_scan =
+  QCheck.Test.make
+    ~name:"indexed failure batch = survives_failure by scan (jobs 1, 2, 4)"
+    ~count:15
+    QCheck.(list_of_size (Gen.return 4) (int_range 0 10_000))
+    (fun seeds ->
+      let cases =
+        List.concat_map
+          (fun seed ->
+            let g, demands = random_instance seed in
+            let base = Router.route g ~demands in
+            (g, demands, None, base)
+            ::
+            (match Router.used_edges base with
+            | [] -> []
+            | used ->
+              let removed = List.nth used (seed mod List.length used) in
+              (match
+                 Router.reroute_without_edge g ~base ~failed_edge:removed
+               with
+              | None -> []
+              | Some r ->
+                [ (g, demands, Some (fun id -> id <> removed), r) ])))
+          seeds
+      in
+      let agree ?pool (g, demands, enabled, r) limit =
+        let want, want_work =
+          counted (fun () ->
+              reference_spot_check ?enabled ?pool ?limit g ~demands r)
+        in
+        let got, got_work =
+          counted (fun () ->
+              Router.survives_all_single_failures ?enabled ?pool ?limit g
+                ~demands r)
+        in
+        want = got && want_work = got_work
+      in
+      List.for_all
+        (fun jobs ->
+          Poc_util.Pool.with_pool ~jobs (fun pool ->
+              List.for_all
+                (fun case ->
+                  List.for_all (agree ?pool case) [ None; Some 1; Some 25 ])
+                cases))
+        [ 1; 2; 4 ])
+
+(* Two hubs joined by a short link and a longer two-hop bypass, [k]
+   leaves on each hub, and a 1 Gbps demand between the [i]-th leaves of
+   the two sides for each [i < pairs]: every demand crosses the hub
+   link, so its failure displaces [pairs] distinct pairs. *)
+let hub_instance ~pairs =
+  let k = 40 in
+  let g = Graph.create () in
+  Graph.add_nodes g (3 + (2 * k));
+  let hub_link = Graph.add_edge g 0 1 ~weight:1.0 ~capacity:1000.0 in
+  ignore (Graph.add_edge g 0 2 ~weight:1.0 ~capacity:1000.0);
+  ignore (Graph.add_edge g 2 1 ~weight:1.0 ~capacity:1000.0);
+  for i = 0 to k - 1 do
+    ignore (Graph.add_edge g 0 (3 + i) ~weight:1.0 ~capacity:10.0);
+    ignore (Graph.add_edge g 1 (3 + k + i) ~weight:1.0 ~capacity:10.0)
+  done;
+  (g, hub_link, List.init pairs (fun i -> (3 + i, 3 + k + i, 1.0)))
+
+let test_repair_order_independent_of_history () =
+  (* A repair re-routes its displaced pairs in the iteration order of
+     the domain's table.  A repair displacing 40 pairs grows that table
+     past its initial buckets; a later repair must still re-route in
+     the order it has on a fresh domain. *)
+  let g, hub_link, ten = hub_instance ~pairs:10 in
+  let _, _, forty = hub_instance ~pairs:40 in
+  let small = Router.route g ~demands:ten in
+  let big = Router.route g ~demands:forty in
+  let reroute base () =
+    match Router.reroute_without_edge g ~base ~failed_edge:hub_link with
+    | Some r -> r.Router.chunks
+    | None -> Alcotest.fail "the bypass carries every displaced demand"
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let fresh = on_fresh_domain (reroute small) in
+  let after_big =
+    on_fresh_domain (fun () ->
+        ignore (reroute big ());
+        reroute small ())
+  in
+  Alcotest.(check int) "ten displaced chunks re-routed" 10 (Array.length fresh);
+  Alcotest.(check bool) "same chunks, same order" true (fresh = after_big)
 
 (* A [w] x [h] grid, row-major node ids: latency-1 links along a row,
    latency-[down] links between rows, all of capacity [cap]. *)
@@ -621,4 +716,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_toggle_remove_superset_and_valid;
     QCheck_alcotest.to_alcotest qcheck_toggle_add_superset;
     QCheck_alcotest.to_alcotest qcheck_flow_is_chunk_sums;
+    QCheck_alcotest.to_alcotest qcheck_indexed_batch_matches_scan;
+    Alcotest.test_case "repair order does not depend on earlier repairs"
+      `Quick test_repair_order_independent_of_history;
   ]

@@ -811,6 +811,91 @@ let test_flight_drain_appends_compose () =
       Alcotest.(check bool) "a smaller ring keeps the newest" true
         (Flight.records r = List.filteri (fun i _ -> i >= 3) d.Flight.img_records)
 
+(* Damaged flight images: a tear, a flipped byte, and checksummed
+   frames whose payload fails to decode (an unknown tag, trailing
+   bytes, a string running past the payload), each with and without
+   whole records after it.  [reopen] reads only each record's seq, and
+   must stop at the same frame as the full decode with the same
+   verdict. *)
+let test_flight_reopen_agrees_with_decode () =
+  let module Codec = Poc_util.Codec in
+  let t = Flight.create ~capacity:16 () in
+  for i = 0 to 7 do
+    Flight.emit t ~ts_us:(float_of_int i) ~epoch:i ~phase:"epoch"
+      (flight_kind_of_int i)
+  done;
+  let img = Flight.image t in
+  let len = String.length img in
+  let bad_payload tail =
+    let w = Codec.writer () in
+    tail w;
+    Codec.frame (Codec.contents w)
+  in
+  let record_head w tag =
+    Codec.put_u8 w tag;
+    Codec.put_int w 99;
+    Codec.put_f64 w 1.0;
+    Codec.put_int w 0;
+    Codec.put_string w "epoch"
+  in
+  let unknown_tag = bad_payload (fun w -> record_head w 9; Codec.put_string w "x") in
+  let trailing =
+    bad_payload (fun w ->
+        record_head w 0;
+        Codec.put_string w "x";
+        Codec.put_u8 w 0)
+  in
+  let long_string =
+    bad_payload (fun w ->
+        record_head w 2;
+        Codec.put_u32 w 1000;
+        Codec.put_u8 w 0)
+  in
+  let flip at =
+    let b = Bytes.of_string img in
+    Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0xFF));
+    Bytes.to_string b
+  in
+  (* The image's last record frame, appended after a bad frame so that
+     whole records follow the damage. *)
+  let last_frame =
+    let rec walk pos prev =
+      match Codec.next_frame img ~pos with
+      | Codec.Frame { next; _ } -> walk next pos
+      | Codec.End | Codec.Torn -> prev
+    in
+    let at = walk 0 0 in
+    String.sub img at (len - at)
+  in
+  let fixtures =
+    [
+      ("clean", img);
+      ("torn tail", String.sub img 0 (len - 3));
+      ("flipped interior byte", flip (len / 2));
+      ("flipped last byte", flip (len - 1));
+      ("unknown tag, then a record", img ^ unknown_tag ^ last_frame);
+      ("unknown tag at the end", img ^ unknown_tag);
+      ("trailing bytes, then a record", img ^ trailing ^ last_frame);
+      ("string past the payload", img ^ long_string);
+      ("garbage tail", img ^ "\001\002\003");
+    ]
+  in
+  List.iter
+    (fun (name, data) ->
+      match (Flight.decode_image data, Flight.reopen ~capacity:16 data) with
+      | Ok d, Ok (r, `Append_at valid) ->
+        Alcotest.(check int) (name ^ ": frame count") d.Flight.img_frames
+          (Flight.stored r);
+        Alcotest.(check bool) (name ^ ": same records") true
+          (Flight.records r = d.Flight.img_records);
+        Alcotest.(check int) (name ^ ": stops where the decode does")
+          (Flight.valid_prefix data) valid;
+        Alcotest.(check bool) (name ^ ": same verdict") d.Flight.img_torn
+          (valid < String.length data)
+      | Ok _, Ok (_, `Rewrite) -> Alcotest.failf "%s: same capacity must append" name
+      | Error e, _ | _, Error e -> Alcotest.failf "%s: %s" name e)
+    fixtures
+
 (* --- Prometheus exposition conformance ----------------------------------- *)
 
 let starts_with prefix l = String.length l >= String.length prefix
@@ -1016,6 +1101,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_flight_ring_replay;
     Alcotest.test_case "flight drains compose into valid images" `Quick
       test_flight_drain_appends_compose;
+    Alcotest.test_case "flight reopen agrees with the full decode" `Quick
+      test_flight_reopen_agrees_with_decode;
     Alcotest.test_case "prometheus exposition conformance" `Quick
       test_prometheus_conformance;
     Alcotest.test_case "phase producer: span, histogram, flight pair" `Quick
