@@ -25,8 +25,6 @@ let experiments =
     ("e14", "incremental POC deployment (extension)", E14_transition.run);
     ("e15", "chaos: faults & graceful degradation (extension)", E15_chaos.run);
     ("e16", "daemon serving capacity (extension)", E16_daemon.run);
-    ("e17", "chaos-fleet throughput (extension)", E17_fleet.run);
-    ("e18", "flight recorder overhead (extension)", E18_flight.run);
     ("e19", "continent-scale feasibility: cache + repair (extension)",
       E19_scale.run);
     ("e20", "multi-run daemon: concurrent runs + fault isolation (extension)",

@@ -1181,7 +1181,7 @@ let ctl_cmd =
         let text, final =
           if binary then
             let r = next_reply deadline in
-            (r.Framing.line, r.Framing.final)
+            (Protocol.payload r.Framing.line, r.Framing.final)
           else
             let l = next_line deadline in
             (Protocol.payload l, Protocol.is_terminal l)

@@ -79,29 +79,6 @@ let cost t subset =
       in
       Float.max 0.0 (sum -. rebate))
 
-let fingerprint t =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun id ->
-      Buffer.add_string b
-        (Printf.sprintf "%d=%h;" id (Hashtbl.find t.prices id)))
-    (links t);
-  (match t.shape with
-  | Additive -> Buffer.add_string b "additive"
-  | Volume tiers ->
-    Buffer.add_string b "volume:";
-    List.iter
-      (fun (k, f) -> Buffer.add_string b (Printf.sprintf "%d*%h;" k f))
-      tiers
-  | Bundles bundles ->
-    Buffer.add_string b "bundles:";
-    List.iter
-      (fun (ids, r) ->
-        List.iter (fun id -> Buffer.add_string b (Printf.sprintf "%d," id)) ids;
-        Buffer.add_string b (Printf.sprintf "=%h;" r))
-      bundles);
-  Buffer.contents b
-
 let single_price t id =
   match Hashtbl.find_opt t.prices id with
   | Some p -> p

@@ -45,9 +45,3 @@ val single_price : t -> int -> float
 val scale : t -> float -> t
 (** [scale t f] multiplies every price by [f] (misreporting helper for
     strategyproofness experiments). *)
-
-val fingerprint : t -> string
-(** Canonical serialization of the bid — sorted per-link prices plus
-    the pricing shape, floats rendered exactly ([%h]) — such that equal
-    fingerprints imply identical cost functions.  Feeds
-    {!Vcg.problem_digest}'s cache key. *)

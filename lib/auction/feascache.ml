@@ -14,7 +14,6 @@ type shard = {
 }
 
 type t = {
-  digest : string;
   on : bool; (* the switch as it stood at [create] *)
   merged : shard; (* written only by [join]; read-only between joins *)
   mu : Mutex.t; (* guards [shards] registration and [join] *)
@@ -31,9 +30,8 @@ let set_enabled v = Atomic.set enabled_flag v
 
 let mk_shard () = { feas = Hashtbl.create 512; cost = Hashtbl.create 64 }
 
-let create ~digest =
+let create ~digest:_ =
   {
-    digest;
     on = enabled ();
     merged = mk_shard ();
     mu = Mutex.create ();
@@ -41,8 +39,6 @@ let create ~digest =
     hits = Atomic.make 0;
     misses = Atomic.make 0;
   }
-
-let digest t = t.digest
 
 (* The lock is held only for the shard lookup/registration — never
    while probing or writing entries, which touch purely domain-private

@@ -2,10 +2,11 @@
 
     The optimizer's two expensive pure functions of a candidate link
     set — the acceptability verdict and the selection cost — are keyed
-    on (problem digest, enabled-set bit-string) and memoized here, and
-    only here: a selector called without a cache memoizes into a
-    private one.  The memo survives across the Clarke pivots of one
-    settle loop:
+    on the enabled-set bit-string alone and memoized here, and only
+    here: a selector called without a cache memoizes into a private
+    one.  The key names no problem, so a cache is safe only because it
+    serves exactly one: {!Vcg.run} creates one per call.  The memo
+    survives across the Clarke pivots of one settle loop:
     pivot selections revisit many of the same candidate sets the cold
     selection already probed (the problem itself is identical, only the
     banned set changes), and under {!Vcg.run} each hit saves a full
@@ -47,12 +48,10 @@ val set_enabled : bool -> unit
     auction.  Affects only subsequently created caches. *)
 
 val create : digest:string -> t
-(** Fresh empty cache for the problem identified by [digest]
-    (see {!Vcg.problem_digest}).  One cache serves one problem: callers
-    must not mix digests within a cache. *)
-
-val digest : t -> string
-(** The problem digest this cache was created for. *)
+(** Fresh empty cache.  [digest] is a label for the caller's records;
+    nothing reads it.  One cache serves one problem: entries carry no
+    problem identity, so callers must not share a cache across
+    problems. *)
 
 val find_feas : t -> string -> bool option
 (** [find_feas t key] looks the enabled-set bit-string up in the merged

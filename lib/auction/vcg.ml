@@ -125,42 +125,6 @@ let selection_cost_with_table problem table links =
 let selection_cost problem links =
   selection_cost_with_table problem (ownership problem) links
 
-(* Canonical serialization of everything the cached functions can
-   depend on: graph shape and edge attributes (feasibility), bids and
-   virtual prices (cost), demands and rule (both).  Floats render
-   exactly via %h, so two problems share a digest only when the cached
-   functions agree on every enabled set. *)
-let problem_digest problem =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "poc-vcg-problem-v1\n";
-  Buffer.add_string buf
-    (Printf.sprintf "g:%d/%d\n"
-       (Graph.node_count problem.graph)
-       (Graph.edge_count problem.graph));
-  Array.iter
-    (fun (e : Graph.edge) ->
-      Buffer.add_string buf
-        (Printf.sprintf "e%d:%d-%d:%h:%h\n" e.id e.u e.v e.weight e.capacity))
-    (Graph.edges problem.graph);
-  List.iter
-    (fun (a, z, d) ->
-      Buffer.add_string buf (Printf.sprintf "d%d-%d:%h\n" a z d))
-    problem.demands;
-  Buffer.add_string buf
-    (match problem.rule with
-    | Acceptability.Handle_load -> "rule:load\n"
-    | Acceptability.Single_link_failure -> "rule:single\n"
-    | Acceptability.Per_pair_failure -> "rule:pair\n");
-  Array.iteri
-    (fun bp bid ->
-      Buffer.add_string buf
-        (Printf.sprintf "b%d:%s\n" bp (Bid.fingerprint bid)))
-    problem.bids;
-  List.iter
-    (fun (id, p) -> Buffer.add_string buf (Printf.sprintf "v%d:%h\n" id p))
-    problem.virtual_prices;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
 (* --- Greedy selection -------------------------------------------------
 
    The open algorithm, in stages:
@@ -677,7 +641,7 @@ let run ?select ?pool problem =
      so verdicts and costs keyed on the enabled bit-string carry over.
      Purely an evaluation-count optimization — outcomes are identical
      with the cache switched off. *)
-  let cache = Some (Feascache.create ~digest:(problem_digest problem)) in
+  let cache = Some (Feascache.create ~digest:"vcg") in
   (* Fold worker-shard discoveries into the merged table whenever the
      workers are known quiescent, so the next round reads them
      lock-free. *)
@@ -823,7 +787,7 @@ let run ?select ?pool problem =
     finish_with (Some { selection = sl; virtual_cost; bp_results; total_payment })
 
 let run_pay_as_bid ?select ?pool problem =
-  let cache = Some (Feascache.create ~digest:(problem_digest problem)) in
+  let cache = Some (Feascache.create ~digest:"vcg") in
   let select =
     match select with
     | Some s -> fun p -> s ?banned:None ?cache p

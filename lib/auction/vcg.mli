@@ -71,14 +71,6 @@ val link_price : problem -> int -> float
 val selection_cost : problem -> int list -> float
 (** C(L): bid cost per BP of its share plus contracted virtual cost. *)
 
-val problem_digest : problem -> string
-(** Hex digest of a canonical serialization of the whole problem —
-    graph, demands, rule, bids, virtual prices, floats rendered exactly
-    — identifying it for {!Feascache}.  Two problems with equal digests
-    agree on the acceptability verdict and selection cost of every
-    enabled set, so cache entries keyed on (digest, enabled bit-string)
-    can never leak a stale value across problems. *)
-
 val owner_of_link : problem -> int -> int option
 (** BP owning the link; [None] for virtual links. *)
 
@@ -91,10 +83,10 @@ val select_greedy :
 (** Cheapest acceptable set found by the open greedy algorithm;
     [None] when even the full unbanned offer set is unacceptable.
     With [?pool] the two ranking arms run concurrently.  [?cache]
-    (a {!Feascache.t} created for this problem's {!problem_digest})
-    shares feasibility verdicts and selection costs with other
-    selections over the same problem; without one, each arm memoizes
-    into a private cache of its own.  It never changes the result. *)
+    (a {!Feascache.t} that has served only this problem) shares
+    feasibility verdicts and selection costs with other selections over
+    the same problem; without one, each arm memoizes into a private
+    cache of its own.  It never changes the result. *)
 
 val select_greedy_single :
   ranking:[ `Unit_price | `Absolute_price ] ->

@@ -51,68 +51,61 @@ let of_command : Protocol.command -> msg = function
   | Protocol.Close_run { run } -> Close { run }
   | Protocol.List_runs -> Runs
 
-(* Wire tags.  1..11 are requests, 64/65 replies; gaps left for
-   future verbs so old decoders drop (rather than misread) new ones. *)
-let tag_open = 1
-let tag_bid = 2
-let tag_matrix = 3
-let tag_epoch = 4
-let tag_status = 5
-let tag_scrub = 6
-let tag_close = 7
-let tag_runs = 8
-let tag_metrics = 9
-let tag_quiesce = 10
-let tag_shutdown = 11
-let tag_reply_more = 64
-let tag_reply_final = 65
-
-let encode_payload item =
-  let w = Codec.writer () in
-  (match item with
-  | Msg (Open { run; epochs; seed }) ->
-    Codec.put_u8 w tag_open;
-    Codec.put_option w Codec.put_int run;
-    Codec.put_option w Codec.put_int epochs;
-    Codec.put_option w Codec.put_int seed
-  | Msg (Bid { run; seq; bp; factor; priority }) ->
-    Codec.put_u8 w tag_bid;
-    Codec.put_int w run;
-    Codec.put_int w seq;
-    Codec.put_int w bp;
-    Codec.put_f64 w factor;
-    Codec.put_int w priority
-  | Msg (Matrix { run; seq; factor; priority }) ->
-    Codec.put_u8 w tag_matrix;
-    Codec.put_int w run;
-    Codec.put_int w seq;
-    Codec.put_f64 w factor;
-    Codec.put_int w priority
-  | Msg (Epoch { run; count }) ->
-    Codec.put_u8 w tag_epoch;
-    Codec.put_int w run;
-    Codec.put_int w count
-  | Msg (Status { run }) ->
-    Codec.put_u8 w tag_status;
-    Codec.put_int w run
-  | Msg (Scrub { run }) ->
-    Codec.put_u8 w tag_scrub;
-    Codec.put_int w run
-  | Msg (Close { run }) ->
-    Codec.put_u8 w tag_close;
-    Codec.put_int w run
-  | Msg Runs -> Codec.put_u8 w tag_runs
-  | Msg Metrics -> Codec.put_u8 w tag_metrics
-  | Msg Quiesce -> Codec.put_u8 w tag_quiesce
-  | Msg Shutdown -> Codec.put_u8 w tag_shutdown
-  | Reply { run; final; line } ->
-    Codec.put_u8 w (if final then tag_reply_final else tag_reply_more);
-    Codec.put_int w run;
-    Codec.put_string w line);
-  Codec.contents w
+(* Wire tags: 1..11 are requests, 64 and 65 replies (continuation and
+   final); gaps are left for future verbs, so old decoders drop (rather
+   than misread) new ones.  A payload holds exactly one item. *)
+let item_format =
+  Codec.(
+    exact
+      (union ~unknown:"framing tag"
+         [
+           case 1 (t3 (option int) (option int) (option int))
+             (fun (run, epochs, seed) -> Msg (Open { run; epochs; seed }))
+             (function
+               | Msg (Open { run; epochs; seed }) -> Some (run, epochs, seed)
+               | _ -> None);
+           case 2 (t5 int int int f64 int)
+             (fun (run, seq, bp, factor, priority) ->
+               Msg (Bid { run; seq; bp; factor; priority }))
+             (function
+               | Msg (Bid { run; seq; bp; factor; priority }) ->
+                 Some (run, seq, bp, factor, priority)
+               | _ -> None);
+           case 3 (t4 int int f64 int)
+             (fun (run, seq, factor, priority) ->
+               Msg (Matrix { run; seq; factor; priority }))
+             (function
+               | Msg (Matrix { run; seq; factor; priority }) ->
+                 Some (run, seq, factor, priority)
+               | _ -> None);
+           case 4 (t2 int int)
+             (fun (run, count) -> Msg (Epoch { run; count }))
+             (function
+               | Msg (Epoch { run; count }) -> Some (run, count) | _ -> None);
+           case 5 int (fun run -> Msg (Status { run }))
+             (function Msg (Status { run }) -> Some run | _ -> None);
+           case 6 int (fun run -> Msg (Scrub { run }))
+             (function Msg (Scrub { run }) -> Some run | _ -> None);
+           case 7 int (fun run -> Msg (Close { run }))
+             (function Msg (Close { run }) -> Some run | _ -> None);
+           const_case 8 (Msg Runs);
+           const_case 9 (Msg Metrics);
+           const_case 10 (Msg Quiesce);
+           const_case 11 (Msg Shutdown);
+           case 64 (t2 int string)
+             (fun (run, line) -> Reply { run; final = false; line })
+             (function
+               | Reply { run; final = false; line } -> Some (run, line)
+               | _ -> None);
+           case 65 (t2 int string)
+             (fun (run, line) -> Reply { run; final = true; line })
+             (function
+               | Reply { run; final = true; line } -> Some (run, line)
+               | _ -> None);
+         ]))
 
 let encode item =
-  let framed = Codec.frame (encode_payload item) in
+  let framed = Codec.frame (Codec.encode item_format item) in
   let b = Buffer.create (String.length framed + 1) in
   Buffer.add_char b magic;
   Buffer.add_string b framed;
@@ -120,49 +113,6 @@ let encode item =
 
 let encode_msg m = encode (Msg m)
 let encode_reply r = encode (Reply r)
-
-let decode_payload payload =
-  let r = Codec.reader payload in
-  let tag = Codec.get_u8 r in
-  let item =
-    if tag = tag_open then
-      let run = Codec.get_option r Codec.get_int in
-      let epochs = Codec.get_option r Codec.get_int in
-      let seed = Codec.get_option r Codec.get_int in
-      Msg (Open { run; epochs; seed })
-    else if tag = tag_bid then
-      let run = Codec.get_int r in
-      let seq = Codec.get_int r in
-      let bp = Codec.get_int r in
-      let factor = Codec.get_f64 r in
-      let priority = Codec.get_int r in
-      Msg (Bid { run; seq; bp; factor; priority })
-    else if tag = tag_matrix then
-      let run = Codec.get_int r in
-      let seq = Codec.get_int r in
-      let factor = Codec.get_f64 r in
-      let priority = Codec.get_int r in
-      Msg (Matrix { run; seq; factor; priority })
-    else if tag = tag_epoch then
-      let run = Codec.get_int r in
-      let count = Codec.get_int r in
-      Msg (Epoch { run; count })
-    else if tag = tag_status then Msg (Status { run = Codec.get_int r })
-    else if tag = tag_scrub then Msg (Scrub { run = Codec.get_int r })
-    else if tag = tag_close then Msg (Close { run = Codec.get_int r })
-    else if tag = tag_runs then Msg Runs
-    else if tag = tag_metrics then Msg Metrics
-    else if tag = tag_quiesce then Msg Quiesce
-    else if tag = tag_shutdown then Msg Shutdown
-    else if tag = tag_reply_more || tag = tag_reply_final then
-      let run = Codec.get_int r in
-      let line = Codec.get_string r in
-      Reply { run; final = tag = tag_reply_final; line }
-    else raise (Codec.Corrupt (Printf.sprintf "framing tag %d" tag))
-  in
-  if not (Codec.at_end r) then
-    raise (Codec.Corrupt "framing: trailing bytes in payload");
-  item
 
 type progress = { items : item list; consumed : int; dropped : int }
 
@@ -195,7 +145,7 @@ let decode_stream data ~pos =
     else
       match Codec.next_frame ~max_payload data ~pos:(pos + 1) with
       | Codec.Frame { payload; next } -> (
-        match decode_payload payload with
+        match Codec.decode item_format payload with
         | item -> go next (item :: items) dropped
         | exception Codec.Corrupt _ ->
           (* Checksum-valid but undecodable (version skew or a garbled

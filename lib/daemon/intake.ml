@@ -16,41 +16,34 @@ type t = {
   on_retry : attempt:int -> delay:float -> string -> unit;
 }
 
-let encode ({ entry; displaces } : record) =
-  let w = Codec.writer () in
-  (match entry.Admission.payload with
-  | Supervisor.Scale_bid { bp; factor } ->
-    Codec.put_u8 w 0;
-    Codec.put_int w bp;
-    Codec.put_f64 w factor
-  | Supervisor.Scale_demand { factor } ->
-    Codec.put_u8 w 1;
-    Codec.put_f64 w factor);
-  Codec.put_int w entry.Admission.seq;
-  Codec.put_int w entry.Admission.apply_epoch;
-  Codec.put_int w entry.Admission.priority;
-  Codec.put_option w Codec.put_int displaces;
-  Codec.frame (Codec.contents w)
+(* The update's tag and body, then the rest of the entry.  Bytes after
+   the record are ignored. *)
+let record_format =
+  Codec.(
+    record (fun payload seq apply_epoch priority displaces ->
+        let entry = { Admission.seq; apply_epoch; priority; payload } in
+        { entry; displaces })
+    |+ field
+         (union ~unknown:"intake record tag"
+            [
+              case 0 (t2 int f64)
+                (fun (bp, factor) -> Supervisor.Scale_bid { bp; factor })
+                (function
+                  | Supervisor.Scale_bid { bp; factor } -> Some (bp, factor)
+                  | _ -> None);
+              case 1 f64 (fun factor -> Supervisor.Scale_demand { factor })
+                (function
+                  | Supervisor.Scale_demand { factor } -> Some factor
+                  | _ -> None);
+            ])
+         (fun r -> r.entry.Admission.payload)
+    |+ field int (fun r -> r.entry.Admission.seq)
+    |+ field int (fun r -> r.entry.Admission.apply_epoch)
+    |+ field int (fun r -> r.entry.Admission.priority)
+    |+ field (option int) (fun r -> r.displaces)
+    |> seal)
 
-let decode payload =
-  let r = Codec.reader payload in
-  let payload_of_tag tag =
-    match tag with
-    | 0 ->
-      let bp = Codec.get_int r in
-      let factor = Codec.get_f64 r in
-      Supervisor.Scale_bid { bp; factor }
-    | 1 ->
-      let factor = Codec.get_f64 r in
-      Supervisor.Scale_demand { factor }
-    | n -> raise (Codec.Corrupt (Printf.sprintf "intake record tag %d" n))
-  in
-  let payload = payload_of_tag (Codec.get_u8 r) in
-  let seq = Codec.get_int r in
-  let apply_epoch = Codec.get_int r in
-  let priority = Codec.get_int r in
-  let displaces = Codec.get_option r Codec.get_int in
-  { entry = { Admission.seq; apply_epoch; priority; payload }; displaces }
+let decode = Codec.decode record_format
 
 let make ~retry ~sleep ~on_retry ~log_path log =
   (* Validate the policy eagerly so a malformed one fails at open, not
@@ -103,7 +96,7 @@ let read ?(disk = Disk.real ()) log_path =
   | s -> Ok (List.map fst s.Codec.frames, s.Codec.verdict <> Codec.Clean)
 
 let append t r =
-  let bytes = encode r in
+  let bytes = Codec.frame (Codec.encode record_format r) in
   (* The flush-before-OK path rides the same jittered-backoff
      discipline as [Disk.retrying]: a transiently failing device (a
      failed flush, a short write surfacing as [Sys_error]) heals and

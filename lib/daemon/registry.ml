@@ -127,39 +127,26 @@ type manifest_event =
 
 let manifest_path root = Filename.concat root "RUNS"
 
-let encode_event ev =
-  let w = Codec.writer () in
-  (match ev with
-  | M_opened { run; epochs; seed } ->
-    Codec.put_u8 w 1;
-    Codec.put_int w run;
-    Codec.put_int w epochs;
-    Codec.put_int w seed
-  | M_closed { run } ->
-    Codec.put_u8 w 2;
-    Codec.put_int w run
-  | M_quarantined { run; reason } ->
-    Codec.put_u8 w 3;
-    Codec.put_int w run;
-    Codec.put_string w reason);
-  Codec.frame (Codec.contents w)
+(* Bytes after an event are ignored. *)
+let event_format =
+  Codec.(
+    union ~unknown:"manifest tag"
+      [
+        case 1 (t3 int int int)
+          (fun (run, epochs, seed) -> M_opened { run; epochs; seed })
+          (function
+            | M_opened { run; epochs; seed } -> Some (run, epochs, seed)
+            | _ -> None);
+        case 2 int (fun run -> M_closed { run })
+          (function M_closed { run } -> Some run | _ -> None);
+        case 3 (t2 int string)
+          (fun (run, reason) -> M_quarantined { run; reason })
+          (function
+            | M_quarantined { run; reason } -> Some (run, reason) | _ -> None);
+      ])
 
-let decode_event payload =
-  let r = Codec.reader payload in
-  match Codec.get_u8 r with
-  | 1 ->
-    let run = Codec.get_int r in
-    let epochs = Codec.get_int r in
-    let seed = Codec.get_int r in
-    M_opened { run; epochs; seed }
-  | 2 -> M_closed { run = Codec.get_int r }
-  | 3 ->
-    let run = Codec.get_int r in
-    let reason = Codec.get_string r in
-    M_quarantined { run; reason }
-  | n -> raise (Codec.Corrupt (Printf.sprintf "manifest tag %d" n))
-
-let manifest_append t ev = Log.append t.manifest (encode_event ev)
+let manifest_append t ev =
+  Log.append t.manifest (Codec.frame (Codec.encode event_format ev))
 
 (* The final fact per recorded run id, and the scan the log reopens
    from.  An old root written before the manifest existed resumes as
@@ -167,7 +154,8 @@ let manifest_append t ev = Log.append t.manifest (encode_event ev)
 let manifest_read disk root (market : Epochs.config) =
   let path = manifest_path root in
   let s =
-    if Disk.exists disk path then Log.replay disk path ~decode:decode_event
+    if Disk.exists disk path then
+      Log.replay disk path ~decode:(Codec.decode event_format)
     else { Codec.frames = []; valid = 0; verdict = Codec.Clean }
   in
   match s.Codec.verdict with

@@ -242,152 +242,97 @@ let failed_outcome ~kills ~recovered ~scrub_truncated ~scrub_quarantined
 let result_name = "RESULT"
 let result_version = 1
 
-let encode_outcome scen (o : outcome) =
-  let w = Codec.writer () in
-  Codec.put_u8 w result_version;
-  Codec.put_string w scen.id;
-  Codec.put_bool w o.completed;
-  Codec.put_int w o.kills;
-  Codec.put_int w o.recovered.r_crash;
-  Codec.put_int w o.recovered.r_short_write;
-  Codec.put_int w o.recovered.r_torn_rename;
-  Codec.put_int w o.recovered.r_lying_fsync;
-  Codec.put_int w o.recovered.r_corrupt_byte;
-  Codec.put_int w o.scrub_truncated;
-  Codec.put_int w o.scrub_quarantined;
-  Codec.put_int w o.restarts;
-  Codec.put_int w o.healthy;
-  Codec.put_int w o.degraded;
-  Codec.put_int w o.carried;
-  Codec.put_int w o.blackout;
-  Codec.put_int w o.incidents;
-  Codec.put_int w o.violations;
-  Codec.put_int w o.ladder_activations;
-  Codec.put_f64 w o.total_spend;
-  Codec.put_f64 w o.mean_price;
-  Codec.put_f64 w o.mean_delivered;
-  Codec.put_f64 w o.pob;
-  Codec.frame (Codec.contents w)
+(* The scenario id is pinned inside, so a mislaid file never loads.
+   Refuses trailing bytes. *)
+let result_format scen =
+  Codec.(
+    exact
+      (record
+         (fun completed kills r_crash r_short_write r_torn_rename r_lying_fsync
+              r_corrupt_byte scrub_truncated scrub_quarantined restarts healthy
+              degraded carried blackout incidents violations ladder_activations
+              total_spend mean_price mean_delivered pob ->
+           { completed; kills;
+             recovered =
+               { r_crash; r_short_write; r_torn_rename; r_lying_fsync;
+                 r_corrupt_byte };
+             scrub_truncated; scrub_quarantined; restarts; healthy; degraded;
+             carried; blackout; incidents; violations; ladder_activations;
+             total_spend; mean_price; mean_delivered; pob })
+      |- const u8 result_version
+      |- const string scen.id
+      |+ field bool (fun o -> o.completed)
+      |+ field int (fun o -> o.kills)
+      |+ field int (fun o -> o.recovered.r_crash)
+      |+ field int (fun o -> o.recovered.r_short_write)
+      |+ field int (fun o -> o.recovered.r_torn_rename)
+      |+ field int (fun o -> o.recovered.r_lying_fsync)
+      |+ field int (fun o -> o.recovered.r_corrupt_byte)
+      |+ field int (fun o -> o.scrub_truncated)
+      |+ field int (fun o -> o.scrub_quarantined)
+      |+ field int (fun o -> o.restarts)
+      |+ field int (fun o -> o.healthy)
+      |+ field int (fun o -> o.degraded)
+      |+ field int (fun o -> o.carried)
+      |+ field int (fun o -> o.blackout)
+      |+ field int (fun o -> o.incidents)
+      |+ field int (fun o -> o.violations)
+      |+ field int (fun o -> o.ladder_activations)
+      |+ field f64 (fun o -> o.total_spend)
+      |+ field f64 (fun o -> o.mean_price)
+      |+ field f64 (fun o -> o.mean_delivered)
+      |+ field f64 (fun o -> o.pob)
+      |> seal))
 
-let decode_outcome scen data =
+(* The payload of a whole single-frame file, or [None] for anything
+   damaged, skewed or trailing. *)
+let decode_single format data =
   match Codec.single data with
   | None -> None
   | Some payload -> (
-      try
-        let r = Codec.reader payload in
-        if Codec.get_u8 r <> result_version then None
-        else if Codec.get_string r <> scen.id then None
-        else begin
-          let completed = Codec.get_bool r in
-          let kills = Codec.get_int r in
-          let r_crash = Codec.get_int r in
-          let r_short_write = Codec.get_int r in
-          let r_torn_rename = Codec.get_int r in
-          let r_lying_fsync = Codec.get_int r in
-          let r_corrupt_byte = Codec.get_int r in
-          let scrub_truncated = Codec.get_int r in
-          let scrub_quarantined = Codec.get_int r in
-          let restarts = Codec.get_int r in
-          let healthy = Codec.get_int r in
-          let degraded = Codec.get_int r in
-          let carried = Codec.get_int r in
-          let blackout = Codec.get_int r in
-          let incidents = Codec.get_int r in
-          let violations = Codec.get_int r in
-          let ladder_activations = Codec.get_int r in
-          let total_spend = Codec.get_f64 r in
-          let mean_price = Codec.get_f64 r in
-          let mean_delivered = Codec.get_f64 r in
-          let pob = Codec.get_f64 r in
-          if not (Codec.at_end r) then None
-          else
-            Some
-              {
-                completed;
-                kills;
-                recovered =
-                  { r_crash; r_short_write; r_torn_rename; r_lying_fsync;
-                    r_corrupt_byte };
-                scrub_truncated;
-                scrub_quarantined;
-                restarts;
-                healthy;
-                degraded;
-                carried;
-                blackout;
-                incidents;
-                violations;
-                ladder_activations;
-                total_spend;
-                mean_price;
-                mean_delivered;
-                pob;
-              }
-        end
-      with Codec.Corrupt _ -> None)
+    try Some (Codec.decode format payload) with Codec.Corrupt _ -> None)
+
+let encode_outcome scen o = Codec.frame (Codec.encode (result_format scen) o)
+let decode_outcome scen data = decode_single (result_format scen) data
 
 (* --- FLEET manifest ------------------------------------------------------- *)
 
 let manifest_name = "FLEET"
 let manifest_version = 1
 
-let encode_manifest cfg =
-  let w = Codec.writer () in
-  Codec.put_u8 w manifest_version;
-  Codec.put_int w cfg.months;
-  Codec.put_bool w cfg.axes.Chaos_matrix.with_crash;
-  Codec.put_bool w cfg.axes.Chaos_matrix.with_storage;
-  Codec.put_bool w cfg.axes.Chaos_matrix.with_degrade;
-  Codec.put_int w cfg.seed;
-  Codec.put_int w cfg.topologies;
-  Codec.put_int w cfg.sites;
-  Codec.put_int w cfg.bps;
-  Codec.put_int w cfg.epochs;
-  Codec.put_int w cfg.segment_bytes;
-  Codec.put_int w cfg.snapshot_every;
-  Codec.frame (Codec.contents w)
-
 (* [store] is the caller's: the manifest pins the fleet's shape, not
-   where the root happens to be mounted. *)
-let decode_manifest ~store data =
-  match Codec.single data with
-  | None -> None
-  | Some payload -> (
-      try
-        let r = Codec.reader payload in
-        if Codec.get_u8 r <> manifest_version then None
-        else begin
-          let months = Codec.get_int r in
-          let with_crash = Codec.get_bool r in
-          let with_storage = Codec.get_bool r in
-          let with_degrade = Codec.get_bool r in
-          let seed = Codec.get_int r in
-          let topologies = Codec.get_int r in
-          let sites = Codec.get_int r in
-          let bps = Codec.get_int r in
-          let epochs = Codec.get_int r in
-          let segment_bytes = Codec.get_int r in
-          let snapshot_every = Codec.get_int r in
-          if not (Codec.at_end r) then None
-          else
-            Some
-              {
-                months;
-                axes = { Chaos_matrix.with_crash; with_storage; with_degrade };
-                seed;
-                topologies;
-                sites;
-                bps;
-                epochs;
-                segment_bytes;
-                snapshot_every;
-                store;
-                (* Observability, not fleet shape: the manifest neither
-                   records nor checks it. *)
-                flight = false;
-              }
-        end
-      with Codec.Corrupt _ -> None)
+   where the root happens to be mounted.  Refuses trailing bytes. *)
+let manifest_format ~store =
+  Codec.(
+    exact
+      (record
+         (fun months with_crash with_storage with_degrade seed topologies sites
+              bps epochs segment_bytes snapshot_every ->
+           { months;
+             axes = { Chaos_matrix.with_crash; with_storage; with_degrade };
+             seed; topologies; sites; bps; epochs; segment_bytes;
+             snapshot_every; store;
+             (* Observability, not fleet shape: the manifest neither
+                records nor checks it. *)
+             flight = false })
+      |- const u8 manifest_version
+      |+ field int (fun c -> c.months)
+      |+ field bool (fun c -> c.axes.Chaos_matrix.with_crash)
+      |+ field bool (fun c -> c.axes.Chaos_matrix.with_storage)
+      |+ field bool (fun c -> c.axes.Chaos_matrix.with_degrade)
+      |+ field int (fun c -> c.seed)
+      |+ field int (fun c -> c.topologies)
+      |+ field int (fun c -> c.sites)
+      |+ field int (fun c -> c.bps)
+      |+ field int (fun c -> c.epochs)
+      |+ field int (fun c -> c.segment_bytes)
+      |+ field int (fun c -> c.snapshot_every)
+      |> seal))
+
+let encode_manifest cfg =
+  Codec.frame (Codec.encode (manifest_format ~store:cfg.store) cfg)
+
+let decode_manifest ~store data = decode_single (manifest_format ~store) data
 
 let manifest_mismatches a b =
   List.filter_map

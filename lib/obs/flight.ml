@@ -49,87 +49,46 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(* --- record encoding ----------------------------------------------------- *)
+(* --- record format ------------------------------------------------------- *)
 
-let tag_of_kind = function
-  | Span_open _ -> 0
-  | Span_close _ -> 1
-  | Event _ -> 2
-  | Incident _ -> 3
-  | Metric _ -> 4
+(* The kind's tag, then the head every kind shares, then the kind's
+   body.  Refuses trailing bytes. *)
+let record_format =
+  Codec.(
+    exact
+      (tagged ~unknown:"flight: unknown tag"
+         (record (fun seq ts_us epoch phase kind ->
+              { seq; ts_us; epoch; phase; kind })
+         |+ field int (fun r -> r.seq)
+         |+ field f64 (fun r -> r.ts_us)
+         |+ field int (fun r -> r.epoch)
+         |+ field string (fun r -> r.phase))
+         (fun r -> r.kind)
+         [
+           case 0 string (fun name -> Span_open { name })
+             (function Span_open { name } -> Some name | _ -> None);
+           case 1 (t2 string f64)
+             (fun (name, dur_us) -> Span_close { name; dur_us })
+             (function
+               | Span_close { name; dur_us } -> Some (name, dur_us)
+               | _ -> None);
+           case 2 (t2 string string)
+             (fun (name, detail) -> Event { name; detail })
+             (function
+               | Event { name; detail } -> Some (name, detail) | _ -> None);
+           case 3 (t2 string string)
+             (fun (incident, detail) -> Incident { incident; detail })
+             (function
+               | Incident { incident; detail } -> Some (incident, detail)
+               | _ -> None);
+           case 4 (t2 string f64) (fun (name, delta) -> Metric { name; delta })
+             (function
+               | Metric { name; delta } -> Some (name, delta) | _ -> None);
+         ]))
 
-let encode_record r =
-  let w = Codec.writer () in
-  Codec.put_u8 w (tag_of_kind r.kind);
-  Codec.put_int w r.seq;
-  Codec.put_f64 w r.ts_us;
-  Codec.put_int w r.epoch;
-  Codec.put_string w r.phase;
-  (match r.kind with
-  | Span_open { name } -> Codec.put_string w name
-  | Span_close { name; dur_us } ->
-    Codec.put_string w name;
-    Codec.put_f64 w dur_us
-  | Event { name; detail } ->
-    Codec.put_string w name;
-    Codec.put_string w detail
-  | Incident { incident; detail } ->
-    Codec.put_string w incident;
-    Codec.put_string w detail
-  | Metric { name; delta } ->
-    Codec.put_string w name;
-    Codec.put_f64 w delta);
-  Codec.frame (Codec.contents w)
-
-let decode_record payload =
-  let r = Codec.reader payload in
-  let tag = Codec.get_u8 r in
-  let seq = Codec.get_int r in
-  let ts_us = Codec.get_f64 r in
-  let epoch = Codec.get_int r in
-  let phase = Codec.get_string r in
-  let kind =
-    match tag with
-    | 0 -> Span_open { name = Codec.get_string r }
-    | 1 ->
-      let name = Codec.get_string r in
-      Span_close { name; dur_us = Codec.get_f64 r }
-    | 2 ->
-      let name = Codec.get_string r in
-      Event { name; detail = Codec.get_string r }
-    | 3 ->
-      let incident = Codec.get_string r in
-      Incident { incident; detail = Codec.get_string r }
-    | 4 ->
-      let name = Codec.get_string r in
-      Metric { name; delta = Codec.get_f64 r }
-    | n -> raise (Codec.Corrupt (Printf.sprintf "flight: unknown tag %d" n))
-  in
-  if not (Codec.at_end r) then
-    raise (Codec.Corrupt "flight: trailing bytes in record");
-  { seq; ts_us; epoch; phase; kind }
-
-(* [decode_record]'s checks, on the same bytes in the same order, with
-   nothing built: the tag, every string's length and the trailing bytes.
-   Only the [seq] is read. *)
-let record_seq payload =
-  let r = Codec.reader payload in
-  let tag = Codec.get_u8 r in
-  let seq = Codec.get_int r in
-  Codec.skip r 16 (* ts_us, epoch *);
-  Codec.skip_string r (* phase *);
-  (match tag with
-  | 0 -> Codec.skip_string r
-  | 1 | 4 ->
-    Codec.skip_string r;
-    Codec.skip r 8
-  | 2 | 3 ->
-    Codec.skip_string r;
-    Codec.skip_string r
-  | n -> raise (Codec.Corrupt (Printf.sprintf "flight: unknown tag %d" n)));
-  if not (Codec.at_end r) then
-    raise (Codec.Corrupt "flight: trailing bytes in record");
-  seq
+(* The tag and the head's first field.  A frame [Codec.skip] passes is
+   read this far and no further, so reopening builds no record. *)
+let seq_of payload = snd (Codec.decode Codec.(t2 u8 int) payload)
 
 (* --- ring ---------------------------------------------------------------- *)
 
@@ -137,7 +96,7 @@ let emit t ?ts_us ~epoch ~phase kind =
   let ts_us = match ts_us with Some t -> t | None -> Clock.now_us () in
   locked t (fun () ->
       let r = { seq = t.total; ts_us; epoch; phase; kind } in
-      let framed = encode_record r in
+      let framed = Codec.frame (Codec.encode record_format r) in
       t.slots.(t.next) <- framed;
       t.next <- (t.next + 1) mod t.cap;
       if t.held < t.cap then t.held <- t.held + 1;
@@ -165,7 +124,7 @@ let records t =
       let out = ref [] in
       for i = 1 to n do
         let slot = (t.next + t.cap - i) mod t.cap in
-        out := decode_record (frame_payload t.slots.(slot)) :: !out
+        out := Codec.decode record_format (frame_payload t.slots.(slot)) :: !out
       done;
       !out)
 
@@ -185,17 +144,21 @@ let drain t =
 
 (* --- on-disk image ------------------------------------------------------- *)
 
-let header_frame cap =
-  let w = Codec.writer () in
-  Codec.put_string w magic;
-  Codec.put_u32 w version;
-  Codec.put_int w cap;
-  Codec.frame (Codec.contents w)
+(* Refuses trailing bytes. *)
+let header_format =
+  Codec.(
+    exact
+      (record Fun.id
+      |- const string magic ~refuse:(fun _ -> "not a flight image")
+      |- const u32 version
+           ~refuse:(Printf.sprintf "flight image version %d")
+      |+ field int Fun.id
+      |> seal))
 
 let image t =
   locked t (fun () ->
       let buf = Buffer.create 1024 in
-      Buffer.add_string buf (header_frame t.cap);
+      Buffer.add_string buf (Codec.frame (Codec.encode header_format t.cap));
       let n = t.held in
       (* oldest -> newest *)
       for i = n downto 1 do
@@ -212,30 +175,23 @@ type image_data = {
 }
 
 let decode_header payload =
-  let r = Codec.reader payload in
-  let m = Codec.get_string r in
-  if m <> magic then Error "not a flight image"
-  else
-    let v = Codec.get_u32 r in
-    if v <> version then Error (Printf.sprintf "flight image version %d" v)
-    else
-      let cap = Codec.get_int r in
-      if cap < 1 || not (Codec.at_end r) then Error "bad flight header"
-      else Ok cap
+  match Codec.decode header_format payload with
+  | cap when cap >= 1 -> Ok cap
+  | _ | (exception Codec.Corrupt _) -> Error "bad flight header"
+  | exception Codec.Refused e -> Error e
 
 (* The header frame, then one scan of the record frames after it, which
-   starts at the returned offset.  [decode] is [decode_record] or
-   [record_seq]: both refuse exactly the same frames, so the scan stops
-   at the same frame with the same verdict either way. *)
+   starts at the returned offset.  [decode] decodes or skips
+   [record_format]: both refuse exactly the same frames, so the scan
+   stops at the same frame with the same verdict either way. *)
 let scan_image ~decode data =
   match Codec.next_frame data ~pos:0 with
   | Codec.End -> Error "empty flight image"
   | Codec.Torn -> Error "flight image header damaged"
-  | Codec.Frame { payload; next } -> (
-    match decode_header payload with
-    | Ok cap -> Ok (cap, next, Codec.scan ~from:next ~decode data)
-    | Error e -> Error e
-    | exception Codec.Corrupt _ -> Error "bad flight header")
+  | Codec.Frame { payload; next } ->
+    Result.map
+      (fun cap -> (cap, next, Codec.scan ~from:next ~decode data))
+      (decode_header payload)
 
 let decode_image data =
   Result.map
@@ -252,10 +208,10 @@ let decode_image data =
         img_frames = frames;
         img_torn = s.Codec.verdict <> Codec.Clean;
       })
-    (scan_image ~decode:decode_record data)
+    (scan_image ~decode:(Codec.decode record_format) data)
 
 let valid_prefix data =
-  match scan_image ~decode:decode_record data with
+  match scan_image ~decode:(Codec.skip record_format) data with
   | Ok (_, _, s) -> s.Codec.valid
   | Error _ -> 0
 
@@ -280,4 +236,8 @@ let reopen ?capacity data =
            (0, first) s.Codec.frames);
       t.drained <- t.total;
       (t, if cap = t.cap then `Append_at s.Codec.valid else `Rewrite))
-    (scan_image ~decode:record_seq data)
+    (scan_image
+       ~decode:(fun payload ->
+         Codec.skip record_format payload;
+         seq_of payload)
+       data)

@@ -6,7 +6,14 @@ let run ~flight ~epoch hist name body =
     flush ());
   let sp = Trace.span name in
   let t0 = Clock.now_us () in
-  let v = body sp in
+  let v =
+    match body sp with
+    | v -> v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Trace.finish sp;
+      Printexc.raise_with_backtrace e bt
+  in
   Metrics.Histogram.observe hist ((Clock.now_us () -. t0) *. 1e-6);
   Trace.finish sp;
   (match flight with

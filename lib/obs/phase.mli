@@ -16,4 +16,6 @@ val run :
     calls [flush] before [body] — so a process killed inside [body]
     leaves a durable record naming the phase — and a [Span_close] with
     the duration after it; records carry [epoch] and phase [name].
-    [body] gets the open span for attributes. *)
+    [body] gets the open span for attributes.  When [body] raises, the
+    span (and any span left open inside it) is finished before the
+    exception goes on. *)

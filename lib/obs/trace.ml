@@ -36,14 +36,21 @@ type open_span = {
 
 let current_sink = ref None
 
-let stack : open_span list ref = ref []
+(* Each domain nests its own spans: a pool worker's span never becomes
+   the parent of another domain's.  Ids are unique across domains. *)
+let stack_key : open_span list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
-let next_id = ref 1
+let stack () = Domain.DLS.get stack_key
+let next_id = Atomic.make 1
+
+(* Sinks are not domain-safe themselves: every call into one holds this. *)
+let sink_mu = Mutex.create ()
 
 let enabled () = match !current_sink with None -> false | Some _ -> true
 
 let emit_record k o ~end_us =
-  k.emit
+  let r =
     {
       id = o.o_id;
       parent = o.o_parent;
@@ -54,35 +61,39 @@ let emit_record k o ~end_us =
       attrs = List.rev o.o_attrs;
       events = List.rev o.o_events;
     }
+  in
+  Mutex.protect sink_mu (fun () -> k.emit r)
 
 let finish_all_open () =
-  match !current_sink with
-  | None -> stack := []
+  let stack = stack () in
+  (match !current_sink with
+  | None -> ()
   | Some k ->
     let now = Clock.now_us () in
-    List.iter (fun o -> emit_record k o ~end_us:now) !stack;
-    stack := []
+    List.iter (fun o -> emit_record k o ~end_us:now) !stack);
+  stack := []
 
 let flush_sink () =
-  match !current_sink with None -> () | Some k -> k.flush ()
+  match !current_sink with
+  | None -> ()
+  | Some k -> Mutex.protect sink_mu k.flush
 
 let set_sink s =
   finish_all_open ();
-  (match !current_sink with Some k -> k.flush () | None -> ());
+  flush_sink ();
   current_sink := s;
-  next_id := 1;
-  stack := [];
+  Atomic.set next_id 1;
   match s with Some _ -> Clock.reset_origin () | None -> ()
 
 let span name =
   match !current_sink with
   | None -> null_span
   | Some _ ->
+    let stack = stack () in
     let o_parent, o_depth =
       match !stack with [] -> (0, 0) | p :: _ -> (p.o_id, p.o_depth + 1)
     in
-    let o_id = !next_id in
-    incr next_id;
+    let o_id = Atomic.fetch_and_add next_id 1 in
     stack :=
       {
         o_id;
@@ -101,6 +112,7 @@ let finish s =
     match !current_sink with
     | None -> ()
     | Some k ->
+      let stack = stack () in
       if List.exists (fun o -> o.o_id = s) !stack then begin
         let now = Clock.now_us () in
         let rec pop () =
@@ -117,28 +129,31 @@ let finish s =
 
 let add_attr s key v =
   if s <> null_span then begin
-    match List.find_opt (fun o -> o.o_id = s) !stack with
+    match List.find_opt (fun o -> o.o_id = s) !(stack ()) with
     | Some o -> o.o_attrs <- (key, v) :: o.o_attrs
     | None -> ()
   end
 
 let event ?attrs name =
-  match !stack with
-  | [] -> ()
-  | o :: _ ->
-    o.o_events <-
-      {
-        ev_name = name;
-        ev_ts_us = Clock.now_us ();
-        ev_attrs = (match attrs with None -> [] | Some a -> a);
-      }
-      :: o.o_events
+  match !current_sink with
+  | None -> ()
+  | Some _ -> (
+    match !(stack ()) with
+    | [] -> ()
+    | o :: _ ->
+      o.o_events <-
+        {
+          ev_name = name;
+          ev_ts_us = Clock.now_us ();
+          ev_attrs = (match attrs with None -> [] | Some a -> a);
+        }
+        :: o.o_events)
 
 let with_span name f =
   let s = span name in
   Fun.protect ~finally:(fun () -> finish s) f
 
-let open_spans () = List.length !stack
+let open_spans () = List.length !(stack ())
 
 (* --- ring buffer sink --------------------------------------------------- *)
 

@@ -2,10 +2,13 @@
 
     A span is an interval of work ("epoch 4's auction") with a name,
     monotonic start/end timestamps, key/value attributes, and point
-    events ("link 17 went down at t").  Spans nest: a span opened while
-    another is open becomes its child, and the exporter preserves that
-    hierarchy.  Span ids are deterministic — a counter reset when a
-    sink is installed — so two traces of the same run are comparable.
+    events ("link 17 went down at t").  Spans nest per domain: a span
+    opened while another is open on the same domain becomes its child,
+    and the exporter preserves that hierarchy.  Span ids come from one
+    atomic counter reset when a sink is installed: unique across
+    domains, and deterministic per domain, so two traces of the same
+    serial run are comparable.  The sink is called under a lock, so
+    pool workers may trace concurrently.
 
     Tracing is disabled unless a sink is installed.  The disabled path
     is guaranteed allocation-free: {!span} returns the immediate
@@ -46,8 +49,8 @@ type sink = {
 val set_sink : sink option -> unit
 (** Install or remove the sink.  Installing resets span ids and the
     clock origin; removing (or replacing) force-finishes any spans
-    still open — a crash-interrupted trace keeps its partial epoch —
-    and then calls the outgoing sink's [flush]. *)
+    still open on the calling domain — a crash-interrupted trace keeps
+    its partial epoch — and then calls the outgoing sink's [flush]. *)
 
 val enabled : unit -> bool
 
@@ -67,7 +70,8 @@ val null_span : span
     no-ops. *)
 
 val span : string -> span
-(** Open a span as a child of the innermost open span. *)
+(** Open a span as a child of the calling domain's innermost open
+    span. *)
 
 val finish : span -> unit
 (** Close the span (and, defensively, any child left open inside it).
@@ -86,7 +90,8 @@ val with_span : string -> (unit -> 'a) -> 'a
     {!span}/{!finish} directly to avoid the closure. *)
 
 val open_spans : unit -> int
-(** Number of currently open spans (0 when disabled); for tests. *)
+(** Number of spans open on the calling domain (0 when disabled); for
+    tests. *)
 
 (** Bounded in-memory sink: keeps the most recent [capacity] finished
     spans, oldest first. *)

@@ -76,301 +76,259 @@ let seg_id_of_name name =
   end
   else None
 
-(* --- field codecs ------------------------------------------------------- *)
+(* --- formats -------------------------------------------------------------- *)
 
-let put_rule w rule =
-  Codec.put_u8 w
-    (match rule with
-    | Acceptability.Handle_load -> 0
-    | Acceptability.Single_link_failure -> 1
-    | Acceptability.Per_pair_failure -> 2)
+let rule =
+  Codec.(
+    union ~unknown:"bad acceptability tag"
+      [
+        const_case 0 Acceptability.Handle_load;
+        const_case 1 Acceptability.Single_link_failure;
+        const_case 2 Acceptability.Per_pair_failure;
+      ])
 
-let get_rule r =
-  match Codec.get_u8 r with
-  | 0 -> Acceptability.Handle_load
-  | 1 -> Acceptability.Single_link_failure
-  | 2 -> Acceptability.Per_pair_failure
-  | n -> raise (Codec.Corrupt (Printf.sprintf "bad acceptability tag %d" n))
+let phase =
+  Codec.(
+    union ~unknown:"bad phase tag"
+      [
+        const_case 0 Fault.Pre_auction;
+        const_case 1 Fault.Pre_settle;
+        const_case 2 Fault.Post_settle;
+      ])
 
-let put_phase w phase =
-  Codec.put_u8 w
-    (match phase with
-    | Fault.Pre_auction -> 0
-    | Fault.Pre_settle -> 1
-    | Fault.Post_settle -> 2)
+let disk_fault =
+  Codec.(
+    union ~unknown:"bad disk-fault tag"
+      [
+        case 0 int (fun drop -> Disk.Short_write { drop })
+          (function Disk.Short_write { drop } -> Some drop | _ -> None);
+        const_case 1 Disk.Torn_rename;
+        case 2 int (fun drop -> Disk.Lying_fsync { drop })
+          (function Disk.Lying_fsync { drop } -> Some drop | _ -> None);
+        case 3 int (fun seed -> Disk.Corrupt_byte { seed })
+          (function Disk.Corrupt_byte { seed } -> Some seed | _ -> None);
+      ])
 
-let get_phase r =
-  match Codec.get_u8 r with
-  | 0 -> Fault.Pre_auction
-  | 1 -> Fault.Pre_settle
-  | 2 -> Fault.Post_settle
-  | n -> raise (Codec.Corrupt (Printf.sprintf "bad phase tag %d" n))
+let event =
+  Codec.(
+    union ~unknown:"bad event tag"
+      [
+        case 0 int (fun id -> Fault.Link_down id)
+          (function Fault.Link_down id -> Some id | _ -> None);
+        case 1 int (fun id -> Fault.Link_up id)
+          (function Fault.Link_up id -> Some id | _ -> None);
+        case 2 int (fun bp -> Fault.Bp_exit bp)
+          (function Fault.Bp_exit bp -> Some bp | _ -> None);
+        case 3 (list int) (fun ids -> Fault.Withdraw ids)
+          (function Fault.Withdraw ids -> Some ids | _ -> None);
+        case 4 f64 (fun f -> Fault.Surge f)
+          (function Fault.Surge f -> Some f | _ -> None);
+        case 5 f64 (fun f -> Fault.Surge_over f)
+          (function Fault.Surge_over f -> Some f | _ -> None);
+        case 6 phase (fun p -> Fault.Crash_point p)
+          (function Fault.Crash_point p -> Some p | _ -> None);
+        case 7 (t2 phase disk_fault)
+          (fun (p, fault) -> Fault.Disk_point (p, fault))
+          (function Fault.Disk_point (p, fault) -> Some (p, fault) | _ -> None);
+      ])
 
-let put_disk_fault w = function
-  | Disk.Short_write { drop } ->
-    Codec.put_u8 w 0;
-    Codec.put_int w drop
-  | Disk.Torn_rename -> Codec.put_u8 w 1
-  | Disk.Lying_fsync { drop } ->
-    Codec.put_u8 w 2;
-    Codec.put_int w drop
-  | Disk.Corrupt_byte { seed } ->
-    Codec.put_u8 w 3;
-    Codec.put_int w seed
+let status =
+  Codec.(
+    union ~unknown:"bad status tag"
+      [
+        const_case 0 Healthy;
+        case 1
+          (union ~unknown:"bad ladder-step tag"
+             [
+               case 0 f64 (fun f -> Ladder.Relax_demand f)
+                 (function Ladder.Relax_demand f -> Some f | _ -> None);
+               case 1 rule (fun r -> Ladder.Step_down r)
+                 (function Ladder.Step_down r -> Some r | _ -> None);
+               const_case 2 Ladder.Connectivity_only;
+               const_case 3 Ladder.External_transit;
+             ])
+          (fun step -> Degraded step)
+          (function Degraded step -> Some step | _ -> None);
+        const_case 2 Carried;
+        const_case 3 Blackout;
+      ])
 
-let get_disk_fault r =
-  match Codec.get_u8 r with
-  | 0 -> Disk.Short_write { drop = Codec.get_int r }
-  | 1 -> Disk.Torn_rename
-  | 2 -> Disk.Lying_fsync { drop = Codec.get_int r }
-  | 3 -> Disk.Corrupt_byte { seed = Codec.get_int r }
-  | n -> raise (Codec.Corrupt (Printf.sprintf "bad disk-fault tag %d" n))
+let report =
+  Codec.(
+    record
+      (fun epoch status spend price_per_gbps delivered_fraction selected_links
+           recalled_links active_faults ladder_attempts ledger_conservation
+           posted_price ->
+        { epoch; status; spend; price_per_gbps; delivered_fraction;
+          selected_links; recalled_links; active_faults; ladder_attempts;
+          ledger_conservation; posted_price })
+    |+ field int (fun (r : epoch_report) -> r.epoch)
+    |+ field status (fun r -> r.status)
+    |+ field f64 (fun r -> r.spend)
+    |+ field f64 (fun r -> r.price_per_gbps)
+    |+ field f64 (fun r -> r.delivered_fraction)
+    |+ field int (fun r -> r.selected_links)
+    |+ field int (fun r -> r.recalled_links)
+    |+ field int (fun r -> r.active_faults)
+    |+ field int (fun r -> r.ladder_attempts)
+    |+ field (option f64) (fun r -> r.ledger_conservation)
+    |+ field (option f64) (fun r -> r.posted_price)
+    |> seal)
 
-let put_event w = function
-  | Fault.Link_down id ->
-    Codec.put_u8 w 0;
-    Codec.put_int w id
-  | Fault.Link_up id ->
-    Codec.put_u8 w 1;
-    Codec.put_int w id
-  | Fault.Bp_exit bp ->
-    Codec.put_u8 w 2;
-    Codec.put_int w bp
-  | Fault.Withdraw ids ->
-    Codec.put_u8 w 3;
-    Codec.put_list w Codec.put_int ids
-  | Fault.Surge f ->
-    Codec.put_u8 w 4;
-    Codec.put_f64 w f
-  | Fault.Surge_over f ->
-    Codec.put_u8 w 5;
-    Codec.put_f64 w f
-  | Fault.Crash_point phase ->
-    Codec.put_u8 w 6;
-    put_phase w phase
-  | Fault.Disk_point (phase, fault) ->
-    Codec.put_u8 w 7;
-    put_phase w phase;
-    put_disk_fault w fault
+let violation =
+  Codec.(
+    record (fun epoch invariant detail -> { epoch; invariant; detail })
+    |+ field int (fun (v : violation) -> v.epoch)
+    |+ field string (fun v -> v.invariant)
+    |+ field string (fun v -> v.detail)
+    |> seal)
 
-let get_event r =
-  match Codec.get_u8 r with
-  | 0 -> Fault.Link_down (Codec.get_int r)
-  | 1 -> Fault.Link_up (Codec.get_int r)
-  | 2 -> Fault.Bp_exit (Codec.get_int r)
-  | 3 -> Fault.Withdraw (Codec.get_list r Codec.get_int)
-  | 4 -> Fault.Surge (Codec.get_f64 r)
-  | 5 -> Fault.Surge_over (Codec.get_f64 r)
-  | 6 -> Fault.Crash_point (get_phase r)
-  | 7 ->
-    let phase = get_phase r in
-    let fault = get_disk_fault r in
-    Fault.Disk_point (phase, fault)
-  | n -> raise (Codec.Corrupt (Printf.sprintf "bad event tag %d" n))
+let snapshot =
+  Codec.(
+    record
+      (fun at_epoch prng_state cost_level down gone surge demand_scale
+           last_good ->
+        { at_epoch; prng_state; cost_level; down; gone; surge; demand_scale;
+          last_good })
+    |+ field int (fun s -> s.at_epoch)
+    |+ field i64 (fun s -> s.prng_state)
+    |+ field f64_array (fun s -> s.cost_level)
+    |+ field (list int) (fun s -> s.down)
+    |+ field (list int) (fun s -> s.gone)
+    |+ field f64 (fun s -> s.surge)
+    |+ field f64 (fun s -> s.demand_scale)
+    |+ field (option (t2 (list int) f64)) (fun s -> s.last_good)
+    |> seal)
 
-let put_status w = function
-  | Healthy -> Codec.put_u8 w 0
-  | Degraded step -> (
-    Codec.put_u8 w 1;
-    match step with
-    | Ladder.Relax_demand f ->
-      Codec.put_u8 w 0;
-      Codec.put_f64 w f
-    | Ladder.Step_down rule ->
-      Codec.put_u8 w 1;
-      put_rule w rule
-    | Ladder.Connectivity_only -> Codec.put_u8 w 2
-    | Ladder.External_transit -> Codec.put_u8 w 3)
-  | Carried -> Codec.put_u8 w 2
-  | Blackout -> Codec.put_u8 w 3
+let carry =
+  Codec.(
+    record (fun at carry_reports carry_violations ->
+        { at; carry_reports; carry_violations })
+    |+ field snapshot (fun c -> c.at)
+    |+ field (list report) (fun c -> c.carry_reports)
+    |+ field (list violation) (fun c -> c.carry_violations)
+    |> seal)
 
-let get_status r =
-  match Codec.get_u8 r with
-  | 0 -> Healthy
-  | 1 ->
-    Degraded
-      (match Codec.get_u8 r with
-      | 0 -> Ladder.Relax_demand (Codec.get_f64 r)
-      | 1 -> Ladder.Step_down (get_rule r)
-      | 2 -> Ladder.Connectivity_only
-      | 3 -> Ladder.External_transit
-      | n -> raise (Codec.Corrupt (Printf.sprintf "bad ladder-step tag %d" n)))
-  | 2 -> Carried
-  | 3 -> Blackout
-  | n -> raise (Codec.Corrupt (Printf.sprintf "bad status tag %d" n))
+(* The records after a segment's header.  Bytes after a record are
+   ignored, here and in the header and MANIFEST. *)
+type entry = Epoch of epoch_record | Snapshot of snapshot | Complete of string
 
-let put_report w (er : epoch_report) =
-  Codec.put_int w er.epoch;
-  put_status w er.status;
-  Codec.put_f64 w er.spend;
-  Codec.put_f64 w er.price_per_gbps;
-  Codec.put_f64 w er.delivered_fraction;
-  Codec.put_int w er.selected_links;
-  Codec.put_int w er.recalled_links;
-  Codec.put_int w er.active_faults;
-  Codec.put_int w er.ladder_attempts;
-  Codec.put_option w Codec.put_f64 er.ledger_conservation;
-  Codec.put_option w Codec.put_f64 er.posted_price
+let entry =
+  Codec.(
+    union ~unknown:"unknown record kind"
+      [
+        case 1
+          (record (fun report events selected violations ->
+               { report; events; selected; violations })
+          |+ field report (fun e -> e.report)
+          |+ field (list event) (fun e -> e.events)
+          |+ field (list int) (fun e -> e.selected)
+          |+ field (list violation) (fun e -> e.violations)
+          |> seal)
+          (fun e -> Epoch e)
+          (function Epoch e -> Some e | _ -> None);
+        case 2 snapshot (fun s -> Snapshot s)
+          (function Snapshot s -> Some s | _ -> None);
+        case 3 string (fun incidents -> Complete incidents)
+          (function Complete incidents -> Some incidents | _ -> None);
+      ])
 
-let get_report r =
-  let epoch = Codec.get_int r in
-  let status = get_status r in
-  let spend = Codec.get_f64 r in
-  let price_per_gbps = Codec.get_f64 r in
-  let delivered_fraction = Codec.get_f64 r in
-  let selected_links = Codec.get_int r in
-  let recalled_links = Codec.get_int r in
-  let active_faults = Codec.get_int r in
-  let ladder_attempts = Codec.get_int r in
-  let ledger_conservation = Codec.get_option r Codec.get_f64 in
-  let posted_price = Codec.get_option r Codec.get_f64 in
-  {
-    epoch;
-    status;
-    spend;
-    price_per_gbps;
-    delivered_fraction;
-    selected_links;
-    recalled_links;
-    active_faults;
-    ladder_attempts;
-    ledger_conservation;
-    posted_price;
-  }
+type seg_header = {
+  header : header;
+  seg_id : int;
+  budget : int;
+  carry : carry option;
+}
 
-let put_violation w (v : violation) =
-  Codec.put_int w v.epoch;
-  Codec.put_string w v.invariant;
-  Codec.put_string w v.detail
+(* Kind 4, the first frame of every segment.  Its kind, magic and
+   version are refused with a message; any other damage is [Corrupt]. *)
+let seg_header =
+  Codec.(
+    record
+      (fun seg_id budget market_seed market_epochs n_bps snapshot_every digest
+           carry ->
+        let header =
+          { version; market_seed; market_epochs; n_bps; snapshot_every; digest }
+        in
+        { header; seg_id; budget; carry })
+    |- const u8 4 ~refuse:(fun _ -> "first record is not a segment header")
+    |- const u32 magic ~refuse:(fun _ -> "bad magic: not a POC journal segment")
+    |- const int version
+         ~refuse:(fun v ->
+           Printf.sprintf
+             "journal format version %d, but this build reads version %d" v
+             version)
+    |+ field int (fun s -> s.seg_id)
+    |+ field int (fun s -> s.budget)
+    |+ field int (fun s -> s.header.market_seed)
+    |+ field int (fun s -> s.header.market_epochs)
+    |+ field int (fun s -> s.header.n_bps)
+    |+ field int (fun s -> s.header.snapshot_every)
+    |+ field i64 (fun s -> s.header.digest)
+    |+ field (option carry) (fun s -> s.carry)
+    |> seal)
 
-let get_violation r =
-  let epoch = Codec.get_int r in
-  let invariant = Codec.get_string r in
-  let detail = Codec.get_string r in
-  { epoch; invariant; detail }
-
-let put_snapshot_body w (s : snapshot) =
-  Codec.put_int w s.at_epoch;
-  Codec.put_i64 w s.prng_state;
-  Codec.put_f64_array w s.cost_level;
-  Codec.put_list w Codec.put_int s.down;
-  Codec.put_list w Codec.put_int s.gone;
-  Codec.put_f64 w s.surge;
-  Codec.put_f64 w s.demand_scale;
-  Codec.put_option w
-    (fun w (ids, cost) ->
-      Codec.put_list w Codec.put_int ids;
-      Codec.put_f64 w cost)
-    s.last_good
-
-let get_snapshot_body r =
-  let at_epoch = Codec.get_int r in
-  let prng_state = Codec.get_i64 r in
-  let cost_level = Codec.get_f64_array r in
-  let down = Codec.get_list r Codec.get_int in
-  let gone = Codec.get_list r Codec.get_int in
-  let surge = Codec.get_f64 r in
-  let demand_scale = Codec.get_f64 r in
-  let last_good =
-    Codec.get_option r (fun r ->
-        let ids = Codec.get_list r Codec.get_int in
-        let cost = Codec.get_f64 r in
-        (ids, cost))
-  in
-  { at_epoch; prng_state; cost_level; down; gone; surge; demand_scale; last_good }
+(* Kind 5: the live segment ids. *)
+let manifest =
+  Codec.(
+    record Fun.id
+    |- const u8 5
+    |- const u32 magic
+    |- const int version
+    |+ field (list int) Fun.id
+    |> seal)
 
 (* --- digest ------------------------------------------------------------- *)
 
+(* The market config, the ladder and the schedule's events: never read
+   back, only checksummed. *)
+let digest_input =
+  Codec.(
+    record
+      (fun epochs cost_trend cost_volatility demand_growth seed strategies
+           events ->
+        ( { Epochs.epochs; cost_trend; cost_volatility; demand_growth; seed;
+            strategies },
+          events ))
+    |+ field int (fun (m, _) -> m.Epochs.epochs)
+    |+ field f64 (fun (m, _) -> m.Epochs.cost_trend)
+    |+ field f64 (fun (m, _) -> m.Epochs.cost_volatility)
+    |+ field f64 (fun (m, _) -> m.Epochs.demand_growth)
+    |+ field int (fun (m, _) -> m.Epochs.seed)
+    |+ field
+         (list
+            (t2 int
+               (union ~unknown:"bad strategy tag"
+                  [
+                    const_case 0 Epochs.Truthful;
+                    case 1 f64 (fun m -> Epochs.Markup m)
+                      (function Epochs.Markup m -> Some m | _ -> None);
+                    case 2 f64 (fun f -> Epochs.Recallable f)
+                      (function Epochs.Recallable f -> Some f | _ -> None);
+                  ])))
+         (fun (m, _) -> m.Epochs.strategies)
+    (* The ladder, as the bytes its former settings wrote (factors,
+       step-down on, an 8-rung budget), so older stores still resume. *)
+    |- const (list f64) Ladder.relax_factors
+    |- const bool true
+    |- const int 8
+    |+ field (list (t2 int event)) snd
+    |> seal)
+
 let digest ~(market : Epochs.config) schedule =
-  let w = Codec.writer () in
-  Codec.put_int w market.Epochs.epochs;
-  Codec.put_f64 w market.Epochs.cost_trend;
-  Codec.put_f64 w market.Epochs.cost_volatility;
-  Codec.put_f64 w market.Epochs.demand_growth;
-  Codec.put_int w market.Epochs.seed;
-  Codec.put_list w
-    (fun w (bp, strategy) ->
-      Codec.put_int w bp;
-      match strategy with
-      | Epochs.Truthful -> Codec.put_u8 w 0
-      | Epochs.Markup m ->
-        Codec.put_u8 w 1;
-        Codec.put_f64 w m
-      | Epochs.Recallable f ->
-        Codec.put_u8 w 2;
-        Codec.put_f64 w f)
-    market.Epochs.strategies;
-  (* The ladder, as the bytes its former settings wrote (factors,
-     step-down on, an 8-rung budget), so older stores still resume. *)
-  Codec.put_list w Codec.put_f64 Ladder.relax_factors;
-  Codec.put_bool w true;
-  Codec.put_int w 8;
   (* Crash and disk-fault points are excluded: they kill the process,
      not the market, and a resumed run ignores them — so a journal
      written under a crash-injecting schedule can be resumed under the
      same schedule with or without its [Crash]/[Storage] specs. *)
-  Codec.put_list w
-    (fun w (epoch, ev) ->
-      Codec.put_int w epoch;
-      put_event w ev)
-    (List.filter
-       (fun (_, ev) ->
-         match ev with
-         | Fault.Crash_point _ | Fault.Disk_point _ -> false
-         | _ -> true)
-       (Fault.events schedule));
-  Int64.of_int (Codec.crc32 (Codec.contents w))
-
-(* --- record payloads ---------------------------------------------------- *)
-
-let epoch_payload (rec_ : epoch_record) =
-  let w = Codec.writer () in
-  Codec.put_u8 w 1;
-  put_report w rec_.report;
-  Codec.put_list w put_event rec_.events;
-  Codec.put_list w Codec.put_int rec_.selected;
-  Codec.put_list w put_violation rec_.violations;
-  Codec.contents w
-
-let snapshot_payload (s : snapshot) =
-  let w = Codec.writer () in
-  Codec.put_u8 w 2;
-  put_snapshot_body w s;
-  Codec.contents w
-
-let complete_payload incidents =
-  let w = Codec.writer () in
-  Codec.put_u8 w 3;
-  Codec.put_string w incidents;
-  Codec.contents w
-
-let seg_header_payload (h : header) ~seg_id ~budget ~carry =
-  let w = Codec.writer () in
-  Codec.put_u8 w 4;
-  Codec.put_u32 w magic;
-  Codec.put_int w h.version;
-  Codec.put_int w seg_id;
-  Codec.put_int w budget;
-  Codec.put_int w h.market_seed;
-  Codec.put_int w h.market_epochs;
-  Codec.put_int w h.n_bps;
-  Codec.put_int w h.snapshot_every;
-  Codec.put_i64 w h.digest;
-  Codec.put_option w
-    (fun w c ->
-      put_snapshot_body w c.at;
-      Codec.put_list w put_report c.carry_reports;
-      Codec.put_list w put_violation c.carry_violations)
-    carry;
-  Codec.contents w
-
-let manifest_payload ids =
-  let w = Codec.writer () in
-  Codec.put_u8 w 5;
-  Codec.put_u32 w magic;
-  Codec.put_int w version;
-  Codec.put_list w Codec.put_int ids;
-  Codec.contents w
+  let events =
+    List.filter
+      (fun (_, ev) ->
+        match ev with
+        | Fault.Crash_point _ | Fault.Disk_point _ -> false
+        | _ -> true)
+      (Fault.events schedule)
+  in
+  Int64.of_int (Codec.crc32 (Codec.encode digest_input (market, events)))
 
 (* --- metrics ------------------------------------------------------------ *)
 
@@ -430,11 +388,13 @@ let log_append log s =
   Log.append log s
 
 let raw_append t s = log_append t.log s
-let write_frame t payload = raw_append t (Codec.frame payload)
 
 let write_manifest disk dir ids =
   Disk.write_file_atomic disk (manifest_path dir)
-    (Codec.frame (manifest_payload ids))
+    (Codec.frame (Codec.encode manifest ids))
+
+let header_frame header ~seg_id ~budget ~carry =
+  Codec.frame (Codec.encode seg_header { header; seg_id; budget; carry })
 
 let create ?disk ?segment_bytes path header =
   let disk = match disk with Some d -> d | None -> Disk.real () in
@@ -462,7 +422,7 @@ let create ?disk ?segment_bytes path header =
       (Disk.readdir disk qdir);
   let log = Log.create disk (seg_path path 1) in
   let t = { disk; header; dir = path; budget; seg_id = 1; log; live = [ 1 ] } in
-  write_frame t (seg_header_payload header ~seg_id:1 ~budget ~carry:None);
+  raw_append t (header_frame header ~seg_id:1 ~budget ~carry:None);
   write_manifest disk path [ 1 ];
   t
 
@@ -472,9 +432,7 @@ let rotate t (c : carry) =
   let next_id = t.seg_id + 1 in
   let log = Log.create t.disk (seg_path t.dir next_id) in
   log_append log
-    (Codec.frame
-       (seg_header_payload t.header ~seg_id:next_id ~budget:t.budget
-          ~carry:(Some c)));
+    (header_frame t.header ~seg_id:next_id ~budget:t.budget ~carry:(Some c));
   Log.close t.log;
   (* New segment durable before the manifest flips; old segments are
      deleted only after the flip, so every crash point leaves either
@@ -490,9 +448,10 @@ let rotate t (c : carry) =
   t.log <- log;
   t.live <- live
 
-let append_epoch t rec_ = write_frame t (epoch_payload rec_)
-let append_snapshot t s = write_frame t (snapshot_payload s)
-let append_complete t ~incidents = write_frame t (complete_payload incidents)
+let append_entry t e = raw_append t (Codec.frame (Codec.encode entry e))
+let append_epoch t rec_ = append_entry t (Epoch rec_)
+let append_snapshot t s = append_entry t (Snapshot s)
+let append_complete t ~incidents = append_entry t (Complete incidents)
 
 let append_torn t ~epoch =
   (* Exactly what a crash between auction and settlement leaves on
@@ -525,63 +484,22 @@ type replayed = {
 }
 
 let parse_seg_header payload =
-  let r = Codec.reader payload in
-  if Codec.get_u8 r <> 4 then Error "first record is not a segment header"
-  else if Codec.get_u32 r <> magic then
-    Error "bad magic: not a POC journal segment"
-  else
-    let v = Codec.get_int r in
-    if v <> version then
-      Error
-        (Printf.sprintf
-           "journal format version %d, but this build reads version %d" v
-           version)
-    else
-      let seg_id = Codec.get_int r in
-      let budget = Codec.get_int r in
-      let market_seed = Codec.get_int r in
-      let market_epochs = Codec.get_int r in
-      let n_bps = Codec.get_int r in
-      let snapshot_every = Codec.get_int r in
-      let digest = Codec.get_i64 r in
-      let carry =
-        Codec.get_option r (fun r ->
-            let at = get_snapshot_body r in
-            let carry_reports = Codec.get_list r get_report in
-            let carry_violations = Codec.get_list r get_violation in
-            { at; carry_reports; carry_violations })
-      in
-      Ok
-        ( { version = v; market_seed; market_epochs; n_bps; snapshot_every; digest },
-          seg_id,
-          budget,
-          carry )
-
-let parse_record payload =
-  let r = Codec.reader payload in
-  match Codec.get_u8 r with
-  | 1 ->
-    let report = get_report r in
-    let events = Codec.get_list r get_event in
-    let selected = Codec.get_list r Codec.get_int in
-    let violations = Codec.get_list r get_violation in
-    `Epoch { report; events; selected; violations }
-  | 2 -> `Snapshot (get_snapshot_body r)
-  | 3 -> `Complete (Codec.get_string r)
-  | n -> raise (Codec.Corrupt (Printf.sprintf "unknown record kind %d" n))
+  match Codec.decode seg_header payload with
+  | h -> Ok h
+  | exception Codec.Refused msg -> Error msg
 
 (* The record frames after a header ending at [start], up to the first
    torn or unparseable one; resume truncates at the end of the last
    snapshot among them. *)
 let scan_records data ~start =
-  let s = Codec.scan ~from:start ~decode:parse_record data in
+  let s = Codec.scan ~from:start ~decode:(Codec.decode entry) data in
   let records, snapshot, complete, resume =
     List.fold_left
       (fun (records, snapshot, complete, resume) (r, next) ->
         match r with
-        | `Epoch rec_ -> (rec_ :: records, snapshot, complete, resume)
-        | `Snapshot snap -> (records, Some snap, complete, next)
-        | `Complete incidents -> (records, snapshot, Some incidents, resume))
+        | Epoch rec_ -> (rec_ :: records, snapshot, complete, resume)
+        | Snapshot snap -> (records, Some snap, complete, next)
+        | Complete incidents -> (records, snapshot, Some incidents, resume))
       ([], None, None, start) s.Codec.frames
   in
   (List.rev records, snapshot, complete, s.Codec.verdict <> Codec.Clean,
@@ -591,13 +509,7 @@ let read_manifest disk dir =
   match Log.read_single disk (manifest_path dir) with
   | None -> None
   | Some payload -> (
-    let r = Codec.reader payload in
-    try
-      if Codec.get_u8 r <> 5 || Codec.get_u32 r <> magic
-         || Codec.get_int r <> version
-      then None
-      else Some (Codec.get_list r Codec.get_int)
-    with Codec.Corrupt _ -> None)
+    try Some (Codec.decode manifest payload) with Codec.Corrupt _ -> None)
 
 let seg_ids_on_disk disk dir =
   Disk.readdir disk dir
@@ -645,7 +557,7 @@ let replay ?disk dir =
           match parse_seg_header payload with
           | exception Codec.Corrupt _ -> unusable "a corrupt header"
           | Error msg -> Error msg
-          | Ok (header, seg_id, budget, carry) ->
+          | Ok { header; seg_id; budget; carry } ->
             if seg_id <> active then
               Error
                 (Printf.sprintf "segment %s claims to be segment %d"
@@ -765,7 +677,7 @@ let scrub_entry ~seg_id ~seg_path data =
   let verdict, records_ok, keep =
     match Codec.next_frame data ~pos:0 with
     | Frame { payload; next } when header_ok payload ->
-      let s = Codec.scan ~from:next ~decode:parse_record data in
+      let s = Codec.scan ~from:next ~decode:(Codec.skip entry) data in
       ( (match s.Codec.verdict with
         | Codec.Clean -> Scrub_clean
         | Codec.Torn_tail -> Scrub_torn_tail

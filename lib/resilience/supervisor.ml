@@ -321,11 +321,11 @@ let horizon loop = loop.l_market.Epochs.epochs
 
 let progress loop = List.rev loop.l_reports
 
-(* Run one epoch of the supervised loop: apply live updates, then the
-   schedule's fault events, then the full market epoch (drift, auction
-   or ladder, routing, settlement, invariants), journaling and rotating
-   exactly as the monolithic loop did. *)
-let step ?(updates = []) loop =
+(* Run one epoch of the supervised loop inside [ep_sp]: apply live
+   updates, then the schedule's fault events, then the full market epoch
+   (drift, auction or ladder, routing, settlement, invariants),
+   journaling and rotating exactly as the monolithic loop did. *)
+let run_epoch ~updates ~ep_sp loop =
   let st = loop.l_state in
   let plan = loop.l_plan in
   let market = loop.l_market in
@@ -334,9 +334,6 @@ let step ?(updates = []) loop =
   let pool = loop.l_pool in
   let base_problem = plan.Planner.problem in
   let n_bps = Array.length base_problem.Vcg.bids in
-  if loop.l_closed then invalid_arg "Supervisor.step: loop is closed";
-  if loop.l_next > market.Epochs.epochs then
-    invalid_arg "Supervisor.step: horizon complete";
   (* Flight recording.  [fon] guards every emission so the disabled
      path is one branch and allocates nothing; [femit ~flush:true] is
      used at phase opens and epoch boundaries so a SIGKILL at any
@@ -371,8 +368,10 @@ let step ?(updates = []) loop =
                | Some f -> "disk_fault:" ^ Disk.fault_to_string f
                | None -> "injected");
            });
-    (* The trace sink flushes in place on the way down: a crash run
-       keeps its complete trace instead of whatever at_exit salvages. *)
+    (* The trace sink flushes in place on the way down, the crashed
+       epoch's spans closed first: a crash run keeps its complete trace
+       instead of whatever at_exit salvages. *)
+    Trace.finish ep_sp;
     Trace.flush_sink ();
     (match journal with Some t -> Journal.close t | None -> ());
     loop.l_closed <- true;
@@ -392,7 +391,6 @@ let step ?(updates = []) loop =
   begin
     List.iter (fun u -> apply_update st ~n_bps u) updates;
     if fon then femit ~flush:true "epoch" (Flight.Span_open { name = "epoch" });
-    let ep_sp = Trace.span "epoch" in
     if Trace.enabled () then Trace.add_attr ep_sp "epoch" (Trace.Int epoch);
     let ep_t0 = Clock.now_us () in
     (* Scheduled faults take effect before the epoch's auction. *)
@@ -675,10 +673,26 @@ let step ?(updates = []) loop =
     (match crash_info with
     | Some (Fault.Post_settle, fault) -> crash epoch Fault.Post_settle fault
     | _ -> ());
-    Trace.finish ep_sp;
     loop.l_next <- epoch + 1;
     er
   end
+
+(* The epoch span closes, with every span opened inside it, however the
+   epoch ends: the fleet's kill chain and the daemon's registry catch an
+   epoch's exception and go on in the same process. *)
+let step ?(updates = []) loop =
+  if loop.l_closed then invalid_arg "Supervisor.step: loop is closed";
+  if loop.l_next > loop.l_market.Epochs.epochs then
+    invalid_arg "Supervisor.step: horizon complete";
+  let ep_sp = Trace.span "epoch" in
+  match run_epoch ~updates ~ep_sp loop with
+  | er ->
+    Trace.finish ep_sp;
+    er
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Trace.finish ep_sp;
+    Printexc.raise_with_backtrace e bt
 
 let assemble_report loop =
   let epochs = List.rev loop.l_reports in

@@ -246,7 +246,8 @@ val step : ?updates:update list -> loop -> epoch_report
     append/snapshot/rotation.  Raises [Invalid_argument] on a closed or
     complete loop or an invalid update, and {!Injected_crash} exactly
     as {!run} does (the journal is closed first; the loop is dead
-    afterwards). *)
+    afterwards).  Whatever it raises, every trace span the epoch opened
+    is finished first. *)
 
 val finish : loop -> report
 (** Assemble the final report; when the horizon is complete this also

@@ -73,12 +73,6 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
-let skip r n =
-  need r n;
-  r.pos <- r.pos + n
-
-let skip_string r = skip r (get_u32 r)
-
 let get_list r get = List.init (get_u32 r) (fun _ -> get r)
 let get_f64_array r = Array.init (get_u32 r) (fun _ -> get_f64 r)
 
@@ -87,6 +81,196 @@ let get_option r get =
   | 0 -> None
   | 1 -> Some (get r)
   | n -> raise (Corrupt (Printf.sprintf "bad option byte %d" n))
+
+(* --- formats ---------------------------------------------------------- *)
+
+exception Refused of string
+
+(* A format writes a ['w] and reads a ['r]; the two differ only while a
+   record is under construction, when ['r] is its constructor still
+   waiting for the fields after those read so far. *)
+type ('w, 'r) fields = {
+  write : writer -> 'w -> unit;
+  read : reader -> 'r;
+  skip : reader -> unit;
+}
+
+type 'a t = ('a, 'a) fields
+
+let encode f v =
+  let w = writer () in
+  f.write w v;
+  contents w
+
+let decode f payload = f.read (reader payload)
+let skip f payload = f.skip (reader payload)
+
+let advance r n =
+  need r n;
+  r.pos <- r.pos + n
+
+let fixed n write read = { write; read; skip = (fun r -> advance r n) }
+let u8 = fixed 1 put_u8 get_u8
+let u32 = fixed 4 put_u32 get_u32
+let i64 = fixed 8 put_i64 get_i64
+let int = fixed 8 put_int get_int
+let f64 = fixed 8 put_f64 get_f64
+
+let bool =
+  { write = put_bool; read = get_bool; skip = (fun r -> ignore (get_bool r)) }
+
+let string =
+  {
+    write = put_string;
+    read = get_string;
+    skip = (fun r -> advance r (get_u32 r));
+  }
+
+let f64_array =
+  {
+    write = put_f64_array;
+    read = get_f64_array;
+    skip = (fun r -> advance r (8 * get_u32 r));
+  }
+
+let list f =
+  {
+    write = (fun w l -> put_list w f.write l);
+    read = (fun r -> get_list r f.read);
+    skip = (fun r -> for _ = 1 to get_u32 r do f.skip r done);
+  }
+
+let option f =
+  {
+    write = (fun w o -> put_option w f.write o);
+    read = (fun r -> get_option r f.read);
+    skip =
+      (fun r ->
+        match get_u8 r with
+        | 0 -> ()
+        | 1 -> f.skip r
+        | n -> raise (Corrupt (Printf.sprintf "bad option byte %d" n)));
+  }
+
+let const ?refuse f c =
+  let check r =
+    let v = f.read r in
+    if v <> c then
+      match refuse with
+      | Some why -> raise (Refused (why v))
+      | None -> raise (Corrupt "unexpected constant")
+  in
+  { write = (fun w () -> f.write w c); read = check; skip = check }
+
+let exact f =
+  let ends r = if not (at_end r) then raise (Corrupt "trailing bytes") in
+  {
+    f with
+    read = (fun r -> let v = f.read r in ends r; v);
+    skip = (fun r -> f.skip r; ends r);
+  }
+
+(* Each field is read under its own [let], after the fields before it:
+   OCaml evaluates the components of a tuple or record right to left. *)
+let record make =
+  { write = (fun _ _ -> ()); read = (fun _ -> make); skip = ignore }
+
+let unit = record ()
+let field f get = (f, get)
+
+let ( |+ ) b (f, get) =
+  {
+    write = (fun w v -> b.write w v; f.write w (get v));
+    read = (fun r -> let make = b.read r in let v = f.read r in make v);
+    skip = (fun r -> b.skip r; f.skip r);
+  }
+
+let ( |- ) b f =
+  {
+    write = (fun w v -> b.write w v; f.write w ());
+    read = (fun r -> let make = b.read r in f.read r; make);
+    skip = (fun r -> b.skip r; f.skip r);
+  }
+
+let seal b = b
+
+(* Tuples are built from pairs, not with [record]: a case body is one,
+   and a read through [record] allocates a closure per field. *)
+let t2 a b =
+  {
+    write = (fun w (x, y) -> a.write w x; b.write w y);
+    read = (fun r -> let x = a.read r in let y = b.read r in (x, y));
+    skip = (fun r -> a.skip r; b.skip r);
+  }
+
+let conv inj proj f =
+  {
+    write = (fun w v -> f.write w (proj v));
+    read = (fun r -> inj (f.read r));
+    skip = f.skip;
+  }
+
+let t3 a b c =
+  conv (fun (x, (y, z)) -> (x, y, z)) (fun (x, y, z) -> (x, (y, z)))
+    (t2 a (t2 b c))
+
+let t4 a b c d =
+  conv
+    (fun (x, (y, z, u)) -> (x, y, z, u))
+    (fun (x, y, z, u) -> (x, (y, z, u)))
+    (t2 a (t3 b c d))
+
+let t5 a b c d e =
+  conv
+    (fun (x, (y, z, u, v)) -> (x, y, z, u, v))
+    (fun (x, y, z, u, v) -> (x, (y, z, u, v)))
+    (t2 a (t4 b c d e))
+
+type 'a case =
+  | Case : {
+      tag : int;
+      body : 'b t;
+      inject : 'b -> 'a;
+      project : 'a -> 'b option;
+    }
+      -> 'a case
+
+let case tag body inject project = Case { tag; body; inject; project }
+
+let const_case tag v =
+  case tag unit (fun () -> v) (fun x -> if x = v then Some () else None)
+
+let tagged ~unknown head kind_of cases =
+  let by_tag = Array.make 256 None in
+  List.iter (fun (Case c as k) -> by_tag.(c.tag) <- Some k) (List.rev cases);
+  let find tag =
+    match by_tag.(tag) with
+    | Some c -> c
+    | None -> raise (Corrupt (Printf.sprintf "%s %d" unknown tag))
+  in
+  let rec write_case w v kind = function
+    | [] -> invalid_arg "Codec.tagged: no case matches the value"
+    | Case c :: rest -> (
+      match c.project kind with
+      | Some b -> put_u8 w c.tag; head.write w v; c.body.write w b
+      | None -> write_case w v kind rest)
+  in
+  {
+    write = (fun w v -> write_case w v (kind_of v) cases);
+    read =
+      (fun r ->
+        let (Case c) = find (get_u8 r) in
+        let make = head.read r in
+        let b = c.body.read r in
+        make (c.inject b));
+    skip =
+      (fun r ->
+        let (Case c) = find (get_u8 r) in
+        head.skip r;
+        c.body.skip r);
+  }
+
+let union ~unknown cases = tagged ~unknown (record Fun.id) Fun.id cases
 
 (* CRC-32, IEEE 802.3 reflected polynomial, table-driven, on native
    ints: every value fits in 32 bits, so no byte boxes an [Int32]. *)

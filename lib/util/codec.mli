@@ -1,16 +1,29 @@
-(** Binary encoding for durable on-disk records.
+(** Binary encoding for the system's durable files and wire frames.
 
-    A tiny, dependency-free codec used by the journal layer: a
-    buffer-backed {!writer} / cursor-backed {!reader} pair over
-    fixed-width little-endian primitives (floats are stored as their
-    IEEE-754 bit patterns, so round-trips are bit-exact, NaNs
-    included), plus CRC-32 and a length-prefixed checksummed frame
-    format with torn-tail detection.
+    Every record the system writes and later trusts is declared once,
+    as a {!t}: a format value from which the codec derives the writer
+    ({!encode}), the reader ({!decode}) and a {!skip} that checks the
+    same bytes the reader checks and builds nothing.  Formats are built
+    from fixed-width little-endian primitives (floats are stored as
+    their IEEE-754 bit patterns, so round-trips are bit-exact, NaNs
+    included), {!list} and {!option}, records whose fields are listed
+    one per line in wire order ({!record}, {!(|+)}, {!seal}), and
+    tagged unions ({!union}, {!tagged}).  Eight formats use it, each
+    declared in its own module: journal segments, [MANIFEST] and the
+    journal digest's input ([Poc_resilience.Journal]), [intake.log]
+    ([Poc_daemon.Intake]), [RUNS] ([Poc_daemon.Registry]), the daemon's
+    wire frames ([Poc_daemon.Framing]), [FLIGHT] ([Poc_obs.Flight]),
+    and the fleet's [RESULT] and [FLEET] ([Poc_fleet.Driver]).
 
-    Frames on disk are [u32 payload length | u32 CRC-32 of payload |
-    payload].  {!next_frame} never raises on damaged input: a frame cut
-    short by a crash, or one whose checksum no longer matches, reads as
-    {!Torn} and the caller recovers everything before it. *)
+    Around the formats sit CRC-32 and a length-prefixed checksummed
+    frame format with torn-tail detection.  Frames on disk are
+    [u32 payload length | u32 CRC-32 of payload | payload].
+    {!next_frame} never raises on damaged input: a frame cut short by a
+    crash, or one whose checksum no longer matches, reads as {!Torn}
+    and the caller recovers everything before it.
+
+    The [put_*]/[get_*] primitives below remain for code that must
+    write bytes no format declares, such as a deliberately cut frame. *)
 
 type writer
 
@@ -58,12 +71,87 @@ val get_list : reader -> (reader -> 'a) -> 'a list
 val get_option : reader -> (reader -> 'a) -> 'a option
 val get_f64_array : reader -> float array
 
-val skip : reader -> int -> unit
-(** Step over [n] bytes, with the short-read check of a [get_*]. *)
+(** {2 Formats} *)
 
-val skip_string : reader -> unit
-(** Step over a string as {!get_string} reads it, checking its length
-    the same way, without copying it. *)
+type 'a t
+(** The layout of one value on the wire. *)
+
+exception Refused of string
+(** Raised by a {!const} given [refuse] when the bytes hold another
+    value: a well-formed record of the wrong kind or version, which the
+    caller reports with the message rather than as damage. *)
+
+val encode : 'a t -> 'a -> string
+val decode : 'a t -> string -> 'a
+(** Raises {!Corrupt} on a short or malformed payload.  Bytes after the
+    value are ignored unless the format is {!exact}. *)
+
+val skip : 'a t -> string -> unit
+(** Check [payload] as {!decode} does, raising exactly where it raises,
+    without building the value. *)
+
+val u8 : int t
+val u32 : int t
+val i64 : int64 t
+val int : int t
+val f64 : float t
+val bool : bool t
+val string : string t
+val f64_array : float array t
+val list : 'a t -> 'a list t
+val option : 'a t -> 'a option t
+
+val const : ?refuse:('a -> string) -> 'a t -> 'a -> unit t
+(** Writes the constant; reading any other value raises
+    [Refused (refuse v)], or {!Corrupt} without [refuse]. *)
+
+val exact : 'a t -> 'a t
+(** The value fills its payload: trailing bytes read as {!Corrupt}. *)
+
+type ('w, 'r) fields
+(** A record format under construction: it writes a ['w] and reads
+    its constructor ['r], still waiting for the fields not yet added. *)
+
+val record : 'r -> ('w, 'r) fields
+(** [record make] starts a record whose fields, added in wire order
+    with {!(|+)}, are the arguments of [make] in order. *)
+
+val field : 'a t -> ('w -> 'a) -> 'a t * ('w -> 'a)
+
+val ( |+ ) : ('w, 'a -> 'r) fields -> 'a t * ('w -> 'a) -> ('w, 'r) fields
+(** Append a field: its format and its getter. *)
+
+val ( |- ) : ('w, 'r) fields -> unit t -> ('w, 'r) fields
+(** Append bytes that are not a field, such as a {!const}. *)
+
+val seal : ('w, 'w) fields -> 'w t
+
+val t2 : 'a t -> 'b t -> ('a * 'b) t
+val t3 : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
+val t4 : 'a t -> 'b t -> 'c t -> 'd t -> ('a * 'b * 'c * 'd) t
+val t5 : 'a t -> 'b t -> 'c t -> 'd t -> 'e t -> ('a * 'b * 'c * 'd * 'e) t
+
+type 'a case
+(** One arm of a tagged union. *)
+
+val case : int -> 'b t -> ('b -> 'a) -> ('a -> 'b option) -> 'a case
+(** [case tag body inject project]: values [project] accepts are
+    written as the u8 [tag] and their body. *)
+
+val const_case : int -> 'a -> 'a case
+(** A case with no body, for the one value equal to the given one. *)
+
+val union : unknown:string -> 'a case list -> 'a t
+(** The u8 tag of the first case that accepts the value, then its body.
+    An unlisted tag reads as [Corrupt (unknown ^ " " ^ tag)]. *)
+
+val tagged :
+  unknown:string -> ('a, 'k -> 'a) fields -> ('a -> 'k) -> 'k case list -> 'a t
+(** [tagged ~unknown head kind cases]: a {!union} over [kind v] whose
+    tag comes first, then the [head] fields every case shares, then the
+    case's body.  [head]'s constructor takes the decoded kind last. *)
+
+(** {2 Frames} *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE 802.3 polynomial) as a non-negative int in

@@ -143,6 +143,16 @@ grep -q "run=2 state=quarantined" "$workdir/resumed-runs.txt" || {
   exit 1
 }
 
+# Both transports print the same RUNS lines: a binary reply frame's
+# continuation marker is the wire's, not the answer's.
+"$cli" ctl --socket "$sock" --binary RUNS > "$workdir/resumed-runs-binary.txt"
+if ! cmp -s "$workdir/resumed-runs.txt" "$workdir/resumed-runs-binary.txt"; then
+  echo "FAIL: ctl RUNS and ctl --binary RUNS print different lines" >&2
+  diff -u "$workdir/resumed-runs.txt" "$workdir/resumed-runs-binary.txt" >&2
+  exit 1
+fi
+echo "ok: line and binary transports print the same RUNS"
+
 # Scoped requests to the quarantined run answer the terminal GONE.
 rc=0
 "$cli" ctl --socket "$sock" --run 2 STATUS \

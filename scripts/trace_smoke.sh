@@ -105,6 +105,32 @@ print("ok: --jobs 2 trace covers the same span names")
 EOF
 echo "ok: --jobs 2 runs compute identical results to serial runs"
 
+# A kill the fleet survives must not leave its epoch's spans open, and
+# each pool worker nests its own: in a crash-matrix fleet, at one
+# domain and at two, no epoch span has an epoch ancestor.
+for jobs in 1 2; do
+  "$cli" fleet --months 16 --matrix crash --sites 8 --bps 3 --epochs 4 \
+    --topologies 2 --jobs "$jobs" --store "$workdir/fleet-$jobs" \
+    --trace "$workdir/fleet-$jobs.json" > /dev/null
+done
+python3 - "$workdir/fleet-1.json" "$workdir/fleet-2.json" <<'EOF'
+import json, sys
+
+for path in sys.argv[1:]:
+    with open(path) as f:
+        spans = [e for e in json.load(f)["traceEvents"] if e["ph"] == "X"]
+    by_id = {e["args"]["span_id"]: e for e in spans}
+    epochs = [e for e in spans if e["name"] == "epoch"]
+    assert len(epochs) >= 16 * 4, f"{path}: only {len(epochs)} epoch spans"
+    for e in epochs:
+        parent = by_id.get(e["args"]["parent_id"])
+        while parent is not None:
+            assert parent["name"] != "epoch", \
+                f"{path}: epoch span {e['args']['span_id']} under another epoch"
+            parent = by_id.get(parent["args"]["parent_id"])
+print("ok: no fleet epoch span nests under another epoch")
+EOF
+
 # The daemon writes its trace and metrics files at shutdown: a traced
 # `serve` session (a BID, an EPOCH, then SHUTDOWN) exits 0 and leaves
 # trace-event JSON with the supervisor's epoch phase spans and a

@@ -641,7 +641,7 @@ let qcheck_select_exact_pooled_matches_serial =
     (fun seed ->
       let problem = random_problem seed in
       let cache =
-        Poc_auction.Feascache.create ~digest:(Vcg.problem_digest problem)
+        Poc_auction.Feascache.create ~digest:"test"
       in
       let serial = Vcg.select_exact problem in
       let selections_equal a b =

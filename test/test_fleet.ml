@@ -337,6 +337,59 @@ let qcheck_fleet_determinism =
               | Ok (Driver.Interrupted _) | Error _ ->
                 QCheck.Test.fail_report "resume failed")))
 
+(* A survived kill leaves no span open behind it, and each pool worker
+   nests its own spans: no scenario's epoch sits under another epoch. *)
+let test_fleet_epoch_spans_never_nest () =
+  let module Trace = Poc_obs.Trace in
+  let crash_only =
+    { Chaos_matrix.with_crash = true; with_storage = false;
+      with_degrade = false }
+  in
+  List.iter
+    (fun jobs ->
+      with_tmp_root (fun root ->
+          let recs = ref [] in
+          Trace.set_sink
+            (Some
+               { Trace.emit = (fun r -> recs := r :: !recs); flush = ignore });
+          let run =
+            Fun.protect
+              ~finally:(fun () -> Trace.set_sink None)
+              (fun () ->
+                Pool.with_pool ~jobs (fun pool ->
+                    Driver.run ?pool
+                      { (small_config root) with Driver.axes = crash_only }))
+          in
+          (match run with
+          | Ok (Driver.Finished _) -> ()
+          | Ok (Driver.Interrupted _) | Error _ ->
+            Alcotest.fail "crash fleet should finish");
+          let by_id = Hashtbl.create 256 in
+          List.iter
+            (fun (r : Trace.record) -> Hashtbl.replace by_id r.Trace.id r)
+            !recs;
+          let rec under_epoch parent =
+            match Hashtbl.find_opt by_id parent with
+            | None -> false
+            | Some (p : Trace.record) ->
+              p.Trace.name = "epoch" || under_epoch p.Trace.parent
+          in
+          let epochs =
+            List.filter (fun (r : Trace.record) -> r.Trace.name = "epoch") !recs
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs %d: every month traced" jobs)
+            true
+            (List.length epochs >= 6 * 4);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs %d: no epoch under an epoch" jobs)
+            0
+            (List.length
+               (List.filter
+                  (fun (r : Trace.record) -> under_epoch r.Trace.parent)
+                  epochs))))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "matrix: spec parsing round-trips" `Quick
@@ -353,5 +406,7 @@ let suite =
       test_fleet_flight_verdict_after_kill_chain;
     Alcotest.test_case "store root claims and manifest mismatch" `Slow
       test_fleet_rejects_dirty_root_and_mismatch;
+    Alcotest.test_case "crash fleet epoch spans never nest" `Slow
+      test_fleet_epoch_spans_never_nest;
     QCheck_alcotest.to_alcotest qcheck_fleet_determinism;
   ]

@@ -18,4 +18,5 @@ let () =
       ("daemon", Test_daemon.suite);
       ("registry", Test_registry.suite);
       ("obs", Test_obs.suite);
+      ("formats", Test_formats.suite);
     ]

@@ -1015,6 +1015,32 @@ let test_prometheus_conformance () =
 (* Both epoch loops time their phases through [Phase.run]: one trace
    span, one histogram observation and, with a ring attached, a flushed
    open before the body and a close carrying the duration after it. *)
+let test_phase_closes_span_on_raise () =
+  let h =
+    Metrics.histogram (Metrics.create_registry ()) "poc_test_raise_seconds"
+  in
+  let traced = Trace.Ring.create () in
+  Trace.set_sink (Some (Trace.Ring.sink traced));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sink None)
+    (fun () ->
+      let outer = Trace.span "epoch" in
+      (match
+         Poc_obs.Phase.run ~flight:None ~epoch:1 h "auction" (fun _ ->
+             ignore (Trace.span "vcg.run" : Trace.span);
+             raise Exit)
+       with
+      | () -> Alcotest.fail "the body's exception must propagate"
+      | exception Exit -> ());
+      Alcotest.(check int) "only the caller's span still open" 1
+        (Trace.open_spans ());
+      Trace.finish outer);
+  Alcotest.(check (list string)) "phase and its child emitted"
+    [ "vcg.run"; "auction"; "epoch" ]
+    (List.map
+       (fun (r : Trace.record) -> r.Trace.name)
+       (Trace.Ring.records traced))
+
 let test_phase_producer () =
   let reg = Metrics.create_registry () in
   let h = Metrics.histogram reg "poc_test_phase_seconds" in
@@ -1107,4 +1133,6 @@ let suite =
       test_prometheus_conformance;
     Alcotest.test_case "phase producer: span, histogram, flight pair" `Quick
       test_phase_producer;
+    Alcotest.test_case "phase closes its span when the body raises" `Quick
+      test_phase_closes_span_on_raise;
   ]

@@ -491,6 +491,41 @@ let test_crash_resume_before_first_snapshot =
      rebuild from the initial state, not from a snapshot. *)
   check_crash_resume ~at_epoch:2 Fault.Post_settle
 
+(* The process survives an injected crash in the fleet's kill chain and
+   the daemon's registry, so the crashed epoch's spans must not stay open
+   and become the parents of later epochs. *)
+let test_crash_closes_spans () =
+  let module Trace = Poc_obs.Trace in
+  let plan = plan () in
+  List.iter
+    (fun phase ->
+      let schedule =
+        match
+          Fault.compile plan.Planner.wan ~seed:2020
+            (chaos_specs plan @ [ Fault.Crash { at_epoch = 3; phase } ])
+        with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "crash schedule failed to compile: %s" msg
+      in
+      let ring = Trace.Ring.create () in
+      Trace.set_sink (Some (Trace.Ring.sink ring));
+      Fun.protect
+        ~finally:(fun () -> Trace.set_sink None)
+        (fun () ->
+          with_tmp_store (fun path ->
+              match Supervisor.run plan ~journal:path ~market ~schedule with
+              | _ -> Alcotest.fail "expected an injected crash"
+              | exception Supervisor.Injected_crash _ ->
+                let what = Fault.phase_to_string phase in
+                Alcotest.(check int) (what ^ ": no span left open") 0
+                  (Trace.open_spans ());
+                Alcotest.(check int) (what ^ ": every epoch span emitted") 3
+                  (List.length
+                     (List.filter
+                        (fun (r : Trace.record) -> r.Trace.name = "epoch")
+                        (Trace.Ring.records ring))))))
+    [ Fault.Pre_auction; Fault.Pre_settle; Fault.Post_settle ]
+
 let test_journal_replay_roundtrip () =
   let plan = plan () in
   with_tmp_store (fun path ->
@@ -1553,6 +1588,8 @@ let suite =
       test_crash_resume_post_settle;
     Alcotest.test_case "crash before first snapshot resumes byte-identical"
       `Slow test_crash_resume_before_first_snapshot;
+    Alcotest.test_case "injected crash closes the epoch's spans" `Slow
+      test_crash_closes_spans;
     Alcotest.test_case "journal replay round-trips a clean run" `Slow
       test_journal_replay_roundtrip;
     Alcotest.test_case "torn and corrupt tails truncate, never crash" `Slow
