@@ -24,11 +24,8 @@ let experiments =
     ("e13", "retail pricing & last-mile congestion (extension)", E13_retail.run);
     ("e14", "incremental POC deployment (extension)", E14_transition.run);
     ("e15", "chaos: faults & graceful degradation (extension)", E15_chaos.run);
-    ("e16", "daemon serving capacity (extension)", E16_daemon.run);
     ("e19", "continent-scale feasibility: cache + repair (extension)",
       E19_scale.run);
-    ("e20", "multi-run daemon: concurrent runs + fault isolation (extension)",
-      E20_multirun.run);
     ("micro", "Bechamel kernel micro-benchmarks", Micro.run);
   ]
 

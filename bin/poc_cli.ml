@@ -897,8 +897,8 @@ let serve_cmd =
     Arg.(
       value & opt float 5.0
       & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Close a connection that holds a partial request line longer \
-                than $(docv) seconds.")
+          ~doc:"Close a connection that holds a partial request frame \
+                longer than $(docv) seconds.")
   in
   let snapshot_every_arg =
     Arg.(
@@ -918,8 +918,8 @@ let serve_cmd =
       & info [ "runs" ] ~docv:"N"
           ~doc:"Open $(docv) concurrent runs at startup (run 0 at \
                 $(b,ROOT), further runs under $(b,ROOT)/runs/).  Clients \
-                address them with the $(b,RUN <id>) prefix or the binary \
-                framed protocol; more runs open live via $(b,OPEN).")
+                address them by run id ($(b,ctl --run) or a $(b,RUN <id>) \
+                prefix); more runs open live via $(b,OPEN).")
   in
   let max_runs_arg =
     Arg.(
@@ -954,10 +954,6 @@ let serve_cmd =
     let module Epochs = Poc_market.Epochs in
     let market = { Epochs.default_config with Epochs.epochs; seed } in
     let fault_specs = injected_specs ~crashes ~disk_faults in
-    (try if not (Sys.file_exists root) then Sys.mkdir root 0o755
-     with Sys_error msg ->
-       Printf.eprintf "serve: cannot create %s: %s\n" root msg;
-       exit 1);
     let socket =
       Option.value socket ~default:(Filename.concat root "ctl.sock")
     in
@@ -996,13 +992,13 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the market as a long-lived multi-run daemon: a supervised \
              run registry (per-run journal, intake log and failure domain; \
-             failing runs restart with backoff, then quarantine) behind the \
-             line protocol (RUN-prefixed \
+             failing runs restart with backoff, then quarantine) behind one \
+             checksummed framed protocol on a Unix socket (run-addressed \
              BID/MATRIX/EPOCH/STATUS/METRICS/SCRUB/QUIESCE/SHUTDOWN plus \
-             OPEN/CLOSE/RUNS) and a checksummed binary framed protocol on \
-             the same socket, bounded admission queues with backpressure \
-             and shedding, live Prometheus endpoint, and kill-under-load \
-             recovery via $(b,--resume).")
+             OPEN/CLOSE/RUNS; $(b,poc-cli ctl) is its client), bounded \
+             admission queues with backpressure and shedding, live \
+             Prometheus endpoint, and kill-under-load recovery via \
+             $(b,--resume).")
     term
 
 let ctl_cmd =
@@ -1017,7 +1013,9 @@ let ctl_cmd =
       value & pos_all string []
       & info [] ~docv:"COMMAND"
           ~doc:"Requests to send, one per argument (quote each).  With no \
-                arguments, requests are read from stdin, one per line.")
+                arguments, requests are read from stdin, one per line.  \
+                Each is parsed here and sent as one frame; one that does \
+                not parse is reported on stderr and never sent.")
   in
   let run_id_arg =
     Arg.(
@@ -1028,13 +1026,6 @@ let ctl_cmd =
                 $(b,RUN ID); lines already carrying a $(b,RUN) prefix or a \
                 registry verb ($(b,OPEN)/$(b,CLOSE)/$(b,RUNS)) pass \
                 through unchanged.")
-  in
-  let binary_arg =
-    Arg.(
-      value & flag
-      & info [ "binary" ]
-          ~doc:"Speak the checksummed binary framed protocol instead of the \
-                line protocol (same requests, parsed locally and framed).")
   in
   let timeout_arg =
     Arg.(
@@ -1052,7 +1043,7 @@ let ctl_cmd =
                 sleeping the daemon's escalating retry_after plus local \
                 jitter between attempts.")
   in
-  let run verbose socket run_id binary timeout busy_retries commands =
+  let run verbose socket run_id timeout busy_retries commands =
     setup_logs verbose;
     let module Protocol = Poc_daemon.Protocol in
     let module Framing = Poc_daemon.Framing in
@@ -1105,20 +1096,6 @@ let ctl_cmd =
       prerr_endline "ctl: connection closed by daemon";
       exit 4
     in
-    (* One response element: a line (line protocol) or a reply frame. *)
-    let rec next_line deadline =
-      let s = Buffer.contents buf in
-      match String.index_opt s '\n' with
-      | Some i ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-        String.sub s 0 i
-      | None -> (
-        match fill deadline with
-        | `Again -> next_line deadline
-        | `Timeout -> die_timeout ()
-        | `Eof -> die_eof ())
-    in
     let rec next_reply deadline =
       match Queue.take_opt pending with
       | Some (Framing.Reply r) -> r
@@ -1168,30 +1145,18 @@ let ctl_cmd =
     let has_prefix p s =
       String.length s >= String.length p && String.sub s 0 (String.length p) = p
     in
-    let rec send attempt line =
-      (if binary then
-         (* Parse errors were rejected before the first attempt, so this
-            cannot fail here. *)
-         match Protocol.parse_command line with
-         | Error msg -> failwith ("ctl: parse: " ^ msg)
-         | Ok cmd -> write_all (Framing.encode_msg (Framing.of_command cmd))
-       else write_all (line ^ "\n"));
+    let rec send attempt cmd =
+      write_all (Framing.encode_msg (Framing.of_command cmd));
       let deadline = Unix.gettimeofday () +. timeout in
       let rec read_response () =
-        let text, final =
-          if binary then
-            let r = next_reply deadline in
-            (Protocol.payload r.Framing.line, r.Framing.final)
-          else
-            let l = next_line deadline in
-            (Protocol.payload l, Protocol.is_terminal l)
-        in
+        let r = next_reply deadline in
+        let text = Protocol.payload r.Framing.line in
         print_endline text;
-        if not final then read_response ()
+        if not r.Framing.final then read_response ()
         else if has_prefix "BUSY" text && attempt < busy_retries then begin
           let delay = Option.value (retry_after text) ~default:0.05 in
           Unix.sleepf (delay *. (1.0 +. (0.25 *. jitter ())));
-          send (attempt + 1) line
+          send (attempt + 1) cmd
         end
         else begin
           if has_prefix "ERR" text then incr failures;
@@ -1201,14 +1166,12 @@ let ctl_cmd =
       read_response ()
     in
     let send line =
-      if binary then (
-        (* An unparseable line never reached the wire: nothing to read. *)
-        match Protocol.parse_command line with
-        | Error msg ->
-          Printf.eprintf "ctl: parse: %s\n" msg;
-          incr failures
-        | Ok _ -> send 0 line)
-      else send 0 line
+      (* An unparseable line never reaches the wire: nothing to read. *)
+      match Protocol.parse_command line with
+      | Error msg ->
+        Printf.eprintf "ctl: parse: %s\n" msg;
+        incr failures
+      | Ok cmd -> send 0 cmd
     in
     (match commands with
     | [] -> (
@@ -1224,15 +1187,15 @@ let ctl_cmd =
   in
   let term =
     Term.(
-      const run $ verbose_arg $ socket_arg $ run_id_arg $ binary_arg
-      $ timeout_arg $ busy_retries_arg $ commands_arg)
+      const run $ verbose_arg $ socket_arg $ run_id_arg $ timeout_arg
+      $ busy_retries_arg $ commands_arg)
   in
   let man =
     [
       `S Manpage.s_exit_status;
       `P "$(b,0) every request answered OK (BUSY responses that cleared \
           within $(b,--busy-retries) count as OK).";
-      `P "$(b,2) at least one request answered ERR.";
+      `P "$(b,2) at least one request answered ERR, or did not parse.";
       `P "$(b,4) the daemon vanished mid-request (connection closed).";
       `P "$(b,5) at least one request answered GONE: the addressed run is \
           quarantined or closed.  Its store is intact — inspect it with \
@@ -1245,9 +1208,9 @@ let ctl_cmd =
     (Cmd.info "ctl" ~man
        ~doc:"Send control requests to a running $(b,poc-cli serve) daemon \
              and print the responses.  Requests may address any run \
-             ($(b,--run), a $(b,RUN <id>) prefix, or $(b,--binary) frames); \
-             BUSY answers retry with the daemon's escalating retry-after \
-             plus client-side jitter.")
+             ($(b,--run) or a $(b,RUN <id>) prefix) and travel as \
+             checksummed frames; BUSY answers retry with the daemon's \
+             escalating retry-after plus client-side jitter.")
     term
 
 (* --- profile ---------------------------------------------------------------- *)

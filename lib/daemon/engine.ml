@@ -83,23 +83,19 @@ let retrying_disk ?policy ?(ops = Disk.real_ops) () =
          Metrics.Counter.inc c_retries)
        ops)
 
-type action = Continue | Stop of int
-
 type t = {
   n_bps : int;
   store : string;
   market : Epochs.config;
+  (* The updates waiting for the next epoch, in seq order: an EPOCH
+     applies exactly what it drains.  A shed victim and a failed intake
+     append leave the queue, and a resume re-queues the intake log's
+     entries the restored state has not folded in, so a live run and a
+     crash-resumed replay fold the same updates at the same epochs. *)
   admission : Supervisor.update Admission.t;
   disk : Disk.t;
   loop : Supervisor.loop;
   ilog : Intake.t;
-  (* Mirror of the intake log, newest first: the single source of truth
-     for which updates an epoch applies.  The admission queue only
-     bounds what is waiting; application always reads the mirror, so a
-     live run and a crash-resumed replay fold exactly the same updates
-     at exactly the same epochs. *)
-  mutable accepted_rev : Supervisor.update Admission.entry list;
-  shed_seqs : (int, unit) Hashtbl.t;
   fb : Black_box.t option;
   (* Live admissions' Clock.now_us, keyed by seq: the settle histogram
      attributes admission→settlement latency only to updates admitted
@@ -128,7 +124,7 @@ let create ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
   let admission = Admission.create ~high_water () in
   Metrics.Gauge.set g_high_water (float_of_int high_water);
   let intake_retry ~attempt:_ ~delay:_ _ = Metrics.Counter.inc c_retries in
-  let finish loop ilog accepted_rev shed_seqs =
+  let finish loop ilog =
     let t =
       {
         n_bps;
@@ -138,8 +134,6 @@ let create ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
         disk;
         loop;
         ilog;
-        accepted_rev;
-        shed_seqs;
         fb = flight;
         admit_us = Hashtbl.create 64;
         quiesced = false;
@@ -161,57 +155,43 @@ let create ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
         Supervisor.suspend loop;
         Error (Supervisor.Refused msg)
       | Ok (ilog, records) ->
-        let shed_seqs = Hashtbl.create 64 in
+        let shed = Hashtbl.create 64 in
         List.iter
           (fun (r : Intake.record) ->
-            match r.displaces with
-            | Some s -> Hashtbl.replace shed_seqs s ()
-            | None -> ())
+            Option.iter (fun s -> Hashtbl.replace shed s ()) r.displaces)
           records;
-        let accepted = List.map (fun (r : Intake.record) -> r.entry) records in
-        List.iter
-          (fun (e : _ Admission.entry) ->
-            Admission.set_last_seq admission e.seq)
-          accepted;
-        (* Entries not yet folded into the restored state go back on
-           the queue so depth accounting (and backpressure) survive the
-           restart; their application still comes from the mirror. *)
         let resume_next =
           match Supervisor.next_epoch loop with
           | Some e -> e
           | None -> Supervisor.horizon loop + 1
         in
+        (* Entries the restored state has not folded in go back on the
+           queue, for the epochs that will apply them; the rest restore
+           the dedup floor and the counters. *)
+        let applied = ref 0 in
         List.iter
-          (fun (e : _ Admission.entry) ->
-            if e.apply_epoch >= resume_next && not (Hashtbl.mem shed_seqs e.seq)
-            then Admission.force admission e)
-          accepted;
+          (fun ({ entry = e; _ } : Intake.record) ->
+            Admission.set_last_seq admission e.seq;
+            if not (Hashtbl.mem shed e.seq) then
+              if e.apply_epoch >= resume_next then Admission.force admission e
+              else incr applied)
+          records;
         (* Counters are process-local; restore the run-cumulative
            accepted/shed/applied counts from the durable intake log so
            STATUS and the Prometheus endpoint survive the restart. *)
-        Metrics.Counter.add c_accepted (float_of_int (List.length accepted));
-        Metrics.Counter.add c_shed
-          (float_of_int (Hashtbl.length shed_seqs));
-        Metrics.Counter.add c_applied
-          (float_of_int
-             (List.length
-                (List.filter
-                   (fun (e : _ Admission.entry) ->
-                     e.apply_epoch < resume_next
-                     && not (Hashtbl.mem shed_seqs e.seq))
-                   accepted)));
+        Metrics.Counter.add c_accepted (float_of_int (List.length records));
+        Metrics.Counter.add c_shed (float_of_int (Hashtbl.length shed));
+        Metrics.Counter.add c_applied (float_of_int !applied);
         Metrics.Counter.inc c_recoveries;
         Metrics.Histogram.observe h_recovery
           ((Clock.now_us () -. t0) *. 1e-6);
-        finish loop ilog (List.rev accepted) shed_seqs)
+        finish loop ilog)
   else
     let loop =
       Supervisor.open_run ~journal:store ?flight ~snapshot_every
         ?segment_bytes ~disk ?pool plan ~market ~schedule
     in
-    finish loop
-      (Intake.create ~disk ~on_retry:intake_retry intake)
-      [] (Hashtbl.create 64)
+    finish loop (Intake.create ~disk ~on_retry:intake_retry intake)
 
 let next_epoch t = Supervisor.next_epoch t.loop
 let queue_depth t = Admission.depth t.admission
@@ -225,35 +205,27 @@ let banner t =
     (Admission.high_water t.admission)
     (Epochs.describe_config t.market)
 
-let suspend t =
-  (match Supervisor.next_epoch t.loop with
-  | Some _ -> Supervisor.suspend t.loop
-  | None -> ignore (Supervisor.finish t.loop));
-  Intake.close t.ilog
-
-(* Best-effort teardown of a run whose loop may already be dead (an
-   [Injected_crash] closes the journal and kills the loop before the
-   registry sees the exception): release what is still open and never
-   raise. *)
-let abandon t =
-  (try
-     match Supervisor.next_epoch t.loop with
-     | Some _ -> Supervisor.suspend t.loop
-     | None -> ignore (Supervisor.finish t.loop)
-   with _ -> ());
-  try Intake.close t.ilog with _ -> ()
+(* The one close: the journal gets its completion record once the
+   horizon is done and stays resumable before it; the intake log
+   closes even when the journal's close raises. *)
+let close t =
+  Fun.protect
+    ~finally:(fun () -> Intake.close t.ilog)
+    (fun () ->
+      match Supervisor.next_epoch t.loop with
+      | Some _ -> Supervisor.suspend t.loop
+      | None -> ignore (Supervisor.finish t.loop : Supervisor.report))
 
 (* --- request handlers ----------------------------------------------------- *)
 
 let admit t ~seq ~priority payload =
-  if t.quiesced then
-    ([ Printf.sprintf "ERR %d quiesced" seq ], Continue)
+  if t.quiesced then [ Printf.sprintf "ERR %d quiesced" seq ]
   else
     match Supervisor.next_epoch t.loop with
-    | None -> ([ Printf.sprintf "ERR %d horizon complete" seq ], Continue)
+    | None -> [ Printf.sprintf "ERR %d horizon complete" seq ]
     | Some next -> (
       match Supervisor.validate_update ~n_bps:t.n_bps payload with
-      | Error msg -> ([ Printf.sprintf "ERR %d %s" seq msg ], Continue)
+      | Error msg -> [ Printf.sprintf "ERR %d %s" seq msg ]
       | Ok () -> (
         let entry =
           { Admission.seq; apply_epoch = next; priority; payload }
@@ -261,23 +233,17 @@ let admit t ~seq ~priority payload =
         match Admission.offer t.admission entry with
         | Admission.Duplicate ->
           Metrics.Counter.inc c_dup;
-          ([ Printf.sprintf "DUP %d" seq ], Continue)
+          [ Printf.sprintf "DUP %d" seq ]
         | Admission.Rejected { retry_after } ->
           Metrics.Counter.inc c_rejected;
-          ([ Printf.sprintf "BUSY %d retry_after=%.3f" seq retry_after ],
-           Continue)
+          [ Printf.sprintf "BUSY %d retry_after=%.3f" seq retry_after ]
         | Admission.Admitted { shed } -> (
           let displaces =
             Option.map (fun (v : _ Admission.entry) -> v.seq) shed
           in
           match Intake.append t.ilog { entry; displaces } with
           | () ->
-            t.accepted_rev <- entry :: t.accepted_rev;
-            (match shed with
-            | Some v ->
-              Hashtbl.replace t.shed_seqs v.seq ();
-              Metrics.Counter.inc c_shed
-            | None -> ());
+            if Option.is_some shed then Metrics.Counter.inc c_shed;
             Metrics.Counter.inc c_accepted;
             Hashtbl.replace t.admit_us seq (Clock.now_us ());
             (match t.fb with
@@ -297,10 +263,9 @@ let admit t ~seq ~priority payload =
               | Some v -> Printf.sprintf " shed=%d" v.Admission.seq
               | None -> ""
             in
-            ([ Printf.sprintf "OK %d apply_epoch=%d queue=%d%s" seq next
-                 (Admission.depth t.admission)
-                 shed_part ],
-             Continue)
+            [ Printf.sprintf "OK %d apply_epoch=%d queue=%d%s" seq next
+                (Admission.depth t.admission)
+                shed_part ]
           | exception Sys_error msg ->
             (* The admission is not durable: undo it entirely so the
                client can safely retry.  The victim (if any) was never
@@ -310,14 +275,8 @@ let admit t ~seq ~priority payload =
             | Some v -> Admission.force t.admission v
             | None -> ());
             set_queue_gauges t;
-            ([ Printf.sprintf
-                 "ERR %d not recorded (%s); retry with a fresh seq" seq msg ],
-             Continue))))
-
-let entries_for t e =
-  List.rev t.accepted_rev
-  |> List.filter (fun (en : _ Admission.entry) ->
-         en.apply_epoch = e && not (Hashtbl.mem t.shed_seqs en.seq))
+            [ Printf.sprintf
+                "ERR %d not recorded (%s); retry with a fresh seq" seq msg ])))
 
 (* Attribute admission→settlement latency to every update the epoch
    just folded in: the settle histogram feeds the Prometheus endpoint,
@@ -343,15 +302,15 @@ let settle_applied t e entries =
   | None -> ()
   | Some b -> if entries <> [] then Black_box.flush b
 
-(* Run up to [n] epochs.  Whatever an epoch raises (an injected
-   crash, a disk that keeps failing) escapes to the registry, which
-   fails the run into its recovery cycle. *)
+(* Run up to [n] epochs, each applying what it drains from the queue.
+   Whatever an epoch raises (an injected crash, a disk that keeps
+   failing) escapes to the registry, which fails the run into its
+   recovery cycle. *)
 let run_epochs t n =
   let rec go k lines =
     match next_epoch t with
     | Some e when k > 0 ->
-      ignore (Admission.drain t.admission ~epoch:e);
-      let entries = entries_for t e in
+      let entries = Admission.drain t.admission ~epoch:e in
       let updates =
         List.map (fun (en : _ Admission.entry) -> en.payload) entries
       in
@@ -374,8 +333,7 @@ let run_epochs t n =
   let next =
     match next_epoch t with Some e -> string_of_int e | None -> "done"
   in
-  ( lines @ [ Printf.sprintf "OK epochs=%d next=%s" (List.length lines) next ],
-    Continue )
+  lines @ [ Printf.sprintf "OK epochs=%d next=%s" (List.length lines) next ]
 
 let status_line t =
   let next =
@@ -410,16 +368,7 @@ let dispatch t = function
   | Protocol.Matrix { seq; factor; priority } ->
     admit t ~seq ~priority (Supervisor.Scale_demand { factor })
   | Protocol.Epoch n -> run_epochs t n
-  | Protocol.Status -> ([ status_line t ], Continue)
-  | Protocol.Metrics_dump ->
-    let body = Metrics.to_prometheus Metrics.default in
-    let lines =
-      String.split_on_char '\n' body
-      |> List.filter (fun l -> l <> "")
-      |> List.map Protocol.continuation
-    in
-    (lines @ [ Printf.sprintf "OK metrics bytes=%d" (String.length body) ],
-     Continue)
+  | Protocol.Status -> [ status_line t ]
   | Protocol.Scrub -> (
     match Journal.scrub ~disk:t.disk ~dry_run:true t.store with
     | Ok report ->
@@ -428,24 +377,14 @@ let dispatch t = function
         |> List.filter (fun l -> l <> "")
         |> List.map Protocol.continuation
       in
-      ( json_lines
-        @ [ Printf.sprintf "OK scrub recovered=%b" report.Journal.recovered ],
-        Continue )
-    | Error msg -> ([ "ERR scrub " ^ msg ], Continue))
+      json_lines
+      @ [ Printf.sprintf "OK scrub recovered=%b" report.Journal.recovered ]
+    | Error msg -> [ "ERR scrub " ^ msg ])
   | Protocol.Quiesce ->
     t.quiesced <- true;
-    ( [ Printf.sprintf "OK quiesced queue=%d" (Admission.depth t.admission) ],
-      Continue )
-  | Protocol.Shutdown -> (
-    match next_epoch t with
-    | None ->
-      ignore (Supervisor.finish t.loop);
-      Intake.close t.ilog;
-      ([ "BYE complete" ], Stop 0)
-    | Some e ->
-      Supervisor.suspend t.loop;
-      Intake.close t.ilog;
-      ([ Printf.sprintf "BYE resumable next=%d" e ], Stop 0))
+    [ Printf.sprintf "OK quiesced queue=%d" (Admission.depth t.admission) ]
+  | Protocol.Metrics_dump | Protocol.Shutdown ->
+    invalid_arg "Engine.handle: METRICS and SHUTDOWN are daemon-wide verbs"
 
 let handle t req =
   let t0 = Clock.now_us () in

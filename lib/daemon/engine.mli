@@ -3,16 +3,18 @@
     the durable intake log — everything [poc-cli serve] does for one
     run except the socket.
 
-    The engine is deliberately transport-free so tests and benches can
-    drive one run's request handling ({!handle}) in-process.  [serve]
-    reaches it through [Registry.dispatch], which answers the
-    daemon-wide verbs ([QUIESCE], [SHUTDOWN], [METRICS], [OPEN],
-    [CLOSE], [RUNS]) itself and runs the observability flush.
-    One engine owns one supervised run: requests arrive strictly
+    The engine answers the verbs a run owns: [BID], [MATRIX], [EPOCH],
+    [STATUS], [SCRUB] and [QUIESCE].  [serve] reaches it through
+    [Registry.dispatch], which answers the daemon-wide verbs
+    ([METRICS], [SHUTDOWN], [OPEN], [CLOSE], [RUNS]) itself, quiesces
+    every run on [QUIESCE], and runs the observability flush; tests
+    drive one run's request handling ({!handle}) in-process.  One
+    engine owns one supervised run: requests arrive strictly
     sequentially (the server's event loop is the single writer), live
     updates wait in the {!Admission} queue until the next [EPOCH]
-    request folds them into the market, and every admission is durable
-    in the {!Intake} log before the client sees [OK].
+    request drains them and folds exactly those into the market, and
+    every admission is durable in the {!Intake} log before the client
+    sees [OK].
 
     Recovery is layered:
 
@@ -24,7 +26,7 @@
       cycle;
     - {e process death} (including SIGKILL) recovers on restart with
       [resume:true]: the journal checkpoint plus the intake log's
-      re-applied updates reproduce the uninterrupted run byte for
+      re-queued updates reproduce the uninterrupted run byte for
       byte. *)
 
 module Supervisor = Poc_resilience.Supervisor
@@ -33,10 +35,6 @@ module Fault = Poc_resilience.Fault
 module Black_box = Poc_resilience.Black_box
 
 type t
-
-type action =
-  | Continue
-  | Stop of int  (** close the service and exit with this code *)
 
 val create :
   ?snapshot_every:int ->
@@ -55,8 +53,8 @@ val create :
   (t, Supervisor.refusal) result
 (** Open the supervised loop ([resume:false], the default, starts a
     fresh journal store at [store]; [resume:true] replays it and the
-    intake log, re-queues still-pending updates and restores the dedup
-    floor).  Same validation failures as [Supervisor.open_run] surface
+    intake log, re-queues the logged updates the restored state has not
+    applied (sheds excluded) and restores the dedup floor).  Same validation failures as [Supervisor.open_run] surface
     as [Invalid_argument]; resume problems as [Error].
 
     [honor_crashes] (default false) re-arms the schedule's not-yet-fired
@@ -75,11 +73,13 @@ val create :
     [flight=on:<records>] / [flight=off] and the gauge
     [poc_daemon_flight_records] mirrors it. *)
 
-val handle : t -> Protocol.request -> string list * action
+val handle : t -> Protocol.request -> string list
 (** Process one request; returns the response lines (continuations
-    first, terminal last — see {!Protocol}) and what the server should
-    do next.  Counts the request and observes its latency.  Raises
-    whatever the run raises mid-[EPOCH]; the loop is dead afterwards. *)
+    first, terminal last — see {!Protocol}).  Counts the request and
+    observes its latency.  Raises whatever the run raises mid-[EPOCH];
+    the loop is dead afterwards.  [METRICS] and [SHUTDOWN] are not a
+    run's verbs: the registry answers them, and [handle] raises
+    [Invalid_argument] on them. *)
 
 val next_epoch : t -> int option
 val queue_depth : t -> int
@@ -88,17 +88,12 @@ val banner : t -> string
 (** One-line startup description (store, horizon, queue bound, market
     config). *)
 
-val suspend : t -> unit
-(** Close the journal resumably and the intake log — the
-    signal-shutdown path when the server must exit without a client
-    [SHUTDOWN]. *)
-
-val abandon : t -> unit
-(** Best-effort {!suspend} for a run whose loop may already be dead
-    (after [Supervisor.Injected_crash] the journal is closed and the
-    loop unusable): closes whatever is still open, swallows every
-    error, never raises.  The registry calls this before marking a run
-    [Failing]. *)
+val close : t -> unit
+(** Close the run: past the horizon the journal gets its completion
+    record, before it the store stays resumable; the intake log is
+    closed either way, even when closing the journal raises.  The
+    registry calls it on [CLOSE], at shutdown, and (ignoring what it
+    raises) on a run whose loop an exception already killed. *)
 
 val retrying_disk : ?policy:Disk.retry_policy -> ?ops:Disk.ops -> unit -> Disk.t
 (** A disk whose transient [Sys_error]s retry under [policy] (default

@@ -53,12 +53,25 @@ let of_command : Protocol.command -> msg = function
 
 (* Wire tags: 1..11 are requests, 64 and 65 replies (continuation and
    final); gaps are left for future verbs, so old decoders drop (rather
-   than misread) new ones.  A payload holds exactly one item. *)
+   than misread) new ones.  A payload holds exactly one item.  The
+   writer tries the cases in list order, so the replies, one frame per
+   line the daemon sends, come first; tags are explicit, so the order
+   moves no byte. *)
 let item_format =
   Codec.(
     exact
       (union ~unknown:"framing tag"
          [
+           case 64 (t2 int string)
+             (fun (run, line) -> Reply { run; final = false; line })
+             (function
+               | Reply { run; final = false; line } -> Some (run, line)
+               | _ -> None);
+           case 65 (t2 int string)
+             (fun (run, line) -> Reply { run; final = true; line })
+             (function
+               | Reply { run; final = true; line } -> Some (run, line)
+               | _ -> None);
            case 1 (t3 (option int) (option int) (option int))
              (fun (run, epochs, seed) -> Msg (Open { run; epochs; seed }))
              (function
@@ -92,16 +105,6 @@ let item_format =
            const_case 9 (Msg Metrics);
            const_case 10 (Msg Quiesce);
            const_case 11 (Msg Shutdown);
-           case 64 (t2 int string)
-             (fun (run, line) -> Reply { run; final = false; line })
-             (function
-               | Reply { run; final = false; line } -> Some (run, line)
-               | _ -> None);
-           case 65 (t2 int string)
-             (fun (run, line) -> Reply { run; final = true; line })
-             (function
-               | Reply { run; final = true; line } -> Some (run, line)
-               | _ -> None);
          ]))
 
 let encode item =

@@ -1,10 +1,10 @@
-(** The daemon's binary framed protocol: run-id-addressed,
-    length-prefixed, checksummed.
+(** The daemon's wire format, the only one its socket speaks:
+    run-id-addressed, length-prefixed, checksummed.
 
     Each message on the wire is one byte of {!magic} ([0xB1] — outside
-    ASCII, so the first byte of a connection cleanly discriminates
-    framed clients from line-protocol ones) followed by a
-    {!Poc_util.Codec} frame ([u32 length | u32 CRC-32 | payload]).  The
+    ASCII, so a client writing text is told apart at its first byte)
+    followed by a {!Poc_util.Codec} frame
+    ([u32 length | u32 CRC-32 | payload]).  The
     payload is a tag byte plus the message fields; floats travel as
     IEEE-754 bits, so a bid factor round-trips bit-exactly — no
     [%.17g] printing on the hot path.
@@ -17,10 +17,10 @@
     kills the connection.  A frame merely still in flight — header or
     payload not yet fully read — is left unconsumed for the next read.
 
-    Replies mirror the line protocol's framing: zero or more
-    [final = false] frames (continuation lines) then exactly one
-    [final = true] frame, each carrying the run id it answers for and
-    the same text a line-protocol client would see. *)
+    A reply is one frame per {!Protocol} response line: zero or more
+    [final = false] frames (continuation lines, their text still
+    prefixed ["| "]) then exactly one [final = true] frame, each
+    carrying the run id it answers for. *)
 
 module Codec = Poc_util.Codec
 
@@ -44,13 +44,12 @@ type msg =
   | Quiesce
   | Shutdown
       (** Client-to-daemon messages; the run-scoped ones carry their
-          target run id inline (the line protocol's [RUN <id>]
+          target run id inline (a command line's [RUN <id>]
           prefix). *)
 
 type reply = { run : int; final : bool; line : string }
-(** Daemon-to-client: the response text a line client would see, tagged
-    with the run it concerns.  [final = false] frames are continuation
-    lines. *)
+(** Daemon-to-client: one response line, tagged with the run it
+    concerns.  [final = false] frames are continuation lines. *)
 
 type item = Msg of msg | Reply of reply
 

@@ -1,11 +1,12 @@
-(** The daemon's line-oriented control protocol.
+(** The daemon's control commands and the text of its replies.
 
-    One request per line, ASCII, space-separated; one response per
-    request.  A response is zero or more {e continuation} lines, each
-    prefixed with ["| "], followed by exactly one {e terminal} line —
-    any line {e not} starting with ["| "].  Clients read until the
-    terminal line; no length prefixes, so a shell script with a [while
-    read] loop is a complete client.
+    A request is written as one ASCII line, space-separated: [poc-cli
+    ctl] parses it here and sends it as a {!Framing} frame, the only
+    wire format.  One response per request: zero or more
+    {e continuation} lines, each prefixed with ["| "], then exactly one
+    {e terminal} line — any line {e not} starting with ["| "].  Each
+    line travels in its own reply frame, the terminal one marked
+    [final].
 
     Requests:
 

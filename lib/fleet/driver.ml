@@ -555,11 +555,14 @@ let prepare_root ~resume disk cfg =
          "%s already holds a fleet; pass --resume to finish it or pick a \
           fresh store root"
          cfg.store)
-  else begin
-    Disk.mkdir_p disk cfg.store;
-    Disk.write_file_atomic disk manifest (encode_manifest cfg);
-    Ok ()
-  end
+  else
+    match
+      Disk.mkdir_p disk cfg.store;
+      Disk.write_file_atomic disk manifest (encode_manifest cfg)
+    with
+    | () -> Ok ()
+    | exception Sys_error msg ->
+      Error (Printf.sprintf "cannot create fleet store %s: %s" cfg.store msg)
 
 let run ?pool ?(resume = false) ?kill_after cfg =
   match validate cfg with

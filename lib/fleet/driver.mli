@@ -135,14 +135,16 @@ val run :
   config ->
   (run_result, string) result
 (** Drive the whole fleet.  Fresh runs require a store root with no
-    [FLEET] manifest and write one; [~resume:true] requires the
+    [FLEET] manifest and write one, creating the root and any missing
+    parents; [~resume:true] requires the
     manifest, checks it against [config], loads completed scenarios
     from their [RESULT] frames and re-runs the rest.  [kill_after n]
     stops the fleet once at least [n] scenarios have completed in this
     invocation (the smoke test's SIGKILL stand-in).  [pool] shards
     scenarios across domains; the report is byte-identical at every
     pool size and across kill + resume.  [Error] on an invalid config,
-    an unplannable topology, or a store/manifest mismatch. *)
+    an unplannable topology, a store root that cannot be created, or a
+    store/manifest mismatch. *)
 
 val report_to_json : report -> string
 (** Aggregate survival/service/welfare report as one JSON document:

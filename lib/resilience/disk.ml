@@ -194,7 +194,14 @@ let truncate_file t path n =
   close_out oc
 
 let remove t path = if t.ops.exists path then t.ops.remove path
-let mkdir_p t path = if not (t.ops.is_directory path) then t.ops.mkdir path
+(* Parents first, each level through [ops], so a fault-injecting
+   backend sees every mkdir. *)
+let rec mkdir_p t path =
+  if not (t.ops.is_directory path) then begin
+    let parent = Filename.dirname path in
+    if parent <> path then mkdir_p t parent;
+    t.ops.mkdir path
+  end
 let readdir t path = t.ops.readdir path
 let exists t path = t.ops.exists path
 let is_directory t path = t.ops.is_directory path

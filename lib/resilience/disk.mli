@@ -151,7 +151,9 @@ val remove : t -> string -> unit
 (** Ignores a missing path. *)
 
 val mkdir_p : t -> string -> unit
-(** Create one directory level; ignores an existing directory. *)
+(** Create a directory and any missing parents, one [ops.mkdir] per
+    level; ignores an existing directory.  Raises [Sys_error] when a
+    level cannot be made (a parent that is a regular file, say). *)
 
 val readdir : t -> string -> string array
 val exists : t -> string -> bool

@@ -110,18 +110,16 @@ let engage ~banned ?pool (problem : Vcg.problem) =
     { step; attempts = i + 1; outcome; demand_scale }
   in
   match pool with
-  | Some p
-    when Poc_util.Pool.size p > 0
-         && List.length steps > 1
-         && not (Poc_obs.Trace.enabled ()) ->
+  | Some p when Poc_util.Pool.size p > 0 && List.length steps > 1 ->
     (* Rungs are independent pure attempts, so evaluate them all
        speculatively across the pool and keep the first success in rung
        order: worst-case degraded-epoch latency is the slowest single
        rung, not the sum of every failed rung.  [attempts] stays the
        winner's 1-based rung index, exactly what the serial walk
        reports, so incident logs are identical at every pool size.
-       Tracing pins the serial walk: span stacks are submitting-domain
-       state, and the auction inside each rung opens spans. *)
+       Tracing does not change the path: each domain keeps its own
+       span stack, so a traced epoch times the program an untraced one
+       runs. *)
     let results =
       Poc_util.Pool.map_list p
         (fun step -> try_step ~banned ~pool:p problem step)

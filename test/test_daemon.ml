@@ -285,14 +285,17 @@ let req line =
   | Error msg -> Alcotest.failf "bad test request %S: %s" line msg
 
 let drive engine lines =
-  List.concat_map
-    (fun line -> fst (Engine.handle engine (req line))) lines
+  List.concat_map (fun line -> Engine.handle engine (req line)) lines
 
 let client_script =
-  [
-    "BID 1 0 1.07 2"; "MATRIX 2 1.04"; "EPOCH 3"; "BID 3 1 0.95"; "EPOCH 3";
-    "SHUTDOWN";
-  ]
+  [ "BID 1 0 1.07 2"; "MATRIX 2 1.04"; "EPOCH 3"; "BID 3 1 0.95"; "EPOCH 3" ]
+
+(* Whether a closed store carries its completion record.  A store
+   without one must still replay, i.e. stay resumable. *)
+let completed store =
+  match Poc_resilience.Journal.replay store with
+  | Ok r -> r.Poc_resilience.Journal.complete <> None
+  | Error msg -> Alcotest.failf "closed store does not replay: %s" msg
 
 let test_engine_completes_and_is_deterministic () =
   let plan = plan () in
@@ -304,15 +307,15 @@ let test_engine_completes_and_is_deterministic () =
                ~schedule:(empty_schedule plan))
         in
         let lines = drive engine client_script in
-        (lines, store_bytes store))
+        Engine.close engine;
+        (lines, store_bytes store, completed store))
   in
-  let lines_a, bytes_a = run () in
-  let lines_b, bytes_b = run () in
+  let lines_a, bytes_a, completed_a = run () in
+  let lines_b, bytes_b, _ = run () in
   Alcotest.(check (list string)) "responses are deterministic" lines_a lines_b;
   Alcotest.(check bool) "store bytes are deterministic" true
     (bytes_a = bytes_b);
-  Alcotest.(check bool) "horizon completed" true
-    (List.mem "BYE complete" lines_a);
+  Alcotest.(check bool) "horizon completed" true completed_a;
   match
     List.find_opt
       (fun l ->
@@ -336,6 +339,7 @@ let test_engine_kill_under_load_resumes_byte_identical () =
                ~schedule:(empty_schedule plan))
         in
         ignore (drive engine client_script);
+        Engine.close engine;
         store_bytes store)
   in
   (* Crash leg: same requests, injected crash at epoch 5 pre_settle
@@ -360,9 +364,9 @@ let test_engine_kill_under_load_resumes_byte_identical () =
           (Engine.create ~resume:true ~store ~intake plan ~market
              ~schedule:(empty_schedule plan))
       in
-      let lines = drive resumed [ "STATUS"; "EPOCH 10"; "SHUTDOWN" ] in
-      Alcotest.(check bool) "resumed run completes" true
-        (List.mem "BYE complete" lines);
+      ignore (drive resumed [ "STATUS"; "EPOCH 10" ]);
+      Engine.close resumed;
+      Alcotest.(check bool) "resumed run completes" true (completed store);
       Alcotest.(check bool)
         "store is byte-identical to the uninterrupted run" true
         (store_bytes store = reference))
@@ -377,13 +381,35 @@ let test_engine_refuses_after_horizon () =
       in
       ignore (drive engine [ "EPOCH 10" ]);
       (match Engine.handle engine (req "BID 9 0 1.01") with
-      | [ line ], Engine.Continue ->
+      | [ line ] ->
         Alcotest.(check bool) "bids after the horizon answer ERR" true
           (String.length line >= 3 && String.sub line 0 3 = "ERR")
       | _ -> Alcotest.fail "unexpected response shape");
-      match Engine.handle engine (req "SHUTDOWN") with
-      | [ "BYE complete" ], Engine.Stop 0 -> ()
-      | _ -> Alcotest.fail "shutdown after horizon completes the journal")
+      Engine.close engine;
+      Alcotest.(check bool) "closing after the horizon completes the journal"
+        true (completed store))
+
+(* Closed before its horizon, a run stays resumable: the store has no
+   completion record, and a resume comes back at the epoch after the
+   last snapshot (every 4th) and finishes the horizon. *)
+let test_engine_close_mid_horizon_resumes () =
+  let plan = plan () in
+  with_tmp_root (fun store intake ->
+      let open_engine ~resume =
+        must_create
+          (Engine.create ~resume ~store ~intake plan ~market
+             ~schedule:(empty_schedule plan))
+      in
+      let engine = open_engine ~resume:false in
+      ignore (drive engine [ "BID 1 0 1.07 2"; "EPOCH 4" ]);
+      Engine.close engine;
+      Alcotest.(check bool) "no completion record" false (completed store);
+      let resumed = open_engine ~resume:true in
+      Alcotest.(check (option int)) "resumes after the snapshot" (Some 5)
+        (Engine.next_epoch resumed);
+      ignore (drive resumed [ "EPOCH 10" ]);
+      Engine.close resumed;
+      Alcotest.(check bool) "the resumed run completes" true (completed store))
 
 (* --- Intake: fsync-before-OK retry under deterministic faults --- *)
 
@@ -723,7 +749,7 @@ let burst_script seed =
         end
         else "EPOCH 1")
   in
-  reqs @ [ "EPOCH 4"; "SHUTDOWN" ]
+  reqs @ [ "EPOCH 4" ]
 
 let run_burst plan ~schedule ~crash_and_resume seed =
   with_tmp_root (fun store intake ->
@@ -744,18 +770,19 @@ let run_burst plan ~schedule ~crash_and_resume seed =
         (fun line ->
           let send () =
             match Engine.handle !engine (req line) with
-            | lines, _ -> responses := List.rev_append lines !responses
+            | lines -> responses := List.rev_append lines !responses
             | exception Supervisor.Injected_crash _ ->
               crashed := true;
               (* The client survives the daemon: restart crash-free,
                  resume, and re-send the interrupted request. *)
               engine := mk ~resume:true ~schedule:(empty_schedule plan);
-              let lines, _ = Engine.handle !engine (req line) in
+              let lines = Engine.handle !engine (req line) in
               responses := List.rev_append lines !responses
           in
           send ();
           if Engine.queue_depth !engine > 3 then depth_ok := false)
         (burst_script seed);
+      Engine.close !engine;
       if crash_and_resume && not !crashed then
         QCheck.Test.fail_report "crash fault never fired";
       (List.rev !responses, store_bytes store, !depth_ok))
@@ -795,6 +822,179 @@ let qcheck_burst_bounded_deterministic_exactly_once =
           "crash+resume store differs from uninterrupted run";
       true)
 
+(* --- QCheck: an epoch applies what the old intake mirror selected --- *)
+
+(* An engine disk whose intake-log appends fail on demand: [fail true]
+   points the log's open descriptor at a read-only one, so the next
+   flush raises [Sys_error], and reopening the log raises until
+   [fail false], so every retry fails and the admission rolls back.
+   The journal's files pass through untouched. *)
+let failing_intake ~intake =
+  let failing = ref false and live = ref None in
+  let hook real path =
+    if path <> intake then real path
+    else if !failing then raise (Sys_error (path ^ ": injected intake fault"))
+    else begin
+      let oc = real path in
+      live := Some (Unix.descr_of_out_channel oc);
+      oc
+    end
+  in
+  let ops =
+    {
+      Disk.real_ops with
+      Disk.open_append = hook Disk.real_ops.Disk.open_append;
+      open_trunc = hook Disk.real_ops.Disk.open_trunc;
+    }
+  in
+  let fail on =
+    failing := on;
+    match !live with
+    | Some fd when on ->
+      let ro = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+      Unix.dup2 ro fd;
+      Unix.close ro;
+      live := None
+    | _ -> ()
+  in
+  ((fun () -> Disk.with_ops ops), fail)
+
+(* A seeded client session over a queue of 2-4: nine requests in ten
+   are prioritized BIDs and MATRIXes, enough to shed and to answer
+   BUSY, and two of those nine, and always the first, are sent while
+   the intake disk fails ([`Fail]); the rest are EPOCHs of 1 or 2. *)
+let mirror_script seed ~to_horizon =
+  let rng = Prng.create seed in
+  let seq = ref 0 in
+  let update () =
+    incr seq;
+    if Prng.int rng 4 = 0 then
+      Printf.sprintf "MATRIX %d %.4f %d" !seq
+        (0.95 +. (0.1 *. Prng.float rng))
+        (Prng.int rng 4)
+    else
+      Printf.sprintf "BID %d %d %.4f %d" !seq (Prng.int rng 6)
+        (0.9 +. (0.2 *. Prng.float rng))
+        (Prng.int rng 4)
+  in
+  let high_water = 2 + Prng.int rng 3 in
+  let first = (`Fail, update ()) in
+  let reqs =
+    first
+    :: List.init
+         (12 + Prng.int rng 12)
+         (fun _ ->
+           match Prng.int rng 10 with
+           | d when d < 7 -> (`Ok, update ())
+           | 7 | 8 -> (`Fail, update ())
+           | _ -> (`Ok, Printf.sprintf "EPOCH %d" (1 + Prng.int rng 2)))
+  in
+  (high_water, if to_horizon then reqs @ [ (`Ok, "EPOCH 4") ] else reqs)
+
+(* The intake mirror the queue replaced, as a model over what the
+   client was told: every acknowledged admission in seq order; an
+   epoch applies those admitted for it that no later admission shed. *)
+let mirror_updates ~acked ~shed e =
+  List.sort compare acked
+  |> List.filter_map (fun (seq, apply_epoch, line) ->
+         if apply_epoch = e && not (List.mem seq shed) then
+           match req line with
+           | Protocol.Bid { bp; factor; _ } ->
+             Some (Supervisor.Scale_bid { bp; factor })
+           | Protocol.Matrix { factor; _ } ->
+             Some (Supervisor.Scale_demand { factor })
+           | _ -> None
+         else None)
+
+(* [OK <seq> apply_epoch=<e> queue=<q> [shed=<s>]] *)
+let acknowledged line =
+  let value tok = int_of_string (List.nth (String.split_on_char '=' tok) 1) in
+  match String.split_on_char ' ' line with
+  | [ "OK"; seq; apply; _queue ] -> Some (int_of_string seq, value apply, None)
+  | [ "OK"; seq; apply; _queue; shed ] ->
+    Some (int_of_string seq, value apply, Some (value shed))
+  | _ -> None
+
+let run_against_mirror plan ~crash seed =
+  let schedule =
+    if crash then crash_schedule plan ~at_epoch:3 ~phase:Fault.Pre_settle
+    else empty_schedule plan
+  in
+  let high_water, script =
+    mirror_script seed ~to_horizon:(crash || seed mod 2 = 0)
+  in
+  with_tmp_root (fun store intake ->
+      let disk, fail = failing_intake ~intake in
+      let mk ~resume ~schedule =
+        must_create
+          (Engine.create ~high_water ~snapshot_every:1 ~disk:(disk ()) ~resume
+             ~store ~intake plan ~market:burst_market ~schedule)
+      in
+      let engine = ref (mk ~resume:false ~schedule) in
+      let acked = ref [] and shed = ref [] and crashed = ref false in
+      List.iter
+        (fun (mode, line) ->
+          fail (mode = `Fail);
+          let lines =
+            match Engine.handle !engine (req line) with
+            | lines -> lines
+            | exception Supervisor.Injected_crash _ ->
+              crashed := true;
+              engine := mk ~resume:true ~schedule:(empty_schedule plan);
+              Engine.handle !engine (req line)
+          in
+          fail false;
+          List.iter
+            (fun l ->
+              match acknowledged l with
+              | Some (seq, apply_epoch, victim) ->
+                acked := (seq, apply_epoch, line) :: !acked;
+                Option.iter (fun v -> shed := v :: !shed) victim
+              | None -> ())
+            lines)
+        script;
+      if crash && not !crashed then
+        QCheck.Test.fail_report "crash fault never fired";
+      let epochs =
+        match Engine.next_epoch !engine with
+        | Some e -> e - 1
+        | None -> burst_market.Epochs.epochs
+      in
+      Engine.close !engine;
+      let reference =
+        with_tmp_root (fun ref_store _ ->
+            let loop =
+              Supervisor.open_run ~journal:ref_store ~snapshot_every:1 plan
+                ~market:burst_market ~schedule:(empty_schedule plan)
+            in
+            for e = 1 to epochs do
+              ignore
+                (Supervisor.step
+                   ~updates:(mirror_updates ~acked:!acked ~shed:!shed e)
+                   loop)
+            done;
+            (match Supervisor.next_epoch loop with
+            | Some _ -> Supervisor.suspend loop
+            | None -> ignore (Supervisor.finish loop));
+            store_bytes ref_store)
+      in
+      store_bytes store = reference)
+
+let qcheck_epochs_apply_the_mirror =
+  QCheck.Test.make
+    ~name:"epochs apply exactly the acknowledged unshed updates, across \
+           shed, BUSY, failed appends and crash+resume"
+    ~count:4
+    QCheck.(int_range 0 1000)
+    (fun seed ->
+      let plan = plan () in
+      if not (run_against_mirror plan ~crash:false seed) then
+        QCheck.Test.fail_report "store differs from the mirror's loop";
+      if not (run_against_mirror plan ~crash:true seed) then
+        QCheck.Test.fail_report
+          "crash+resume store differs from the mirror's loop";
+      true)
+
 let suite =
   [
     Alcotest.test_case "protocol round-trips" `Quick test_protocol_roundtrip;
@@ -831,5 +1031,8 @@ let suite =
       test_engine_kill_under_load_resumes_byte_identical;
     Alcotest.test_case "engine refuses bids after the horizon" `Slow
       test_engine_refuses_after_horizon;
+    Alcotest.test_case "engine closed mid-horizon stays resumable" `Slow
+      test_engine_close_mid_horizon_resumes;
     QCheck_alcotest.to_alcotest qcheck_burst_bounded_deterministic_exactly_once;
+    QCheck_alcotest.to_alcotest qcheck_epochs_apply_the_mirror;
   ]

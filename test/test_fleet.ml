@@ -291,6 +291,27 @@ let test_fleet_rejects_dirty_root_and_mismatch () =
         [ ("a flipped byte", Bytes.to_string flipped);
           ("a trailing byte", original ^ "\x00") ])
 
+(* A store root under missing parents is made, parents included; one
+   under a regular file is an [Error] (the CLI's exit 1), not an
+   exception. *)
+let test_fleet_root_made_or_refused () =
+  with_tmp_root (fun tmp ->
+      let store = Filename.concat tmp "x/y/fleet" in
+      (match
+         Driver.run
+           { (small_config store) with Driver.months = 1; topologies = 1 }
+       with
+      | Ok (Driver.Finished _) -> ()
+      | Ok (Driver.Interrupted _) -> Alcotest.fail "no kill-after requested"
+      | Error msg -> Alcotest.failf "fleet under missing parents: %s" msg);
+      let file = Filename.concat tmp "file" in
+      Out_channel.with_open_bin file (fun _ -> ());
+      match Driver.run (small_config (Filename.concat file "fleet")) with
+      | Error msg ->
+        Alcotest.(check bool) "the error names the store" true
+          (contains msg "cannot create fleet store")
+      | Ok _ -> Alcotest.fail "a store under a regular file must not open")
+
 (* The acceptance property: the aggregate report's bytes do not depend
    on the pool size, nor on where a kill-and-resume split the fleet. *)
 let qcheck_fleet_determinism =
@@ -406,6 +427,8 @@ let suite =
       test_fleet_flight_verdict_after_kill_chain;
     Alcotest.test_case "store root claims and manifest mismatch" `Slow
       test_fleet_rejects_dirty_root_and_mismatch;
+    Alcotest.test_case "store root made with its parents, or refused" `Slow
+      test_fleet_root_made_or_refused;
     Alcotest.test_case "crash fleet epoch spans never nest" `Slow
       test_fleet_epoch_spans_never_nest;
     QCheck_alcotest.to_alcotest qcheck_fleet_determinism;

@@ -1158,7 +1158,9 @@ let engaged_key = function
 let test_ladder_engage_pool_invariant () =
   (* Speculative parallel rung evaluation must pick the same rung, with
      the same reported attempt count and the same priced outcome, as
-     the serial walk — at every pool size. *)
+     the serial walk — at every pool size, traced or not: tracing must
+     not change which program runs. *)
+  let module Trace = Poc_obs.Trace in
   let plan = plan () in
   let problem = plan.Planner.problem in
   let virtuals = List.map fst problem.Vcg.virtual_prices in
@@ -1185,7 +1187,26 @@ let test_ladder_engage_pool_invariant () =
               Alcotest.(check bool)
                 (Printf.sprintf "%s: jobs=%d outcome identical" label jobs)
                 true
-                (compare serial par = 0)))
+                (compare serial par = 0);
+              let ring = Trace.Ring.create () in
+              Trace.set_sink (Some (Trace.Ring.sink ring));
+              Fun.protect
+                ~finally:(fun () -> Trace.set_sink None)
+                (fun () ->
+                  let traced = Ladder.engage ~banned ?pool problem in
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s: jobs=%d traced matches serial" label
+                       jobs)
+                    (engaged_key serial) (engaged_key traced);
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s: jobs=%d traced leaves no span open"
+                       label jobs)
+                    0 (Trace.open_spans ());
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: jobs=%d the traced walk left spans"
+                       label jobs)
+                    true
+                    (Trace.Ring.records ring <> []))))
         [ 2; 4 ])
     bans
 
