@@ -50,10 +50,9 @@ val engage :
     success in rung order wins; without it they are tried serially.
     The engaged rung, its outcome and the reported [attempts] (the
     winner's 1-based rung index) are identical with or without the
-    pool, at every pool size.  While a trace sink is installed the
-    serial walk is used regardless of [?pool] (span stacks are
-    submitting-domain state); this changes latency only, never the
-    result. *)
+    pool, at every pool size.  The pool alone picks the path: a traced
+    run takes the same one as an untraced run (each domain keeps its
+    own span stack). *)
 
 val pay_as_bid :
   Poc_auction.Vcg.problem -> int list -> Poc_auction.Vcg.outcome option
