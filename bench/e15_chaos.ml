@@ -1,7 +1,7 @@
 (* E15 (extension) — graceful degradation under injected faults: the
-   supervised epoch loop vs the unsupervised one on the same chaos
-   schedule (BP bankruptcy + concurrent link failures + a full recall
-   wave), reporting service level, ladder activations, and
+   supervised epoch loop on a chaos schedule (BP bankruptcy +
+   concurrent link failures + a full recall wave) vs the same market
+   without faults, reporting service level, ladder activations, and
    epochs-to-recovery per incident. *)
 
 module Planner = Poc_core.Planner
@@ -25,7 +25,7 @@ let chaos_specs (wan : Wan.t) =
         Fault.Capacity_recall { at_epoch = 5; bp; fraction = 1.0; duration = 1 })
 
 let run ~scale ~seed =
-  Common.header "E15 — chaos: supervised degradation vs unsupervised epochs";
+  Common.header "E15 — chaos: supervised degradation vs fault-free epochs";
   Common.reset_metrics ();
   (* Ten supervised epochs each price a full VCG auction (and the
      recall wave walks the whole ladder), so the default quick
@@ -88,17 +88,19 @@ let run ~scale ~seed =
       let ledger = Settlement.of_plan final () in
       Printf.printf "closing ledger conservation: $%.6f\n"
         (Settlement.conservation ledger));
-    (* The unsupervised loop on the same drift: it cannot see the
-       faults, but a recall-heavy strategy mix shows what an epoch
-       failure looks like without the ladder. *)
-    let plain = Epochs.run plan market in
-    let failed =
-      List.filter (fun r -> r.Epochs.failure <> None) plain
+    (* The fault-free baseline: the same drift with no fault model.  An
+       epoch cleared when its auction cleared outright (Healthy), with
+       no ladder rung or carry. *)
+    let baseline =
+      (Supervisor.run plan ~market ~schedule:Fault.none).Supervisor.epochs
     in
-    Printf.printf
-      "unsupervised baseline (no fault model): %d/%d epochs cleared\n"
-      (List.length plain - List.length failed)
-      (List.length plain);
+    Printf.printf "fault-free baseline (no fault model): %d/%d epochs cleared\n"
+      (List.length
+         (List.filter
+            (fun (er : Supervisor.epoch_report) ->
+              er.Supervisor.status = Supervisor.Healthy)
+            baseline))
+      (List.length baseline);
     (* Journal overhead: the same supervised run with durability on
        (one flushed record per epoch + periodic snapshots), first into
        an unbounded store (one segment, never rotated), then at a few

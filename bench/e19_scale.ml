@@ -9,9 +9,10 @@
 
    and reports per-query rates plus the combined speedup of the cached
    path (repair to populate + warm hits thereafter) over from-scratch —
-   the >= 5x headline.  A second part replays a small market at jobs
-   {1,4} with the cache enabled and disabled and checks the four runs
-   byte-identical (their results marshalled, every float bit-exact):
+   the >= 5x headline.  A second part replays a small supervised
+   market (no faults) at jobs {1,4} with the cache enabled and disabled
+   and checks the four runs byte-identical (their epoch reports
+   marshalled, every float bit-exact):
    the determinism claim the cache and the incremental router must
    both uphold. *)
 
@@ -22,6 +23,8 @@ module Feascache = Poc_auction.Feascache
 module Acc = Poc_auction.Acceptability
 module Planner = Poc_core.Planner
 module Epochs = Poc_market.Epochs
+module Fault = Poc_resilience.Fault
+module Supervisor = Poc_resilience.Supervisor
 module Pool = Poc_util.Pool
 
 (* Quick mode: same generator, shrunk footprint (~2x10^4 links). *)
@@ -183,10 +186,11 @@ let part_identity ~seed =
     let was_enabled = Feascache.enabled () in
     let run_one ~cache_on ~jobs =
       Feascache.set_enabled cache_on;
-      let results =
-        Pool.with_pool ~jobs (fun pool -> Epochs.run ?pool plan market)
+      let report =
+        Pool.with_pool ~jobs (fun pool ->
+            Supervisor.run ?pool plan ~market ~schedule:Fault.none)
       in
-      Marshal.to_string results [ Marshal.No_sharing ]
+      Marshal.to_string report.Supervisor.epochs [ Marshal.No_sharing ]
     in
     let runs =
       List.map

@@ -405,33 +405,9 @@ let market_cmd =
     let module Epochs = Poc_market.Epochs in
     let market = { Epochs.default_config with Epochs.epochs; seed } in
     Pool.with_pool ~jobs (fun pool ->
-        if journal <> None || resume <> None then
-          (* Durable mode: the supervised loop (fault-free schedule) so
-             the run is journaled and resumable. *)
-          let schedule =
-            match Fault.compile plan.Planner.wan ~seed [] with
-            | Ok s -> s
-            | Error msg ->
-              Printf.eprintf "internal: empty schedule rejected: %s\n" msg;
-              exit 1
-          in
-          print_supervised
-            (run_supervised ~journal ~resume ?segment_bytes ?pool ~flight plan
-               ~market ~schedule)
-        else
-          let results = Epochs.run ?pool plan market in
-          List.iter
-            (fun (r : Epochs.epoch_result) ->
-              match r.Epochs.failure with
-              | Some reason ->
-                Printf.printf "%2d: auction failed (%s)\n" r.Epochs.epoch
-                  (Epochs.failure_name reason)
-              | None ->
-                Printf.printf
-                  "%2d: spend $%.0f  $%.2f/Gbps  |SL|=%d  HHI=%.3f\n"
-                  r.Epochs.epoch r.Epochs.spend r.Epochs.price_per_gbps
-                  r.Epochs.selected_links r.Epochs.supplier_hhi)
-            results);
+        print_supervised
+          (run_supervised ~journal ~resume ?segment_bytes ?pool ~flight plan
+             ~market ~schedule:Fault.none));
     print_phase_table ()
   in
   let term =
@@ -1222,16 +1198,9 @@ let profile_cmd =
     let plan = build_plan ~sites ~bps ~seed ~rule in
     let module Epochs = Poc_market.Epochs in
     let market = { Epochs.default_config with Epochs.epochs; seed } in
-    let schedule =
-      match Fault.compile plan.Planner.wan ~seed [] with
-      | Ok s -> s
-      | Error msg ->
-        Printf.eprintf "internal: empty schedule rejected: %s\n" msg;
-        exit 1
-    in
     let report =
       Pool.with_pool ~jobs (fun pool ->
-          Supervisor.run ?pool plan ~market ~schedule)
+          Supervisor.run ?pool plan ~market ~schedule:Fault.none)
     in
     let healthy =
       List.length

@@ -152,7 +152,7 @@ let create ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
     | Ok loop -> (
       match Intake.reopen ~disk ~on_retry:intake_retry intake with
       | Error msg ->
-        Supervisor.suspend loop;
+        ignore (Supervisor.close loop : Supervisor.report);
         Error (Supervisor.Refused msg)
       | Ok (ilog, records) ->
         let shed = Hashtbl.create 64 in
@@ -195,6 +195,7 @@ let create ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
 
 let next_epoch t = Supervisor.next_epoch t.loop
 let queue_depth t = Admission.depth t.admission
+let checkpoint t = Supervisor.checkpoint t.loop
 
 let banner t =
   Printf.sprintf
@@ -205,16 +206,11 @@ let banner t =
     (Admission.high_water t.admission)
     (Epochs.describe_config t.market)
 
-(* The one close: the journal gets its completion record once the
-   horizon is done and stays resumable before it; the intake log
-   closes even when the journal's close raises. *)
+(* The intake log closes even when the journal's close raises. *)
 let close t =
   Fun.protect
     ~finally:(fun () -> Intake.close t.ilog)
-    (fun () ->
-      match Supervisor.next_epoch t.loop with
-      | Some _ -> Supervisor.suspend t.loop
-      | None -> ignore (Supervisor.finish t.loop : Supervisor.report))
+    (fun () -> ignore (Supervisor.close t.loop : Supervisor.report))
 
 (* --- request handlers ----------------------------------------------------- *)
 
@@ -243,7 +239,11 @@ let admit t ~seq ~priority payload =
           in
           match Intake.append t.ilog { entry; displaces } with
           | () ->
-            if Option.is_some shed then Metrics.Counter.inc c_shed;
+            Option.iter
+              (fun (v : _ Admission.entry) ->
+                Metrics.Counter.inc c_shed;
+                Hashtbl.remove t.admit_us v.seq)
+              shed;
             Metrics.Counter.inc c_accepted;
             Hashtbl.replace t.admit_us seq (Clock.now_us ());
             (match t.fb with

@@ -84,16 +84,22 @@ val handle : t -> Protocol.request -> string list
 val next_epoch : t -> int option
 val queue_depth : t -> int
 
+val checkpoint : t -> int
+(** The epoch of the run's newest durable checkpoint
+    ([Supervisor.checkpoint]): a resume restarts at the epoch after
+    it. *)
+
 val banner : t -> string
 (** One-line startup description (store, horizon, queue bound, market
     config). *)
 
 val close : t -> unit
-(** Close the run: past the horizon the journal gets its completion
-    record, before it the store stays resumable; the intake log is
-    closed either way, even when closing the journal raises.  The
-    registry calls it on [CLOSE], at shutdown, and (ignoring what it
-    raises) on a run whose loop an exception already killed. *)
+(** Close the run through [Supervisor.close] (past the horizon the
+    journal gets its completion record, before it the store stays
+    resumable); the intake log is closed either way, even when closing
+    the journal raises.  The registry calls it on [CLOSE], at shutdown,
+    and (ignoring what it raises) on a run whose loop an exception
+    already killed. *)
 
 val retrying_disk : ?policy:Disk.retry_policy -> ?ops:Disk.ops -> unit -> Disk.t
 (** A disk whose transient [Sys_error]s retry under [policy] (default

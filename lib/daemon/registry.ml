@@ -580,14 +580,20 @@ let quiesce_all t =
    open run (a completed horizon is recorded closed, so a restart does
    not try to resume an immutable store), flush once, close [RUNS].
    Each run's close is isolated: one that raises is reported and the
-   others still close. *)
+   others still close.  A resume restarts an unfinished run after its
+   last checkpoint, so BYE names the earliest such restart epoch. *)
 let stop t =
   let serving =
     List.filter_map
       (fun s -> Option.map (fun e -> (s, e)) s.engine)
       (slots_sorted t)
   in
-  let pending = List.filter_map (fun (_, e) -> Engine.next_epoch e) serving in
+  let pending =
+    List.filter_map
+      (fun (_, e) ->
+        Option.map (fun _ -> Engine.checkpoint e + 1) (Engine.next_epoch e))
+      serving
+  in
   List.iter
     (fun (s, e) ->
       if Engine.next_epoch e = None then close_slot t s;

@@ -152,7 +152,10 @@ val stop : t -> string
     every other run stays resumable — flush once and close [RUNS].
     Each run's close is isolated: one that raises is reported on
     stderr and the others still close.  Returns the [BYE] line
-    ([BYE complete runs=<n>] or [BYE resumable next=<e> runs=<n>]).
+    ([BYE complete runs=<n>] or [BYE resumable next=<e> runs=<n>],
+    where [<e>] is the earliest epoch a resume restarts an unfinished
+    run at: the epoch after its last checkpoint, the [next] a resumed
+    [STATUS] reports).
     [SHUTDOWN] answers with it; the server calls it on a signal. *)
 
 val banner : t -> string

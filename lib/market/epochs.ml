@@ -3,30 +3,6 @@ module Vcg = Poc_auction.Vcg
 module Bid = Poc_auction.Bid
 module Matrix = Poc_traffic.Matrix
 module Planner = Poc_core.Planner
-module Trace = Poc_obs.Trace
-module Metrics = Poc_obs.Metrics
-module Clock = Poc_obs.Clock
-module Phase = Poc_obs.Phase
-
-let epoch_seconds =
-  Metrics.histogram ~help:"Whole-epoch wall clock (seconds)" Metrics.default
-    "poc_epoch_seconds"
-
-let drift_seconds =
-  Metrics.histogram ~help:"Market drift + bid construction phase (seconds)"
-    Metrics.default "poc_phase_drift_seconds"
-
-let auction_seconds =
-  Metrics.histogram ~help:"Auction phase wall clock (seconds)" Metrics.default
-    "poc_phase_auction_seconds"
-
-let m_epochs =
-  Metrics.counter ~help:"Market epochs simulated" Metrics.default
-    "poc_market_epochs_total"
-
-let m_auction_failures =
-  Metrics.counter ~help:"Epochs whose auction produced no outcome"
-    Metrics.default "poc_market_auction_failures_total"
 
 type bp_strategy = Truthful | Markup of float | Recallable of float
 
@@ -92,22 +68,6 @@ let describe_config config =
     config.epochs config.seed config.cost_trend config.cost_volatility
     config.demand_growth
     (List.length config.strategies)
-
-type failure = No_acceptable_selection | Empty_offer_pool
-
-let failure_name = function
-  | No_acceptable_selection -> "no acceptable selection"
-  | Empty_offer_pool -> "empty offer pool"
-
-type epoch_result = {
-  epoch : int;
-  spend : float;
-  price_per_gbps : float;
-  selected_links : int;
-  recalled_links : int;
-  supplier_hhi : float;
-  failure : failure option;
-}
 
 let supplier_hhi (outcome : Vcg.outcome) =
   let payments =
@@ -195,80 +155,3 @@ let advance config (plan : Planner.plan) st =
   in
   st.matrix <- Matrix.scale st.matrix config.demand_growth;
   (bids, recalled)
-
-let run ?pool (plan : Planner.plan) config =
-  (match validate_config config with
-  | Ok () -> ()
-  | Error msg -> invalid_arg msg);
-  let st = initial_state plan config in
-  let results = ref [] in
-  for epoch = 1 to config.epochs do
-    let ep_sp = Trace.span "epoch" in
-    if Trace.enabled () then Trace.add_attr ep_sp "epoch" (Trace.Int epoch);
-    let ep_t0 = Clock.now_us () in
-    let bids, recalled, problem =
-      Phase.run ~flight:None ~epoch drift_seconds "drift" (fun _ ->
-          let bids, recalled = advance config plan st in
-          ( bids,
-            recalled,
-            {
-              plan.Planner.problem with
-              Vcg.bids;
-              demands = Matrix.undirected_pair_demands st.matrix;
-            } ))
-    in
-    let select ?(banned = fun _ -> false) ?cache p =
-      Vcg.select_greedy
-        ~banned:(fun id -> banned id || Hashtbl.mem recalled id)
-        ?cache ?pool p
-    in
-    let volume = Matrix.total st.matrix in
-    let pool_nonempty =
-      problem.Vcg.virtual_prices <> []
-      || Array.exists
-           (fun bid ->
-             List.exists (fun id -> not (Hashtbl.mem recalled id)) (Bid.links bid))
-           bids
-    in
-    let fail reason =
-      Metrics.Counter.inc m_auction_failures;
-      if Trace.enabled () then
-        Trace.event "auction_failed"
-          ~attrs:[ ("reason", Trace.Str (failure_name reason)) ];
-      results :=
-        {
-          epoch;
-          spend = nan;
-          price_per_gbps = nan;
-          selected_links = 0;
-          recalled_links = Hashtbl.length recalled;
-          supplier_hhi = nan;
-          failure = Some reason;
-        }
-        :: !results
-    in
-    Phase.run ~flight:None ~epoch auction_seconds "auction" (fun _ ->
-        if not pool_nonempty then fail Empty_offer_pool
-        else
-          match Vcg.run ~select ?pool problem with
-          | None -> fail No_acceptable_selection
-          | Some outcome ->
-            results :=
-              {
-                epoch;
-                spend = outcome.Vcg.total_payment;
-                price_per_gbps =
-                  (if volume > 0.0 then outcome.Vcg.total_payment /. volume
-                   else 0.0);
-                selected_links = List.length outcome.Vcg.selection.selected;
-                recalled_links = Hashtbl.length recalled;
-                supplier_hhi = supplier_hhi outcome;
-                failure = None;
-              }
-              :: !results);
-    Metrics.Counter.inc m_epochs;
-    Metrics.Histogram.observe epoch_seconds
-      ((Clock.now_us () -. ep_t0) *. 1e-6);
-    Trace.finish ep_sp
-  done;
-  List.rev !results

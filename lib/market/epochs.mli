@@ -1,4 +1,5 @@
-(** The open bandwidth market over time (Section 3.3's motivation).
+(** The open bandwidth market over time (Section 3.3's motivation):
+    the model the POC's epoch loop re-runs its auction over.
 
     The POC re-runs its auction every leasing epoch.  Between epochs:
 
@@ -8,10 +9,14 @@
       links when they need them internally, and return them later;
     - the traffic matrix grows.
 
-    The simulation reports, per epoch, what the POC spends, the posted
-    break-even price, the selection, and supplier concentration — the
-    evidence that a leased-line POC tracks falling market prices
-    instead of locking in incumbent rates. *)
+    This module holds the market's config, its drifting {!state} and
+    one epoch's {!advance}; the epoch loop itself — auction, routing,
+    settlement, faults and journal — is [Poc_resilience.Supervisor],
+    whose report gives, per epoch, what the POC spends, the posted
+    break-even price and the selection: the evidence that a
+    leased-line POC tracks falling market prices instead of locking
+    in incumbent rates.  {!supplier_hhi} measures supplier
+    concentration of any outcome. *)
 
 type bp_strategy =
   | Truthful
@@ -40,31 +45,11 @@ val describe_config : config -> string
     ["epochs=12 seed=1 cost_trend=-0.02 ..."] — the daemon's startup
     banner and [STATUS] output use it. *)
 
-type failure =
-  | No_acceptable_selection
-      (** the offer pool is non-empty but no acceptable subset exists
-          under the plan's rule *)
-  | Empty_offer_pool
-      (** every offered link was recalled or withdrawn this epoch *)
-
-val failure_name : failure -> string
-
-type epoch_result = {
-  epoch : int;
-  spend : float;            (** POC monthly spend (payments + contracts) *)
-  price_per_gbps : float;   (** spend / traffic volume *)
-  selected_links : int;
-  recalled_links : int;
-  supplier_hhi : float;     (** Herfindahl index over BP payments, in [0,1] *)
-  failure : failure option; (** [None] when the auction cleared *)
-}
-
 (** {2 The market core}
 
-    {!run} loops over {!advance}; the supervised loop
-    ([Poc_resilience.Supervisor]) embeds the same {!state} and calls
-    the same {!advance}, so a fault-free supervised run replays the
-    plain market draw for draw. *)
+    The supervised loop ([Poc_resilience.Supervisor]) embeds a {!state}
+    and calls {!advance} once per epoch; a snapshot records the PRNG
+    cursor and cost levels, and {!restore_state} rebuilds the rest. *)
 
 type state = {
   rng : Poc_util.Prng.t;
@@ -86,21 +71,6 @@ val advance :
 (** One epoch of drift, in this draw order: cost drift, recall draws,
     the epoch's bids, then demand growth.  Returns the bids and the
     recalled link ids. *)
-
-val epoch_seconds : Poc_obs.Metrics.Histogram.t
-val drift_seconds : Poc_obs.Metrics.Histogram.t
-val auction_seconds : Poc_obs.Metrics.Histogram.t
-(** [poc_epoch_seconds], [poc_phase_drift_seconds] and
-    [poc_phase_auction_seconds], observed by both loops. *)
-
-val run :
-  ?pool:Poc_util.Pool.t -> Poc_core.Planner.plan -> config -> epoch_result list
-(** Replays [config.epochs] auctions over the plan's offer pool with
-    evolving costs, recalls and demand.  Uses the plan's acceptability
-    rule.  The epoch loop owns no domains itself: the caller creates
-    the pool once (e.g. [Poc_util.Pool.with_pool]) and passes it down,
-    and every epoch's auction fans out over it.  Results are identical
-    with or without a pool. *)
 
 val supplier_hhi : Poc_auction.Vcg.outcome -> float
 (** Concentration of the POC's BP payments. *)

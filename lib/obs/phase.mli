@@ -1,7 +1,10 @@
 (** One producer for a timed phase of a market epoch: a {!Trace} span,
     one observation of the phase's latency histogram and, when a flight
     ring is attached, an open/close pair in the {!Flight} recorder.
-    Both epoch loops run their phases through {!run}. *)
+    The epoch loop ([Poc_resilience.Supervisor]) runs every phase of an
+    epoch through {!run}; the epoch span itself it times by hand,
+    because a post-settle crash's flight record must follow the
+    epoch's flushed close. *)
 
 val run :
   flight:(Flight.t * (unit -> unit)) option ->

@@ -195,9 +195,11 @@ let truncate_file t path n =
 
 let remove t path = if t.ops.exists path then t.ops.remove path
 (* Parents first, each level through [ops], so a fault-injecting
-   backend sees every mkdir. *)
+   backend sees every mkdir.  A level that exists but is no directory
+   is named as such, not handed to mkdir. *)
 let rec mkdir_p t path =
   if not (t.ops.is_directory path) then begin
+    if t.ops.exists path then raise (Sys_error (path ^ ": Not a directory"));
     let parent = Filename.dirname path in
     if parent <> path then mkdir_p t parent;
     t.ops.mkdir path

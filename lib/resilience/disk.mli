@@ -152,8 +152,10 @@ val remove : t -> string -> unit
 
 val mkdir_p : t -> string -> unit
 (** Create a directory and any missing parents, one [ops.mkdir] per
-    level; ignores an existing directory.  Raises [Sys_error] when a
-    level cannot be made (a parent that is a regular file, say). *)
+    level; ignores an existing directory.  Raises
+    [Sys_error "<level>: Not a directory"] when a level exists but is
+    not a directory (a regular file, say), and [Sys_error] when a level
+    cannot be made. *)
 
 val readdir : t -> string -> string array
 val exists : t -> string -> bool

@@ -155,6 +155,8 @@ let compile wan ~seed specs =
     (* Stable sort keeps compile order within an epoch. *)
     Ok { timeline = List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev !timeline) }
 
+let none = { timeline = [] }
+
 let at schedule epoch =
   List.filter_map
     (fun (e, ev) -> if e = epoch then Some ev else None)

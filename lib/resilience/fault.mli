@@ -77,6 +77,11 @@ val compile :
 (** Resolves random choices deterministically from [seed].  Fails with
     the {!validate} message on a bad spec list. *)
 
+val none : schedule
+(** The empty schedule: no fault ever lands, so the supervised loop
+    runs the plain market.  Equal to [compile wan ~seed []] for every
+    [wan] and [seed], journal digest included. *)
+
 val at : schedule -> int -> event list
 (** Events taking effect at a given epoch, in compile order. *)
 

@@ -13,9 +13,18 @@ module Clock = Poc_obs.Clock
 module Flight = Poc_obs.Flight
 module Phase = Poc_obs.Phase
 
-(* The epoch, drift and auction histograms are the plain market loop's
-   ([Epochs.epoch_seconds] and friends); routing, settlement and journal
-   appends exist only here. *)
+let h_epoch =
+  Metrics.histogram ~help:"Whole-epoch wall clock (seconds)" Metrics.default
+    "poc_epoch_seconds"
+
+let h_drift =
+  Metrics.histogram ~help:"Market drift + bid construction phase (seconds)"
+    Metrics.default "poc_phase_drift_seconds"
+
+let h_auction =
+  Metrics.histogram ~help:"Auction phase wall clock (seconds)" Metrics.default
+    "poc_phase_auction_seconds"
+
 let h_routing =
   Metrics.histogram ~help:"Delivered-fraction routing phase (seconds)"
     Metrics.default "poc_phase_routing_seconds"
@@ -97,8 +106,8 @@ let status_to_string = function
 
 (* Carry-forward state between epochs: exactly what a snapshot record
    persists, so checkpoint/resume is a matter of copying this out and
-   back in.  [market] is the plain loop's drifting state, advanced by
-   the same [Epochs.advance]. *)
+   back in.  [market] is the market model's drifting state, advanced
+   by [Epochs.advance]. *)
 type state = {
   market : Epochs.state;
   down : (int, unit) Hashtbl.t; (* heals on Link_up *)
@@ -294,7 +303,9 @@ let apply_update st ~n_bps u =
    [resume] below drive one of these end to end; the daemon keeps one
    open across client requests instead.  [l_reports]/[l_violations]
    accumulate in reverse chronological order and include any prefix
-   recovered from a journal on resume. *)
+   recovered from a journal on resume.  [l_checkpoint] is the epoch of
+   the newest checkpoint (snapshot or rotation carry) written or
+   restored, 0 before the first: a resume restarts after it. *)
 type loop = {
   l_journal : Journal.t option;
   l_flight : Black_box.t option;
@@ -307,6 +318,7 @@ type loop = {
   l_market : Epochs.config;
   l_schedule : Fault.schedule;
   mutable l_next : int;
+  mutable l_checkpoint : int;
   mutable l_reports : epoch_report list;
   mutable l_violations : violation list;
   mutable l_final_plan : Planner.plan option;
@@ -318,6 +330,8 @@ let next_epoch loop =
   else Some loop.l_next
 
 let horizon loop = loop.l_market.Epochs.epochs
+
+let checkpoint loop = loop.l_checkpoint
 
 let progress loop = List.rev loop.l_reports
 
@@ -423,10 +437,10 @@ let run_epoch ~updates ~ep_sp loop =
     (match crash_info with
     | Some (Fault.Pre_auction, fault) -> crash epoch Fault.Pre_auction fault
     | _ -> ());
-    (* Market drift through the plain loop's core; the surge and the
+    (* Market drift through the market model; the surge and the
        down/gone bans are this loop's own. *)
     let recalled, epoch_matrix, problem =
-      phase Epochs.drift_seconds "drift" (fun _ ->
+      phase h_drift "drift" (fun _ ->
           let bids, recalled = Epochs.advance market plan st.market in
           st.demand_scale <- st.demand_scale *. market.Epochs.demand_growth;
           let grown = st.market.Epochs.matrix in
@@ -452,7 +466,7 @@ let run_epoch ~updates ~ep_sp loop =
     in
     (* Auction; on failure, the ladder; then carry-forward; then blackout. *)
     let status, outcome_opt, ladder_attempts =
-      phase Epochs.auction_seconds "auction" (fun _ ->
+      phase h_auction "auction" (fun _ ->
           let ((status, _, ladder_attempts) as decision) =
             match Vcg.run ~select ?pool problem with
             | Some outcome -> (Healthy, Some outcome, 0)
@@ -643,26 +657,31 @@ let run_epoch ~updates ~ep_sp loop =
             };
           if
             epoch mod loop.l_snapshot_every = 0 && epoch < market.Epochs.epochs
-          then Journal.append_snapshot t (snapshot_of_state ~epoch st);
+          then begin
+            Journal.append_snapshot t (snapshot_of_state ~epoch st);
+            loop.l_checkpoint <- epoch
+          end;
           (* Rotation is driven here, not inside the journal, because only
              the supervisor can checkpoint the live market state for the
              new segment's carry.  The trigger depends only on bytes
              appended so far, so an uninterrupted run and a resumed one
              rotate at the same epochs with the same carries. *)
-          if Journal.wants_rotation t && epoch < market.Epochs.epochs then
+          if Journal.wants_rotation t && epoch < market.Epochs.epochs then begin
             Journal.rotate t
               {
                 Journal.at = snapshot_of_state ~epoch st;
                 carry_reports = List.rev loop.l_reports;
                 carry_violations = List.rev loop.l_violations;
-              })
+              };
+            loop.l_checkpoint <- epoch
+          end)
     | None -> ());
     if Trace.enabled () then begin
       Trace.add_attr ep_sp "status" (Trace.Str (status_to_string status));
       Trace.add_attr ep_sp "spend" (Trace.Float spend)
     end;
     Metrics.Counter.inc m_epochs;
-    Metrics.Histogram.observe Epochs.epoch_seconds
+    Metrics.Histogram.observe h_epoch
       ((Clock.now_us () -. ep_t0) *. 1e-6);
     (* Epoch-boundary flush: the completed epoch's records are durable
        before any post-settle crash fires or the next epoch opens. *)
@@ -707,31 +726,26 @@ let assemble_report loop =
     final_plan = loop.l_final_plan;
   }
 
-let finish loop =
+(* The one close.  The journal gets its completion record only once
+   the horizon is done; closed before it, the store stays resumable (a
+   later [serve --resume] picks the run back up).  A loop an injected
+   crash already closed keeps its journal as the crash left it. *)
+let close loop =
   let report = assemble_report loop in
   (match loop.l_journal with
   | Some t when not loop.l_closed ->
-    Journal.append_complete t ~incidents:(render_incidents report);
+    if loop.l_next > horizon loop then
+      Journal.append_complete t ~incidents:(render_incidents report);
     Journal.close t
   | Some _ | None -> ());
   (match loop.l_flight with Some b -> Black_box.close b | None -> ());
   loop.l_closed <- true;
   report
 
-(* Close the journal with {e no} completion record: the store stays
-   resumable.  The daemon's graceful shutdown mid-horizon uses this so
-   a later [serve --resume] picks the run back up. *)
-let suspend loop =
-  (match loop.l_journal with
-  | Some t when not loop.l_closed -> Journal.close t
-  | Some _ | None -> ());
-  (match loop.l_flight with Some b -> Black_box.close b | None -> ());
-  loop.l_closed <- true
-
 let drive loop =
   let rec go () =
     match next_epoch loop with
-    | None -> finish loop
+    | None -> close loop
     | Some _ ->
       ignore (step loop);
       go ()
@@ -783,6 +797,7 @@ let open_run ?journal ?flight ?(snapshot_every = 4) ?segment_bytes ?disk
     l_market = market;
     l_schedule = schedule;
     l_next = 1;
+    l_checkpoint = 0;
     l_reports = [];
     l_violations = [];
     l_final_plan = None;
@@ -905,6 +920,7 @@ let open_resume ?(honor_crashes = false) ~journal:path ?flight ?disk ?pool
           l_market = market;
           l_schedule = schedule;
           l_next = first_epoch;
+          l_checkpoint = first_epoch - 1;
           l_reports = List.rev prefix;
           l_violations = List.rev prefix_violations;
           l_final_plan = None;

@@ -1,12 +1,19 @@
-(** Supervised control loop: the epoch market under injected faults.
+(** Supervised control loop: the one epoch loop of the market.
 
-    A supervised re-run of the repeated-auction loop
-    ([Poc_market.Epochs.run] semantics: cost drift, strategy recalls,
-    demand growth) that additionally applies a compiled {!Fault}
-    schedule, engages the degradation {!Ladder} whenever an epoch's
-    auction is infeasible, carries the last fully-healthy selection
-    forward (minus dead links) when even the ladder is exhausted, and
-    only reports a blackout when nothing at all can be leased.
+    Every epoch advances the market model ([Poc_market.Epochs.advance]:
+    cost drift, strategy recalls, demand growth) and re-runs the VCG
+    auction over the offer pool (Section 3.3).  On top it applies a
+    compiled {!Fault} schedule ({!Fault.none} for the plain market),
+    engages the degradation {!Ladder} whenever an epoch's auction is
+    infeasible, carries the last fully-healthy selection forward (minus
+    dead links) when even the ladder is exhausted, and only reports a
+    blackout when nothing at all can be leased.
+
+    Each epoch is one trace span, timed into [poc_epoch_seconds]; each
+    of its phases is a child span timed into its own histogram:
+    [poc_phase_drift_seconds], [poc_phase_auction_seconds],
+    [poc_phase_routing_seconds], [poc_phase_settlement_seconds] and,
+    with a journal, [poc_phase_journal_seconds].
 
     After every epoch it asserts the cross-layer invariants the paper's
     operational story depends on — the settlement ledger passes
@@ -163,9 +170,9 @@ val resume :
     The daemon ([Poc_daemon]) keeps a supervised run open across client
     requests instead of driving it end to end: {!open_run} /
     {!open_resume} build the same loop {!run} / {!resume} drive
-    internally, {!step} executes exactly one epoch, and {!finish} /
-    {!suspend} close it.  [run plan ~market ~schedule] is precisely
-    [open_run ... |> step-until-done |> finish], so every byte-identity
+    internally, {!step} executes exactly one epoch, and {!close} closes
+    it.  [run plan ~market ~schedule] is precisely
+    [open_run ... |> step-until-done |> close], so every byte-identity
     guarantee above transfers to stepped execution. *)
 
 type loop
@@ -235,6 +242,12 @@ val next_epoch : loop -> int option
 val horizon : loop -> int
 (** The run's total epoch count ([market.epochs]). *)
 
+val checkpoint : loop -> int
+(** The epoch of the newest durable checkpoint — a snapshot or a
+    rotation carry — the loop has written, or after {!open_resume}
+    restored; 0 before the first (always, without a journal).  A
+    resume of the journal restarts at [checkpoint loop + 1]. *)
+
 val progress : loop -> epoch_report list
 (** Chronological reports accumulated so far (including any recovered
     prefix). *)
@@ -249,14 +262,13 @@ val step : ?updates:update list -> loop -> epoch_report
     afterwards).  Whatever it raises, every trace span the epoch opened
     is finished first. *)
 
-val finish : loop -> report
-(** Assemble the final report; when the horizon is complete this also
-    writes the journal's completion record and closes it.  The loop is
-    closed afterwards. *)
-
-val suspend : loop -> unit
-(** Close the journal {e without} a completion record, leaving the
-    store resumable — the daemon's graceful shutdown mid-horizon. *)
+val close : loop -> report
+(** Close the loop and assemble the report so far.  The journal gets
+    its completion record only when the horizon is complete; closed
+    before it (the daemon's graceful shutdown mid-horizon), the store
+    stays resumable.  A loop that an {!Injected_crash} already closed
+    keeps its journal as the crash left it.  The flight box gets a
+    final flush either way, and the loop is closed afterwards. *)
 
 val epochs_to_recovery : incident -> int option
 (** [recovery_epoch - start_epoch]; 0 means absorbed with no outage. *)

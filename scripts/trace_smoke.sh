@@ -81,6 +81,15 @@ for pair in market chaos; do
 done
 echo "ok: traced runs compute identical results to untraced runs"
 
+# The market has one epoch loop, journaled or not: a --journal run
+# prints the same lines as a plain one above the per-phase table.
+"$cli" market --epochs 3 --sites 8 --bps 3 --journal "$workdir/market-store" \
+  > "$workdir/market-journal.txt"
+awk '/per-phase wall clock:/{exit} {print}' "$workdir/market-journal.txt" \
+  > "$workdir/market-journal.txt.head"
+diff -u "$workdir/market-plain.txt.head" "$workdir/market-journal.txt.head"
+echo "ok: market prints the same epochs with and without --journal"
+
 # The domain pool must be observation-invisible too: --jobs 2 runs
 # print the same results (and the same trace span names) as --jobs 1.
 "$cli" market --epochs 3 --sites 8 --bps 3 --jobs 2 \

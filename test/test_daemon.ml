@@ -15,11 +15,6 @@ module Prng = Poc_util.Prng
 let plan () = Lazy.force Fixtures.small_plan
 let market = { Epochs.default_config with Epochs.epochs = 6; seed = 7 }
 
-let empty_schedule plan =
-  match Fault.compile plan.Planner.wan ~seed:2020 [] with
-  | Ok s -> s
-  | Error msg -> Alcotest.failf "empty schedule rejected: %s" msg
-
 let crash_schedule plan ~at_epoch ~phase =
   match
     Fault.compile plan.Planner.wan ~seed:2020
@@ -304,7 +299,7 @@ let test_engine_completes_and_is_deterministic () =
         let engine =
           must_create
             (Engine.create ~store ~intake plan ~market
-               ~schedule:(empty_schedule plan))
+               ~schedule:Fault.none)
         in
         let lines = drive engine client_script in
         Engine.close engine;
@@ -336,7 +331,7 @@ let test_engine_kill_under_load_resumes_byte_identical () =
         let engine =
           must_create
             (Engine.create ~store ~intake plan ~market
-               ~schedule:(empty_schedule plan))
+               ~schedule:Fault.none)
         in
         ignore (drive engine client_script);
         Engine.close engine;
@@ -362,7 +357,7 @@ let test_engine_kill_under_load_resumes_byte_identical () =
       let resumed =
         must_create
           (Engine.create ~resume:true ~store ~intake plan ~market
-             ~schedule:(empty_schedule plan))
+             ~schedule:Fault.none)
       in
       ignore (drive resumed [ "STATUS"; "EPOCH 10" ]);
       Engine.close resumed;
@@ -377,7 +372,7 @@ let test_engine_refuses_after_horizon () =
       let engine =
         must_create
           (Engine.create ~store ~intake plan ~market
-             ~schedule:(empty_schedule plan))
+             ~schedule:Fault.none)
       in
       ignore (drive engine [ "EPOCH 10" ]);
       (match Engine.handle engine (req "BID 9 0 1.01") with
@@ -398,7 +393,7 @@ let test_engine_close_mid_horizon_resumes () =
       let open_engine ~resume =
         must_create
           (Engine.create ~resume ~store ~intake plan ~market
-             ~schedule:(empty_schedule plan))
+             ~schedule:Fault.none)
       in
       let engine = open_engine ~resume:false in
       ignore (drive engine [ "BID 1 0 1.07 2"; "EPOCH 4" ]);
@@ -775,7 +770,7 @@ let run_burst plan ~schedule ~crash_and_resume seed =
               crashed := true;
               (* The client survives the daemon: restart crash-free,
                  resume, and re-send the interrupted request. *)
-              engine := mk ~resume:true ~schedule:(empty_schedule plan);
+              engine := mk ~resume:true ~schedule:Fault.none;
               let lines = Engine.handle !engine (req line) in
               responses := List.rev_append lines !responses
           in
@@ -795,11 +790,11 @@ let qcheck_burst_bounded_deterministic_exactly_once =
     (fun seed ->
       let plan = plan () in
       let resp_a, bytes_a, depth_a =
-        run_burst plan ~schedule:(empty_schedule plan)
+        run_burst plan ~schedule:Fault.none
           ~crash_and_resume:false seed
       in
       let resp_b, bytes_b, depth_b =
-        run_burst plan ~schedule:(empty_schedule plan)
+        run_burst plan ~schedule:Fault.none
           ~crash_and_resume:false seed
       in
       if not (depth_a && depth_b) then
@@ -918,7 +913,7 @@ let acknowledged line =
 let run_against_mirror plan ~crash seed =
   let schedule =
     if crash then crash_schedule plan ~at_epoch:3 ~phase:Fault.Pre_settle
-    else empty_schedule plan
+    else Fault.none
   in
   let high_water, script =
     mirror_script seed ~to_horizon:(crash || seed mod 2 = 0)
@@ -940,7 +935,7 @@ let run_against_mirror plan ~crash seed =
             | lines -> lines
             | exception Supervisor.Injected_crash _ ->
               crashed := true;
-              engine := mk ~resume:true ~schedule:(empty_schedule plan);
+              engine := mk ~resume:true ~schedule:Fault.none;
               Engine.handle !engine (req line)
           in
           fail false;
@@ -965,7 +960,7 @@ let run_against_mirror plan ~crash seed =
         with_tmp_root (fun ref_store _ ->
             let loop =
               Supervisor.open_run ~journal:ref_store ~snapshot_every:1 plan
-                ~market:burst_market ~schedule:(empty_schedule plan)
+                ~market:burst_market ~schedule:Fault.none
             in
             for e = 1 to epochs do
               ignore
@@ -973,9 +968,7 @@ let run_against_mirror plan ~crash seed =
                    ~updates:(mirror_updates ~acked:!acked ~shed:!shed e)
                    loop)
             done;
-            (match Supervisor.next_epoch loop with
-            | Some _ -> Supervisor.suspend loop
-            | None -> ignore (Supervisor.finish loop));
+            ignore (Supervisor.close loop : Supervisor.report);
             store_bytes ref_store)
       in
       store_bytes store = reference)

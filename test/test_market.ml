@@ -1,13 +1,19 @@
-(* Tests for Poc_market.Epochs: repeated auctions, cost drift, recalls
-   and supplier concentration. *)
+(* Tests for the market model (Poc_market.Epochs) under the epoch
+   loop with no faults: repeated auctions, cost drift, recalls and
+   supplier concentration. *)
 
 module Epochs = Poc_market.Epochs
 module Vcg = Poc_auction.Vcg
+module Fault = Poc_resilience.Fault
+module Supervisor = Poc_resilience.Supervisor
 
 let plan () = Lazy.force Fixtures.small_plan
 
+let run_plan plan market =
+  (Supervisor.run plan ~market ~schedule:Fault.none).Supervisor.epochs
+
 let run_market ?(epochs = 6) ?(trend = -0.03) ?(strategies = []) () =
-  Epochs.run (plan ())
+  run_plan (plan ())
     {
       Epochs.epochs;
       cost_trend = trend;
@@ -17,18 +23,21 @@ let run_market ?(epochs = 6) ?(trend = -0.03) ?(strategies = []) () =
       seed = 3;
     }
 
+let healthy (r : Supervisor.epoch_report) =
+  r.Supervisor.status = Supervisor.Healthy
+
 let test_epoch_count () =
   Alcotest.(check int) "one result per epoch" 6 (List.length (run_market ()))
 
 let test_epochs_numbered () =
   List.iteri
-    (fun i r -> Alcotest.(check int) "sequential" (i + 1) r.Epochs.epoch)
+    (fun i (r : Supervisor.epoch_report) ->
+      Alcotest.(check int) "sequential" (i + 1) r.Supervisor.epoch)
     (run_market ())
 
 let test_no_failures_on_healthy_market () =
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "selection found" true (r.Epochs.failure = None))
+    (fun r -> Alcotest.(check bool) "selection found" true (healthy r))
     (run_market ())
 
 let test_spend_tracks_declining_costs () =
@@ -36,7 +45,7 @@ let test_spend_tracks_declining_costs () =
   match (results, List.rev results) with
   | first :: _, last :: _ ->
     Alcotest.(check bool) "POC spend falls with market prices" true
-      (last.Epochs.spend < first.Epochs.spend)
+      (last.Supervisor.spend < first.Supervisor.spend)
   | _, _ -> Alcotest.fail "results expected"
 
 let test_rising_costs_raise_spend () =
@@ -44,27 +53,21 @@ let test_rising_costs_raise_spend () =
   match (results, List.rev results) with
   | first :: _, last :: _ ->
     Alcotest.(check bool) "spend rises" true
-      (last.Epochs.spend > first.Epochs.spend)
+      (last.Supervisor.spend > first.Supervisor.spend)
   | _, _ -> Alcotest.fail "results expected"
-
-let test_hhi_range () =
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) "HHI in (0,1]" true
-        (r.Epochs.supplier_hhi > 0.0 && r.Epochs.supplier_hhi <= 1.0))
-    (run_market ())
 
 let test_recall_strategy_counts () =
   let results =
     run_market ~strategies:[ (0, Epochs.Recallable 0.5) ] ()
   in
   let any_recalls =
-    List.exists (fun r -> r.Epochs.recalled_links > 0) results
+    List.exists
+      (fun (r : Supervisor.epoch_report) -> r.Supervisor.recalled_links > 0)
+      results
   in
   Alcotest.(check bool) "recalls happen" true any_recalls;
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "still clears" true (r.Epochs.failure = None))
+    (fun r -> Alcotest.(check bool) "still clears" true (healthy r))
     results
 
 let test_markup_strategy_raises_spend () =
@@ -77,7 +80,9 @@ let test_markup_strategy_raises_spend () =
       ()
   in
   let avg results =
-    let xs = List.map (fun r -> r.Epochs.spend) results in
+    let xs =
+      List.map (fun (r : Supervisor.epoch_report) -> r.Supervisor.spend) results
+    in
     List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
   in
   Alcotest.(check bool) "universal markup costs the POC more" true
@@ -87,7 +92,7 @@ let test_config_validation () =
   Alcotest.check_raises "epochs must be positive"
     (Invalid_argument "Epochs: epochs must be positive") (fun () ->
       ignore
-        (Epochs.run (plan ()) { Epochs.default_config with Epochs.epochs = 0 }))
+        (run_plan (plan ()) { Epochs.default_config with Epochs.epochs = 0 }))
 
 let test_config_validation_lists_every_problem () =
   (* One message naming all three bad fields, not just the first. *)
@@ -115,18 +120,27 @@ let test_config_validation_lists_every_problem () =
 
 let test_empty_offer_pool_reported () =
   (* Recall every BP link each epoch and strip the contracted virtual
-     links: the pool is empty and the failure reason says so. *)
+     links from the problem and from the seed selection the loop would
+     otherwise carry forward: nothing is leasable, every epoch. *)
+  let module Planner = Poc_core.Planner in
   let plan = plan () in
-  let plan =
-    {
-      plan with
-      Poc_core.Planner.problem =
-        { plan.Poc_core.Planner.problem with Vcg.virtual_prices = [] };
-    }
+  let is_virtual id =
+    List.mem_assoc id plan.Planner.problem.Vcg.virtual_prices
   in
-  let n_bps = Array.length plan.Poc_core.Planner.problem.Vcg.bids in
+  let problem = { plan.Planner.problem with Vcg.virtual_prices = [] } in
+  let selected =
+    List.filter
+      (fun id -> not (is_virtual id))
+      plan.Planner.outcome.Vcg.selection.Vcg.selected
+  in
+  let selection =
+    { Vcg.selected; cost = Vcg.selection_cost problem selected }
+  in
+  let outcome = { plan.Planner.outcome with Vcg.selection = selection } in
+  let plan = { plan with Planner.problem = problem; outcome } in
+  let n_bps = Array.length problem.Vcg.bids in
   let results =
-    Epochs.run plan
+    run_plan plan
       {
         Epochs.default_config with
         Epochs.epochs = 3;
@@ -135,9 +149,9 @@ let test_empty_offer_pool_reported () =
       }
   in
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "empty pool" true
-        (r.Epochs.failure = Some Epochs.Empty_offer_pool))
+    (fun (r : Supervisor.epoch_report) ->
+      Alcotest.(check bool) "blackout" true
+        (r.Supervisor.status = Supervisor.Blackout))
     results
 
 let test_supplier_hhi_of_outcome () =
@@ -154,7 +168,6 @@ let suite =
     Alcotest.test_case "spend tracks declining costs" `Quick
       test_spend_tracks_declining_costs;
     Alcotest.test_case "rising costs raise spend" `Quick test_rising_costs_raise_spend;
-    Alcotest.test_case "HHI range" `Quick test_hhi_range;
     Alcotest.test_case "recall strategy" `Quick test_recall_strategy_counts;
     Alcotest.test_case "markup raises spend" `Quick test_markup_strategy_raises_spend;
     Alcotest.test_case "config validation" `Quick test_config_validation;

@@ -533,6 +533,41 @@ let test_completed_read_from_replay () =
         (String.length (read_file runs_path));
       ignore (dispatch reg "SHUTDOWN"))
 
+(* BYE names the epoch a resume restarts at — the one after the last
+   checkpoint — not the live loop's next epoch.  With a snapshot every
+   4 epochs of 8, a shutdown after 3 epochs resumes at epoch 1 and one
+   after 4 at epoch 5, each what the resumed run's STATUS reports. *)
+let test_bye_names_resume_epoch () =
+  let market = { market with Epochs.epochs = 8 } in
+  let only what = function
+    | [ line ] -> line
+    | lines -> Alcotest.failf "%s: expected one line, got %d" what (List.length lines)
+  in
+  List.iter
+    (fun (epochs, next) ->
+      with_tmp_root (fun root ->
+          let reg =
+            must_create
+              (Registry.create ~snapshot_every:4 ~root (plan ()) ~market ())
+          in
+          ignore (dispatch reg (Printf.sprintf "EPOCH %d" epochs));
+          Alcotest.(check string)
+            (Printf.sprintf "BYE after EPOCH %d" epochs)
+            (Printf.sprintf "BYE resumable next=%d runs=1" next)
+            (only "SHUTDOWN" (dispatch reg "SHUTDOWN"));
+          let reg =
+            must_create
+              (Registry.create ~resume:true ~snapshot_every:4 ~root (plan ())
+                 ~market ())
+          in
+          let status = only "STATUS" (dispatch reg "STATUS") in
+          Alcotest.(check bool)
+            (Printf.sprintf "resumed STATUS after EPOCH %d: %s" epochs status)
+            true
+            (has_prefix (Printf.sprintf "STATUS ok next=%d " next) status);
+          ignore (dispatch reg "SHUTDOWN")))
+    [ (3, 1); (4, 5) ]
+
 (* A root under missing parents is created, parents included, and so
    is every run's directory; a root under a regular file is an
    [Error], not an exception. *)
@@ -661,6 +696,8 @@ let suite =
       test_disk_error_stays_in_run;
     Alcotest.test_case "completion read from the replay" `Slow
       test_completed_read_from_replay;
+    Alcotest.test_case "BYE names the epoch a resume restarts at" `Slow
+      test_bye_names_resume_epoch;
     Alcotest.test_case "root made with its parents, or refused" `Slow
       test_root_created_or_refused;
     Alcotest.test_case "server closes a non-frame first byte only" `Slow

@@ -194,58 +194,68 @@ let test_incident_log_is_byte_identical () =
   Alcotest.(check string) "same seed + schedule, same bytes" (render ())
     (render ())
 
-let test_faultfree_supervised_run_matches_epochs () =
+(* What the plain market computes for [market] on the fixture plan,
+   pinned when it still had a loop of its own: per epoch, spend and
+   $/Gbps ([%h]), |SL| and recalled links.  The second market adds a
+   recalling and a marking-up BP, whose draws share the cost drift's
+   PRNG stream. *)
+let pinned_market =
+  [
+    (1, 0x1.a1c6309127008p+21, 0x1.2a83a54d4be73p+13, 25, 0);
+    (2, 0x1.a730a2de0badcp+21, 0x1.287475ff4e922p+13, 25, 0);
+    (3, 0x1.a74eb3c93e06p+21, 0x1.22b905c2ff93cp+13, 27, 0);
+    (4, 0x1.a77b75cb8a49p+21, 0x1.1d23d8445c0abp+13, 27, 0);
+    (5, 0x1.a7168b642f7efp+21, 0x1.1749eff333e0cp+13, 27, 0);
+    (6, 0x1.a75aafb1e7679p+21, 0x1.11fc1de2073dap+13, 27, 0);
+    (7, 0x1.9fa0bdc2ddd9ap+21, 0x1.07b5d73c2feadp+13, 27, 0);
+    (8, 0x1.9c6a31e2dd9a2p+21, 0x1.008a74fd6303fp+13, 28, 0);
+  ]
+
+let pinned_strategic_market =
+  [
+    (1, 0x1.abdd1c59b7d4dp+21, 0x1.31b93ba568ef3p+13, 26, 6);
+    (2, 0x1.ae3a472ae7f15p+21, 0x1.2d628e167996p+13, 26, 5);
+    (3, 0x1.adcc7c4e9d25dp+21, 0x1.272e51014db38p+13, 26, 8);
+    (4, 0x1.a6f80b580e7e6p+21, 0x1.1ccb5c0ea6bb1p+13, 26, 5);
+    (5, 0x1.c14aada75ca84p+21, 0x1.28961c02b72b4p+13, 27, 11);
+    (6, 0x1.ac92d29131f84p+21, 0x1.155cd5196db81p+13, 26, 6);
+    (7, 0x1.9c17147328373p+21, 0x1.057735f64bb8dp+13, 25, 8);
+    (8, 0x1.993c4da943f42p+21, 0x1.fd205bcfed1a3p+12, 26, 11);
+  ]
+
+let test_faultfree_run_repeats_pinned_market () =
   let plan = plan () in
-  let schedule =
-    match Fault.compile plan.Planner.wan ~seed:1 [] with
-    | Ok s -> s
-    | Error msg -> Alcotest.failf "empty schedule failed: %s" msg
+  let check what market pinned =
+    let report = Supervisor.run plan ~market ~schedule:Fault.none in
+    Alcotest.(check int)
+      (what ^ ": one report per epoch")
+      (List.length pinned)
+      (List.length report.Supervisor.epochs);
+    List.iter2
+      (fun (er : Supervisor.epoch_report) (epoch, spend, price, selected, recalled) ->
+        let claim c = Printf.sprintf "%s epoch %d: %s" what epoch c in
+        Alcotest.(check int) (claim "numbered") epoch er.Supervisor.epoch;
+        Alcotest.(check bool) (claim "healthy") true
+          (er.Supervisor.status = Supervisor.Healthy);
+        Alcotest.(check (float 0.0)) (claim "spend") spend er.Supervisor.spend;
+        Alcotest.(check (float 0.0)) (claim "price") price
+          er.Supervisor.price_per_gbps;
+        Alcotest.(check int) (claim "selected links") selected
+          er.Supervisor.selected_links;
+        Alcotest.(check int) (claim "recalled links") recalled
+          er.Supervisor.recalled_links)
+      report.Supervisor.epochs pinned;
+    Alcotest.(check int) (what ^ ": no incidents without faults") 0
+      (List.length report.Supervisor.incidents)
   in
-  let report = Supervisor.run plan ~market ~schedule in
-  let plain = Epochs.run plan market in
-  List.iter2
-    (fun (er : Supervisor.epoch_report) (pr : Epochs.epoch_result) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "epoch %d healthy" er.Supervisor.epoch)
-        true
-        (er.Supervisor.status = Supervisor.Healthy);
-      Alcotest.(check (float 1e-6))
-        (Printf.sprintf "epoch %d spend matches Epochs.run" er.Supervisor.epoch)
-        pr.Epochs.spend er.Supervisor.spend)
-    report.Supervisor.epochs plain;
-  Alcotest.(check int) "no incidents without faults" 0
-    (List.length report.Supervisor.incidents);
-  (* Recall draws and markups come out of the same PRNG stream as the
-     cost drift, so both loops must draw them in the same order. *)
-  let market =
+  check "plain" market pinned_market;
+  check "strategic"
     {
       market with
       Epochs.strategies =
         [ (0, Epochs.Recallable 0.3); (1, Epochs.Markup 0.25) ];
     }
-  in
-  let report = Supervisor.run plan ~market ~schedule in
-  let plain = Epochs.run plan market in
-  List.iter2
-    (fun (er : Supervisor.epoch_report) (pr : Epochs.epoch_result) ->
-      let what claim =
-        Printf.sprintf "strategic epoch %d: %s" er.Supervisor.epoch claim
-      in
-      Alcotest.(check bool) (what "healthy") true
-        (er.Supervisor.status = Supervisor.Healthy);
-      Alcotest.(check (float 0.0)) (what "same spend") pr.Epochs.spend
-        er.Supervisor.spend;
-      Alcotest.(check (float 0.0)) (what "same price")
-        pr.Epochs.price_per_gbps er.Supervisor.price_per_gbps;
-      Alcotest.(check int) (what "same selected links")
-        pr.Epochs.selected_links er.Supervisor.selected_links;
-      Alcotest.(check int) (what "same recalled links")
-        pr.Epochs.recalled_links er.Supervisor.recalled_links)
-    report.Supervisor.epochs plain;
-  Alcotest.(check bool) "the recallable BP recalled some link" true
-    (List.exists
-       (fun (pr : Epochs.epoch_result) -> pr.Epochs.recalled_links > 0)
-       plain)
+    pinned_strategic_market
 
 let test_total_blackout_reports_never () =
   let plan = plan () in
@@ -1283,6 +1293,34 @@ let test_disk_retry_exhausts_then_raises () =
   Alcotest.(check int) "whole budget spent first" retry_policy.Disk.retry_attempts
     (List.length !log)
 
+(* A level that exists but is a regular file is refused by name and
+   never handed to mkdir, however deep below it the path goes. *)
+let test_disk_mkdir_p_refuses_a_file_level () =
+  with_tmp_store (fun root ->
+      Disk.mkdir_p (Disk.real ()) root;
+      let file = Filename.concat root "file" in
+      write_file file "";
+      let mkdirs = ref 0 in
+      let disk =
+        Disk.with_ops
+          {
+            Disk.real_ops with
+            Disk.mkdir =
+              (fun p ->
+                incr mkdirs;
+                Disk.real_ops.Disk.mkdir p);
+          }
+      in
+      List.iter
+        (fun path ->
+          match Disk.mkdir_p disk path with
+          | () -> Alcotest.failf "%s must not be made" path
+          | exception Sys_error msg ->
+            Alcotest.(check string) "names the level" (file ^ ": Not a directory")
+              msg)
+        [ file; Filename.concat file "store"; Filename.concat file "a/b" ];
+      Alcotest.(check int) "no mkdir attempted" 0 !mkdirs)
+
 (* --- Black-box flight recorder persistence --- *)
 
 module Black_box = Poc_resilience.Black_box
@@ -1587,8 +1625,8 @@ let suite =
     Alcotest.test_case "chaos invariants hold" `Slow test_chaos_invariants_hold;
     Alcotest.test_case "incident log is byte-identical" `Slow
       test_incident_log_is_byte_identical;
-    Alcotest.test_case "fault-free supervised run matches Epochs.run" `Slow
-      test_faultfree_supervised_run_matches_epochs;
+    Alcotest.test_case "fault-free run repeats the pinned market" `Slow
+      test_faultfree_run_repeats_pinned_market;
     Alcotest.test_case "total blackout reports no recovery" `Slow
       test_total_blackout_reports_never;
     QCheck_alcotest.to_alcotest qcheck_fault_compile_seed_determinism;
@@ -1645,6 +1683,8 @@ let suite =
       test_disk_retry_exhausts_then_raises;
     Alcotest.test_case "disk retry backoff resets on success" `Quick
       test_disk_retry_schedule_resets_on_success;
+    Alcotest.test_case "disk mkdir_p refuses a level that is a file" `Quick
+      test_disk_mkdir_p_refuses_a_file_level;
     Alcotest.test_case "journal byte-identical with flight recorder" `Slow
       test_journal_byte_identical_with_flight;
     Alcotest.test_case "flight box survives disk fault + scrub" `Quick
