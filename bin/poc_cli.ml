@@ -35,7 +35,6 @@ module Fault = Poc_resilience.Fault
 module Disk = Poc_resilience.Disk
 module Journal = Poc_resilience.Journal
 module Supervisor = Poc_resilience.Supervisor
-module Black_box = Poc_resilience.Black_box
 module Fleet = Poc_fleet.Driver
 module Chaos_matrix = Poc_fleet.Chaos_matrix
 module Forensics = Poc_forensics.Forensics
@@ -330,28 +329,26 @@ let flight_arg =
         ~doc:"Attach a black-box flight recorder: a bounded $(b,FLIGHT) \
               file inside the journal store, flushed at every phase and \
               fault point, readable after any crash with $(b,poc-cli \
-              forensics).  Journal bytes are identical with and without \
-              it.")
-
-(* Where a run's box lives; opening makes the parent directory, so a
-   fresh store can receive its FLIGHT before the journal opens the
-   directory.  A resume continues the box its earlier attempts left. *)
-let flight_box ~flight ~resume path =
-  if not flight then None
-  else
-    let open_box = if resume then Black_box.reopen else Black_box.create in
-    Some (open_box (Forensics.flight_path_for path))
+              forensics).  Needs a store: $(b,--journal) or \
+              $(b,--resume).  Journal bytes are identical with and \
+              without it.")
 
 (* Run the supervised loop, honoring --journal/--resume.  Exit codes:
    10 for an injected crash (the journal is left ready to resume), 1
-   for a journal that cannot be written or resumed. *)
+   for a journal that cannot be written or resumed, or for a store
+   option without a store. *)
 let run_supervised ~journal ~resume ?segment_bytes ?pool ?(flight = false) plan
     ~market ~schedule =
+  (match (journal, resume) with
+  | None, None when flight || segment_bytes <> None ->
+    Printf.eprintf "%s needs a journal store: add --journal PATH\n"
+      (if flight then "--flight" else "--segment-bytes");
+    exit 1
+  | _ -> ());
   match resume with
   | Some path -> (
-    let flight = flight_box ~flight ~resume:true path in
     match
-      Supervisor.resume ~journal:path ?flight ?pool plan ~market ~schedule
+      Supervisor.resume ~journal:path ~flight ?pool plan ~market ~schedule
     with
     | Ok r ->
       Printf.eprintf "resumed from %s\n" path;
@@ -361,8 +358,7 @@ let run_supervised ~journal ~resume ?segment_bytes ?pool ?(flight = false) plan
       exit 1)
   | None -> (
     try
-      let flight = Option.bind journal (flight_box ~flight ~resume:false) in
-      Supervisor.run ?journal ?flight ?segment_bytes ?pool plan ~market
+      Supervisor.run ?journal ~flight ?segment_bytes ?pool plan ~market
         ~schedule
     with
     | Supervisor.Injected_crash { epoch; phase } ->

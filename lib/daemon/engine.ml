@@ -96,7 +96,6 @@ type t = {
   disk : Disk.t;
   loop : Supervisor.loop;
   ilog : Intake.t;
-  fb : Black_box.t option;
   (* Live admissions' Clock.now_us, keyed by seq: the settle histogram
      attributes admission→settlement latency only to updates admitted
      by this process (replayed intake entries have no admit instant). *)
@@ -110,7 +109,7 @@ let set_queue_gauges t =
     (match Supervisor.next_epoch t.loop with
     | Some e -> float_of_int e
     | None -> 0.0);
-  match t.fb with
+  match Supervisor.flight t.loop with
   | None -> ()
   | Some b ->
     Metrics.Gauge.set g_flight_records
@@ -134,7 +133,6 @@ let create ?(snapshot_every = 4) ?segment_bytes ?disk ?pool ?flight
         disk;
         loop;
         ilog;
-        fb = flight;
         admit_us = Hashtbl.create 64;
         quiesced = false;
       }
@@ -246,7 +244,7 @@ let admit t ~seq ~priority payload =
               shed;
             Metrics.Counter.inc c_accepted;
             Hashtbl.replace t.admit_us seq (Clock.now_us ());
-            (match t.fb with
+            (match Supervisor.flight t.loop with
             | None -> ()
             | Some b ->
               Flight.emit (Black_box.ring b) ~epoch:next ~phase:"admission"
@@ -283,6 +281,7 @@ let admit t ~seq ~priority payload =
    and with a recorder attached each update leaves a metric record in
    the flight box. *)
 let settle_applied t e entries =
+  let fb = Supervisor.flight t.loop in
   let settled = Clock.now_us () in
   List.iter
     (fun (en : _ Admission.entry) ->
@@ -292,13 +291,13 @@ let settle_applied t e entries =
         Hashtbl.remove t.admit_us en.seq;
         let dt = (settled -. admitted) *. 1e-6 in
         Metrics.Histogram.observe h_settle dt;
-        (match t.fb with
+        (match fb with
         | None -> ()
         | Some b ->
           Flight.emit (Black_box.ring b) ~epoch:e ~phase:"settlement"
             (Flight.Metric { name = "admit_to_settle_s"; delta = dt })))
     entries;
-  match t.fb with
+  match fb with
   | None -> ()
   | Some b -> if entries <> [] then Black_box.flush b
 
@@ -355,7 +354,7 @@ let status_line t =
     (Metrics.Counter.value c_dup)
     (Metrics.Counter.value c_recoveries)
     (Metrics.Counter.value c_retries)
-    (match t.fb with
+    (match Supervisor.flight t.loop with
     | Some b ->
       Printf.sprintf "on:%d" (Flight.stored (Black_box.ring b))
     | None -> "off")

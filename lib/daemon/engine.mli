@@ -32,7 +32,6 @@
 module Supervisor = Poc_resilience.Supervisor
 module Disk = Poc_resilience.Disk
 module Fault = Poc_resilience.Fault
-module Black_box = Poc_resilience.Black_box
 
 type t
 
@@ -41,7 +40,7 @@ val create :
   ?segment_bytes:int ->
   ?disk:Disk.t ->
   ?pool:Poc_util.Pool.t ->
-  ?flight:Black_box.t ->
+  ?flight:bool ->
   ?high_water:int ->
   ?resume:bool ->
   ?honor_crashes:bool ->
@@ -63,11 +62,12 @@ val create :
     restart-with-backoff sets it so a retried run walks the remainder of
     its kill chain instead of silently disarming it.
 
-    [flight] attaches a black-box recorder, threaded into the
-    supervised loop exactly as [Supervisor.open_run ?flight] and
-    additionally fed by the request path: every durable admission
-    leaves an [admit] event, every applied update a
-    [admit_to_settle_s] metric record (also observed into
+    [flight] (default false) has the supervised loop open its black-box
+    recorder in [store] ([Supervisor.open_run ~flight] or
+    [Supervisor.open_resume ~flight]); the engine records into the box
+    the loop hands it ([Supervisor.flight]) from the request path too:
+    every durable admission leaves an [admit] event, every applied
+    update a [admit_to_settle_s] metric record (also observed into
     [poc_daemon_settle_seconds]), each flushed so a SIGKILL mid-epoch
     leaves the in-flight request story on disk.  [STATUS] reports
     [flight=on:<records>] / [flight=off] and the gauge

@@ -3,7 +3,6 @@ module Journal = Poc_resilience.Journal
 module Recovery = Poc_resilience.Recovery
 module Disk = Poc_resilience.Disk
 module Fault = Poc_resilience.Fault
-module Black_box = Poc_resilience.Black_box
 module Planner = Poc_core.Planner
 module Epochs = Poc_market.Epochs
 module Metrics = Poc_obs.Metrics
@@ -208,15 +207,9 @@ let start_slot t slot ~resume =
       resume && (Sys.file_exists slot.store || Sys.file_exists slot.intake)
     in
     let disk = t.disk_for ~run:slot.sid in
-    let flight =
-      if t.flight then
-        let open_box = if resume then Black_box.reopen else Black_box.create in
-        Some (open_box (Filename.concat slot.store "FLIGHT"))
-      else None
-    in
     match
       Engine.create ~snapshot_every:t.snapshot_every
-        ~segment_bytes:t.segment_bytes ~disk ?pool:t.pool ?flight
+        ~segment_bytes:t.segment_bytes ~disk ?pool:t.pool ~flight:t.flight
         ~high_water:t.high_water ~resume ~honor_crashes:(specs <> [])
         ~store:slot.store ~intake:slot.intake t.plan ~market:slot.m ~schedule
     with
@@ -313,9 +306,9 @@ let slots_sorted t =
 (* The restart backoff: the disk layer's transient-retry schedule. *)
 let restart_delays = Disk.retry_delays Disk.default_retry_policy
 
-(* The run's directory is made by whatever writes there first: its
-   flight box (through the box's own disk) or its journal store
-   (through the run's). *)
+(* The run's directory is made by its journal store, through the
+   run's disk: the supervised loop opens the store before the intake
+   log and the flight box. *)
 let make_slot t id ~epochs ~seed =
   let dir = run_dir t.root id in
   {

@@ -52,10 +52,9 @@
     journal + intake log — byte-identically, at any [--jobs] — while
     quarantined runs come back quarantined.  Every directory the
     registry writes is created with its missing parents: the root
-    through the disk [RUNS] is written on, a run's directory by
-    whatever writes there first — its journal store, through the run's
-    [Disk.t], or its flight box, through the box's own disk (see
-    {!Poc_resilience.Black_box}). *)
+    through the disk [RUNS] is written on, a run's directory by its
+    journal store, through the run's [Disk.t], which opens before the
+    run's intake log and flight box. *)
 
 module Disk = Poc_resilience.Disk
 module Fault = Poc_resilience.Fault

@@ -13,7 +13,6 @@ module Table = Poc_util.Table
 module Metrics = Poc_obs.Metrics
 module Trace = Poc_obs.Trace
 module Clock = Poc_obs.Clock
-module Black_box = Poc_resilience.Black_box
 
 (* --- instrumentation ----------------------------------------------------- *)
 
@@ -365,7 +364,7 @@ let add_recovery rc = function
     { rc with r_corrupt_byte = rc.r_corrupt_byte + 1 }
   | _ -> rc
 
-let run_one cfg ?flight (scen : scenario) (plan : Planner.plan) =
+let run_one cfg (scen : scenario) (plan : Planner.plan) =
   let dir = Filename.concat cfg.store scen.id in
   let market = market_config cfg scen in
   let all_specs =
@@ -395,12 +394,12 @@ let run_one cfg ?flight (scen : scenario) (plan : Planner.plan) =
     match
       if fresh then
         Ok
-          (Supervisor.run ~journal:dir ?flight
+          (Supervisor.run ~journal:dir ~flight:cfg.flight
              ~snapshot_every:cfg.snapshot_every
              ~segment_bytes:cfg.segment_bytes ~disk plan ~market ~schedule)
       else
-        Supervisor.resume ~honor_crashes:true ~journal:dir ?flight ~disk plan
-          ~market ~schedule
+        Supervisor.resume ~honor_crashes:true ~journal:dir ~flight:cfg.flight
+          ~disk plan ~market ~schedule
     with
     | Ok r -> Some r
     | Error _ ->
@@ -461,8 +460,8 @@ let run_one cfg ?flight (scen : scenario) (plan : Planner.plan) =
    store is a plain crashed journal, so plain resume recovers it; any
    failure (no store yet, nothing durable) falls back to a fresh run.
    Either path yields the uninterrupted report byte-for-byte. *)
-let run_one_resumed cfg ?flight (scen : scenario) (plan : Planner.plan) =
-  if Chaos_matrix.has_kills scen.cell then run_one cfg ?flight scen plan
+let run_one_resumed cfg (scen : scenario) (plan : Planner.plan) =
+  if Chaos_matrix.has_kills scen.cell then run_one cfg scen plan
   else begin
     let dir = Filename.concat cfg.store scen.id in
     let market = market_config cfg scen in
@@ -476,17 +475,17 @@ let run_one_resumed cfg ?flight (scen : scenario) (plan : Planner.plan) =
       | Error _ -> None
     in
     match schedule with
-    | None -> run_one cfg ?flight scen plan
+    | None -> run_one cfg scen plan
     | Some schedule -> (
       match
-        Supervisor.resume ~journal:dir ?flight ~disk:(Disk.real ()) plan
-          ~market ~schedule
+        Supervisor.resume ~journal:dir ~flight:cfg.flight ~disk:(Disk.real ())
+          plan ~market ~schedule
       with
       | Ok report ->
         Metrics.Counter.inc m_months;
         outcome_of_report ~kills:0 ~recovered:no_recoveries ~scrub_truncated:0
           ~scrub_quarantined:0 ~restarts:0 report
-      | Error _ -> run_one cfg ?flight scen plan)
+      | Error _ -> run_one cfg scen plan)
   end
 
 (* --- the fleet ------------------------------------------------------------ *)
@@ -599,27 +598,14 @@ let run ?pool ?(resume = false) ?kill_after cfg =
         let task i =
           let scen = scenarios.(i) in
           let plan = plans.(i mod cfg.topologies) in
-          let flight =
-            if not cfg.flight then None
-            else
-              let open_box =
-                if resume then Black_box.reopen else Black_box.create
-              in
-              Some
-                (open_box
-                   (Filename.concat
-                      (Filename.concat cfg.store scen.id)
-                      "FLIGHT"))
-          in
           let t0 = Clock.now_us () in
           let o =
-            if resume then run_one_resumed cfg ?flight scen plan
-            else run_one cfg ?flight scen plan
+            if resume then run_one_resumed cfg scen plan
+            else run_one cfg scen plan
           in
           Metrics.Histogram.observe
             (h_cell (Chaos_matrix.cell_name scen.cell))
             ((Clock.now_us () -. t0) *. 1e-6);
-          Option.iter Black_box.close flight;
           store_result (Disk.real ()) cfg scen o;
           o
         in

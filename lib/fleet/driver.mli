@@ -49,12 +49,15 @@ type config = {
   segment_bytes : int;     (** journal rotation budget per scenario *)
   snapshot_every : int;
   store : string;          (** fleet store root *)
-  flight : bool;           (** attach one flight recorder per scenario,
-                               persisted at [<store>/<id>/FLIGHT].  Not
-                               fleet shape: the manifest neither records
-                               nor checks it, and journal bytes and the
-                               aggregate report are identical either
-                               way. *)
+  flight : bool;           (** run every scenario's supervised loop with
+                               [~flight:true]: the loop keeps a flight box
+                               in the scenario's journal store, which each
+                               resume of the kill chain reopens and a
+                               restart from epoch 1 starts afresh, as it
+                               does the journal.  Not fleet shape: the
+                               manifest neither records nor checks it,
+                               and journal bytes and the aggregate report
+                               are identical either way. *)
 }
 
 val default_config : store:string -> config

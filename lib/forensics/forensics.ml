@@ -38,8 +38,6 @@ type analysis = {
   a_entries : entry list;
 }
 
-let flight_path_for store = Filename.concat store "FLIGHT"
-
 (* --- per-source entry builders -------------------------------------------- *)
 
 let flight_entries (img : Flight.image_data) =
@@ -225,7 +223,7 @@ let in_flight ~durable flight =
 let analyze ?disk ?flight ?intake store =
   let disk = match disk with Some d -> d | None -> Disk.real () in
   let flight_path =
-    match flight with Some p -> p | None -> flight_path_for store
+    match flight with Some p -> p | None -> Black_box.file_in store
   in
   let flight_present = Disk.exists disk flight_path in
   let a_flight =

@@ -58,10 +58,6 @@ type analysis = {
   a_entries : entry list;  (** the merged, ordered timeline *)
 }
 
-val flight_path_for : string -> string
-(** Where a store's box lives: [<store>/FLIGHT].  Pure, so a {e new}
-    run can place its box before the store exists. *)
-
 val analyze :
   ?disk:Disk.t ->
   ?flight:string ->
@@ -69,7 +65,7 @@ val analyze :
   string ->
   (analysis, string) result
 (** Read every artifact the store offers.  [flight] and [intake]
-    override auto-detection ({!flight_path_for}, and
+    override auto-detection ({!Poc_resilience.Black_box.file_in}, and
     [dirname(store)/intake.log] — the daemon's layout).  Missing
     artifacts are recorded as absent, and a broken one as its error;
     [Error] only when {e none} of the four sources exists at all. *)

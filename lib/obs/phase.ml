@@ -1,3 +1,5 @@
+type box = Flight.t * (unit -> unit)
+
 let run ~flight ~epoch hist name body =
   (match flight with
   | None -> ()
@@ -22,3 +24,24 @@ let run ~flight ~epoch hist name body =
     Flight.emit ring ~epoch ~phase:name
       (Flight.Span_close { name; dur_us = Clock.now_us () -. t0 }));
   v
+
+let trace_event name detail =
+  if Trace.enabled () then
+    Trace.event name ~attrs:[ ("detail", Trace.Str detail) ]
+
+let event ~flight ~epoch ~phase name detail =
+  trace_event name detail;
+  match flight with
+  | None -> ()
+  | Some (ring, _) ->
+    Flight.emit ring ~epoch ~phase (Flight.Event { name; detail })
+
+let incident ~flight ~epoch ~phase counter name detail =
+  Metrics.Counter.inc counter;
+  trace_event name detail;
+  match flight with
+  | None -> ()
+  | Some (ring, flush) ->
+    Flight.emit ring ~epoch ~phase
+      (Flight.Incident { incident = name; detail });
+    flush ()

@@ -9,8 +9,6 @@ type t = {
 
 let ring t = t.bb_ring
 
-let path t = t.bb_path
-
 let file_bytes t = t.bytes
 
 (* The compaction budget: a flush that would take the file past it
@@ -22,14 +20,7 @@ let rewrite t =
   Disk.write_file_atomic t.disk t.bb_path img;
   t.bytes <- String.length img
 
-(* The box may be opened before the journal makes its store directory
-   (the fleet hands one box per scenario to a run that has not opened
-   its journal yet). *)
-let prepare ?disk path =
-  let disk = match disk with Some d -> d | None -> Disk.real () in
-  let dir = Filename.dirname path in
-  if not (Disk.exists disk dir) then Disk.mkdir_p disk dir;
-  disk
+let file_in store = Filename.concat store "FLIGHT"
 
 (* A box whose file is [ring]'s image, written atomically. *)
 let fresh ~disk path ring =
@@ -37,8 +28,8 @@ let fresh ~disk path ring =
   rewrite t;
   t
 
-let create ?capacity ?disk path =
-  fresh ~disk:(prepare ?disk path) path (Flight.create ?capacity ())
+let create ?capacity ?(disk = Disk.real ()) path =
+  fresh ~disk path (Flight.create ?capacity ())
 
 let append t bytes =
   let log = Log.reopen t.disk t.bb_path ~at:t.bytes ~truncate:false in
@@ -74,8 +65,7 @@ let is_resume (r : Flight.record) =
 (* The file already holds the reopened ring's frames: cut it to its
    valid prefix, as [scrub] would, and append from there.  Only an
    image stamped with another capacity is rewritten. *)
-let reopen ?capacity ?disk path =
-  let disk = prepare ?disk path in
+let reopen ?capacity ?(disk = Disk.real ()) path =
   match Disk.read_file disk path with
   | exception Sys_error _ -> fresh ~disk path (Flight.create ?capacity ())
   | data -> (

@@ -1,13 +1,16 @@
 (** Disk-backed persistence for the {!Poc_obs.Flight} recorder.
 
     [Flight] rings and encodes; this module owns the file.  A box is a
-    single [FLIGHT] file (living inside the journal store it narrates)
-    that starts as a header-only image and grows by incremental
-    appends: every {!flush} drains the ring's pending frames and
-    appends them through {!Log}, so the file is durable at every epoch
-    boundary and fault point without rewriting.  A resumed attempt of
-    the run {!reopen}s the box instead, continuing the file its earlier
-    attempts left.
+    single file inside the journal store it narrates ({!file_in}) that
+    starts as a header-only image and grows by incremental appends:
+    every {!flush} drains the ring's pending frames and appends them
+    through {!Log}, so the file is durable at every epoch boundary and
+    fault point without rewriting.  The supervisor is the one place
+    that opens a box ([Supervisor.open_run ~flight:true] and
+    [Supervisor.open_resume ~flight:true]): a fresh run {!create}s it
+    once its journal has claimed the store directory, and a resumed
+    attempt, once its journal is accepted, {!reopen}s it, continuing
+    the file the earlier attempts left.
     When the file outgrows its 256 KiB budget (or the ring wrapped past
     an undrained backlog) the box compacts: the current ring image is
     rewritten atomically via [Disk.write_file_atomic], bounding the
@@ -26,11 +29,15 @@
 
 type t
 
+val file_in : string -> string
+(** Where the box of the journal store [dir] lives: [dir/FLIGHT]. *)
+
 val create : ?capacity:int -> ?disk:Disk.t -> string -> t
 (** Start a fresh box at [path]: atomically write a header-only image,
     then append on every flush.  Whatever was at [path] is replaced: a
-    fresh run claims its store.  [capacity] is the ring's record count
-    (default 1024).  [disk] defaults to a fresh [Disk.real ()]. *)
+    fresh run claims its store.  [path]'s directory must exist.
+    [capacity] is the ring's record count (default 1024).  [disk]
+    defaults to a fresh [Disk.real ()]. *)
 
 val reopen : ?capacity:int -> ?disk:Disk.t -> string -> t
 (** Open the box of a resumed attempt (a [--resume], a registry retry,
@@ -46,9 +53,8 @@ val mark_resume : t -> unit
 (** Record that a new attempt of the run starts here: emit a marker
     (an [Event] named ["resume"], epoch [-1], no phase, detail
     [records=N], the records the ring held before it) and flush it at
-    once.  The supervisor calls it when a run or a resume that it has
-    accepted opens on a box already holding records: a reopened box,
-    or one an in-process retry keeps. *)
+    once.  The supervisor calls it when a resume that it has accepted
+    reopens a box already holding records. *)
 
 val is_resume : Poc_obs.Flight.record -> bool
 (** Whether a record is {!mark_resume}'s marker: the records after the
@@ -56,8 +62,6 @@ val is_resume : Poc_obs.Flight.record -> bool
 
 val ring : t -> Poc_obs.Flight.t
 (** The ring to emit into. *)
-
-val path : t -> string
 
 val flush : t -> unit
 (** Drain the ring and persist: append + sync the new frames, or

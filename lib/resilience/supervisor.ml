@@ -9,7 +9,6 @@ module Epochs = Poc_market.Epochs
 module Wan = Poc_topology.Wan
 module Trace = Poc_obs.Trace
 module Metrics = Poc_obs.Metrics
-module Clock = Poc_obs.Clock
 module Flight = Poc_obs.Flight
 module Phase = Poc_obs.Phase
 
@@ -335,11 +334,15 @@ let checkpoint loop = loop.l_checkpoint
 
 let progress loop = List.rev loop.l_reports
 
-(* Run one epoch of the supervised loop inside [ep_sp]: apply live
-   updates, then the schedule's fault events, then the full market epoch
-   (drift, auction or ladder, routing, settlement, invariants),
-   journaling and rotating exactly as the monolithic loop did. *)
-let run_epoch ~updates ~ep_sp loop =
+let flight loop = loop.l_flight
+
+(* Run one epoch of the supervised loop inside the epoch span [ep_sp]:
+   the schedule's fault events, then the full market epoch (drift,
+   auction or ladder, routing, settlement, invariants), journaling and
+   rotating exactly as the monolithic loop did.  Everything it records
+   goes through [Phase], so the trace and the flight box name each
+   occurrence once and alike. *)
+let run_epoch ~flight ~ep_sp loop =
   let st = loop.l_state in
   let plan = loop.l_plan in
   let market = loop.l_market in
@@ -347,41 +350,16 @@ let run_epoch ~updates ~ep_sp loop =
   let journal = loop.l_journal in
   let pool = loop.l_pool in
   let base_problem = plan.Planner.problem in
-  let n_bps = Array.length base_problem.Vcg.bids in
-  (* Flight recording.  [fon] guards every emission so the disabled
-     path is one branch and allocates nothing; [femit ~flush:true] is
-     used at phase opens and epoch boundaries so a SIGKILL at any
-     instant leaves a black box naming the in-flight epoch and phase. *)
-  let fb = loop.l_flight in
-  let fon = fb <> None in
-  let femit ?(flush = false) ~epoch phase kind =
-    match fb with
-    | None -> ()
-    | Some b ->
-      Flight.emit (Black_box.ring b) ~epoch ~phase kind;
-      if flush then Black_box.flush b
+  let epoch = loop.l_next in
+  let phase h name body = Phase.run ~flight ~epoch h name body in
+  let incident ~phase counter name detail =
+    Phase.incident ~flight ~epoch ~phase counter name detail
   in
-  let crash epoch phase fault =
-    Metrics.Counter.inc m_crashes;
-    if Trace.enabled () then
-      Trace.event "crash_injected"
-        ~attrs:
-          (("phase", Trace.Str (Fault.phase_to_string phase))
-          ::
-          (match fault with
-          | Some f -> [ ("disk_fault", Trace.Str (Disk.fault_to_string f)) ]
-          | None -> []));
-    if fon then
-      femit ~flush:true ~epoch
-        (Fault.phase_to_string phase)
-        (Flight.Incident
-           {
-             incident = "crash";
-             detail =
-               (match fault with
-               | Some f -> "disk_fault:" ^ Disk.fault_to_string f
-               | None -> "injected");
-           });
+  let crash phase fault =
+    incident ~phase:(Fault.phase_to_string phase) m_crashes "crash"
+      (match fault with
+      | Some f -> "disk_fault:" ^ Disk.fault_to_string f
+      | None -> "injected");
     (* The trace sink flushes in place on the way down, the crashed
        epoch's spans closed first: a crash run keeps its complete trace
        instead of whatever at_exit salvages. *)
@@ -396,28 +374,14 @@ let run_epoch ~updates ~ep_sp loop =
     (match fault with Some f -> Disk.power_cut loop.l_disk f | None -> ());
     raise (Injected_crash { epoch; phase })
   in
-  let epoch = loop.l_next in
-  let femit ?flush phase kind = femit ?flush ~epoch phase kind in
-  let flight =
-    Option.map (fun b -> (Black_box.ring b, fun () -> Black_box.flush b)) fb
-  in
-  let phase h name body = Phase.run ~flight ~epoch h name body in
   begin
-    List.iter (fun u -> apply_update st ~n_bps u) updates;
-    if fon then femit ~flush:true "epoch" (Flight.Span_open { name = "epoch" });
     if Trace.enabled () then Trace.add_attr ep_sp "epoch" (Trace.Int epoch);
-    let ep_t0 = Clock.now_us () in
     (* Scheduled faults take effect before the epoch's auction. *)
     let events = Fault.at schedule epoch in
     List.iter
       (fun ev ->
-        if Trace.enabled () then
-          Trace.event "fault"
-            ~attrs:[ ("event", Trace.Str (Fault.event_to_string ev)) ];
-        if fon then
-          femit "faults"
-            (Flight.Event
-               { name = "fault"; detail = Fault.event_to_string ev });
+        Phase.event ~flight ~epoch ~phase:"faults" "fault"
+          (Fault.event_to_string ev);
         match ev with
         | Fault.Link_down id -> Hashtbl.replace st.down id ()
         | Fault.Link_up id -> Hashtbl.remove st.down id
@@ -435,7 +399,7 @@ let run_epoch ~updates ~ep_sp loop =
       if loop.l_honor_crashes then first_crash events else None
     in
     (match crash_info with
-    | Some (Fault.Pre_auction, fault) -> crash epoch Fault.Pre_auction fault
+    | Some (Fault.Pre_auction, fault) -> crash Fault.Pre_auction fault
     | _ -> ());
     (* Market drift through the market model; the surge and the
        down/gone bans are this loop's own. *)
@@ -490,33 +454,18 @@ let run_epoch ~updates ~ep_sp loop =
                   | Some outcome -> (Carried, Some outcome, rung_budget)
                   | None -> (Blackout, None, rung_budget))))
           in
-          (* Any response but Healthy is one incident: a trace event and
-             a flushed flight record, named after the response. *)
-          let incident =
-            match status with
-            | Healthy -> None
-            | Degraded step ->
-              Some ("ladder_engaged", "ladder", [ Ladder.step_to_string step ])
-            | Carried -> Some ("carry_forward", "carry_forward", [])
-            | Blackout -> Some ("blackout", "blackout", [])
+          (* Any response but Healthy is one incident, named after the
+             response. *)
+          let respond name step =
+            incident ~phase:"auction" m_ladder name
+              (String.concat " "
+                 (step @ [ Printf.sprintf "attempts=%d" ladder_attempts ]))
           in
-          Option.iter
-            (fun (event, incident, step) ->
-              let attempts = Printf.sprintf "attempts=%d" ladder_attempts in
-              Metrics.Counter.inc m_ladder;
-              if Trace.enabled () then
-                Trace.event event
-                  ~attrs:
-                    (List.map (fun s -> ("step", Trace.Str s)) step
-                    @ [ ("attempts", Trace.Int ladder_attempts) ]);
-              if fon then
-                femit ~flush:true "auction"
-                  (Flight.Incident
-                     {
-                       incident;
-                       detail = String.concat " " (step @ [ attempts ]);
-                     }))
-            incident;
+          (match status with
+          | Healthy -> ()
+          | Degraded step -> respond "ladder" [ Ladder.step_to_string step ]
+          | Carried -> respond "carry_forward" []
+          | Blackout -> respond "blackout" []);
           decision)
     in
     (match crash_info with
@@ -524,7 +473,7 @@ let run_epoch ~updates ~ep_sp loop =
       (* The auction decided but nothing settled: what hits the disk
          is a record cut off mid-write. *)
       (match journal with Some t -> Journal.append_torn t ~epoch | None -> ());
-      crash epoch Fault.Pre_settle fault
+      crash Fault.Pre_settle fault
     | _ -> ());
     (match status with
     | Healthy -> (
@@ -569,21 +518,8 @@ let run_epoch ~updates ~ep_sp loop =
       phase h_settlement "settlement" (fun _ ->
           let epoch_violations = ref [] in
           let violate invariant detail =
-            Metrics.Counter.inc m_violations;
-            if Trace.enabled () then
-              Trace.event "violation"
-                ~attrs:
-                  [
-                    ("invariant", Trace.Str invariant);
-                    ("detail", Trace.Str detail);
-                  ];
-            if fon then
-              femit ~flush:true "settlement"
-                (Flight.Incident
-                   {
-                     incident = "violation";
-                     detail = invariant ^ ": " ^ detail;
-                   });
+            incident ~phase:"settlement" m_violations "violation"
+              (invariant ^ ": " ^ detail);
             epoch_violations :=
               { epoch; invariant; detail } :: !epoch_violations
           in
@@ -681,37 +617,38 @@ let run_epoch ~updates ~ep_sp loop =
       Trace.add_attr ep_sp "spend" (Trace.Float spend)
     end;
     Metrics.Counter.inc m_epochs;
-    Metrics.Histogram.observe h_epoch
-      ((Clock.now_us () -. ep_t0) *. 1e-6);
-    (* Epoch-boundary flush: the completed epoch's records are durable
-       before any post-settle crash fires or the next epoch opens. *)
-    if fon then
-      femit ~flush:true "epoch"
-        (Flight.Span_close
-           { name = "epoch"; dur_us = Clock.now_us () -. ep_t0 });
+    (* A post-settle crash is the epoch's last act: the epoch's journal
+       record is durable, and its close never comes. *)
     (match crash_info with
-    | Some (Fault.Post_settle, fault) -> crash epoch Fault.Post_settle fault
+    | Some (Fault.Post_settle, fault) -> crash Fault.Post_settle fault
     | _ -> ());
     loop.l_next <- epoch + 1;
     er
   end
 
-(* The epoch span closes, with every span opened inside it, however the
-   epoch ends: the fleet's kill chain and the daemon's registry catch an
-   epoch's exception and go on in the same process. *)
+(* The epoch is a phase: [Phase.run] closes its span, with every span
+   opened inside it, however the epoch ends (the fleet's kill chain and
+   the daemon's registry catch an epoch's exception and go on in the
+   same process).  Live updates land before it opens; the
+   epoch-boundary flush makes the epoch's close durable before the next
+   epoch opens. *)
 let step ?(updates = []) loop =
   if loop.l_closed then invalid_arg "Supervisor.step: loop is closed";
   if loop.l_next > loop.l_market.Epochs.epochs then
     invalid_arg "Supervisor.step: horizon complete";
-  let ep_sp = Trace.span "epoch" in
-  match run_epoch ~updates ~ep_sp loop with
-  | er ->
-    Trace.finish ep_sp;
-    er
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Trace.finish ep_sp;
-    Printexc.raise_with_backtrace e bt
+  let n_bps = Array.length loop.l_plan.Planner.problem.Vcg.bids in
+  List.iter (apply_update loop.l_state ~n_bps) updates;
+  let flight =
+    Option.map
+      (fun b -> (Black_box.ring b, fun () -> Black_box.flush b))
+      loop.l_flight
+  in
+  let er =
+    Phase.run ~flight ~epoch:loop.l_next h_epoch "epoch" (fun ep_sp ->
+        run_epoch ~flight ~ep_sp loop)
+  in
+  Option.iter Black_box.flush loop.l_flight;
+  er
 
 let assemble_report loop =
   let epochs = List.rev loop.l_reports in
@@ -738,7 +675,7 @@ let close loop =
       Journal.append_complete t ~incidents:(render_incidents report);
     Journal.close t
   | Some _ | None -> ());
-  (match loop.l_flight with Some b -> Black_box.close b | None -> ());
+  Option.iter Black_box.close loop.l_flight;
   loop.l_closed <- true;
   report
 
@@ -757,18 +694,16 @@ let validate_or_raise market =
   | Ok () -> ()
   | Error msg -> invalid_arg msg
 
-(* An attempt that opens on a box already holding records (a resume, a
-   retry of the same run) starts with a marker, so forensics can tell
-   its records from the earlier attempts'. *)
-let mark_attempt = function
-  | Some b when Flight.seq (Black_box.ring b) > 0 -> Black_box.mark_resume b
-  | Some _ | None -> ()
-
-let open_run ?journal ?flight ?(snapshot_every = 4) ?segment_bytes ?disk
-    ?pool (plan : Planner.plan) ~market ~schedule =
+(* The loop is the one owner of its flight box: the box lives in the
+   journal store, opened once the journal has claimed the directory,
+   and rides a disk of its own, so a power cut never lands on it. *)
+let open_run ?journal ?(flight = false) ?(snapshot_every = 4) ?segment_bytes
+    ?disk ?pool (plan : Planner.plan) ~market ~schedule =
   validate_or_raise market;
   if snapshot_every < 1 then
     invalid_arg "Supervisor: snapshot_every must be >= 1";
+  if flight && journal = None then
+    invalid_arg "Supervisor: a flight box needs a journal store";
   let disk = match disk with Some d -> d | None -> Disk.real () in
   let j =
     Option.map
@@ -784,10 +719,14 @@ let open_run ?journal ?flight ?(snapshot_every = 4) ?segment_bytes ?disk
           })
       journal
   in
-  mark_attempt flight;
+  let box =
+    match journal with
+    | Some path when flight -> Some (Black_box.create (Black_box.file_in path))
+    | Some _ | None -> None
+  in
   {
     l_journal = j;
-    l_flight = flight;
+    l_flight = box;
     l_snapshot_every = snapshot_every;
     l_disk = disk;
     l_honor_crashes = true;
@@ -816,8 +755,8 @@ let refusal_to_string = function
   | Completed -> "journal records a completed run; nothing to resume"
   | Refused msg -> msg
 
-let open_resume ?(honor_crashes = false) ~journal:path ?flight ?disk ?pool
-    (plan : Planner.plan) ~market ~schedule =
+let open_resume ?(honor_crashes = false) ~journal:path ?(flight = false) ?disk
+    ?pool (plan : Planner.plan) ~market ~schedule =
   validate_or_raise market;
   let disk = match disk with Some d -> d | None -> Disk.real () in
   match Journal.replay ~disk path with
@@ -906,11 +845,19 @@ let open_resume ?(honor_crashes = false) ~journal:path ?flight ?disk ?pool
             carry_violations = prefix_violations;
           }
       | _ -> ());
-      mark_attempt flight;
+      (* An accepted resume starts a new attempt: one that reopens a box
+         already holding records marks where its own records begin. *)
+      let box =
+        if not flight then None
+        else
+          let b = Black_box.reopen (Black_box.file_in path) in
+          if Flight.stored (Black_box.ring b) > 0 then Black_box.mark_resume b;
+          Some b
+      in
       Ok
         {
           l_journal = Some t;
-          l_flight = flight;
+          l_flight = box;
           l_snapshot_every = h.Journal.snapshot_every;
           l_disk = disk;
           l_honor_crashes = honor_crashes;

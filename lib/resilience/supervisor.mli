@@ -9,11 +9,18 @@
     dead links) when even the ladder is exhausted, and only reports a
     blackout when nothing at all can be leased.
 
-    Each epoch is one trace span, timed into [poc_epoch_seconds]; each
-    of its phases is a child span timed into its own histogram:
-    [poc_phase_drift_seconds], [poc_phase_auction_seconds],
-    [poc_phase_routing_seconds], [poc_phase_settlement_seconds] and,
-    with a journal, [poc_phase_journal_seconds].
+    The loop records everything through {!Poc_obs.Phase}, its one
+    producer.  Each epoch is one phase: a trace span timed into
+    [poc_epoch_seconds]; each of its phases is a child span timed into
+    its own histogram: [poc_phase_drift_seconds],
+    [poc_phase_auction_seconds], [poc_phase_routing_seconds],
+    [poc_phase_settlement_seconds] and, with a journal,
+    [poc_phase_journal_seconds].  Each scheduled fault event is a
+    ["fault"] event; each epoch that leaves [Healthy] is a ["ladder"],
+    ["carry_forward"] or ["blackout"] incident; each invariant breach a
+    ["violation"] and each injected crash a ["crash"] incident.  An
+    event is a trace event with one [detail] attribute and, with a
+    flight box, a flight record of the same name and detail.
 
     After every epoch it asserts the cross-layer invariants the paper's
     operational story depends on — the settlement ledger passes
@@ -94,11 +101,14 @@ exception Injected_crash of { epoch : int; phase : Fault.phase }
     a real crash at that point would: a clean prefix for [Pre_auction]
     and [Post_settle], a torn final record for [Pre_settle].  For a
     [Storage] spec, {!Disk.power_cut} damages the on-disk journal state
-    after the close and before the raise. *)
+    after the close and before the raise.  Every crash fires inside
+    its epoch: a [Post_settle] crash is the epoch's last act, after its
+    journal record, so the epoch span never closes in the flight box
+    and [poc_epoch_seconds] does not observe it. *)
 
 val run :
   ?journal:string ->
-  ?flight:Black_box.t ->
+  ?flight:bool ->
   ?snapshot_every:int ->
   ?segment_bytes:int ->
   ?disk:Disk.t ->
@@ -123,22 +133,22 @@ val run :
     pool teardown).  Reports and journal bytes are identical at every
     pool size.
 
-    [flight] attaches a black-box flight recorder ({!Black_box}): the
-    loop emits phase span opens/closes, fault events, ladder/violation/
-    crash incidents into its ring and flushes it at every phase open,
-    at each epoch boundary, and on every crash path — so a SIGKILL at
-    any instant leaves a readable box naming the in-flight epoch and
-    phase.  A box that already holds records (an earlier attempt's)
-    first gets a {!Black_box.mark_resume} marker, here and in
-    {!resume} once the journal is accepted.  The recorder never
-    touches the journal or its disk: journal bytes are identical with
-    and without it, and with it absent ([None]) every emission site is
-    a single untaken branch (zero allocation). *)
+    [flight] (default false) attaches a black-box flight recorder
+    ({!Black_box}) that the loop owns: it creates the box at
+    {!Black_box.file_in}[ journal] once the journal has claimed the
+    store, and raises [Invalid_argument] when there is no [journal].
+    The loop emits phase span opens/closes, fault events and
+    ladder/violation/crash incidents into its ring and flushes it at
+    every phase open, at each epoch boundary, and on every incident and
+    crash path — so a SIGKILL at any instant leaves a readable box
+    naming the in-flight epoch and phase.  The box rides a disk of its
+    own and never touches the journal: journal bytes are identical
+    with and without it, and without it no flight record is built. *)
 
 val resume :
   ?honor_crashes:bool ->
   journal:string ->
-  ?flight:Black_box.t ->
+  ?flight:bool ->
   ?disk:Disk.t ->
   ?pool:Poc_util.Pool.t ->
   Poc_core.Planner.plan ->
@@ -163,7 +173,10 @@ val resume :
     still matches) and lets the next one fire.  The
     returned report is byte-identical (via {!render_epochs} /
     {!render_incidents}) to an uninterrupted [run] with the same
-    inputs. *)
+    inputs.  [flight] reopens the store's box once the journal is
+    accepted (a refused resume leaves it untouched), continuing the
+    records the earlier attempts left; a box that already holds
+    records first gets a {!Black_box.mark_resume} marker. *)
 
 (** {2 Steppable loops}
 
@@ -198,7 +211,7 @@ val validate_update : n_bps:int -> update -> (unit, string) result
 
 val open_run :
   ?journal:string ->
-  ?flight:Black_box.t ->
+  ?flight:bool ->
   ?snapshot_every:int ->
   ?segment_bytes:int ->
   ?disk:Disk.t ->
@@ -223,7 +236,7 @@ val refusal_to_string : refusal -> string
 val open_resume :
   ?honor_crashes:bool ->
   journal:string ->
-  ?flight:Black_box.t ->
+  ?flight:bool ->
   ?disk:Disk.t ->
   ?pool:Poc_util.Pool.t ->
   Poc_core.Planner.plan ->
@@ -234,6 +247,10 @@ val open_resume :
     truncation semantics as {!resume}, including [honor_crashes])
     and return a loop positioned at the first epoch after the restored
     checkpoint, with the recovered reports already accumulated. *)
+
+val flight : loop -> Black_box.t option
+(** The flight box the loop opened, for callers that record into it
+    too (the daemon's request path); [None] without [~flight:true]. *)
 
 val next_epoch : loop -> int option
 (** The epoch the next {!step} will run; [None] when the horizon is

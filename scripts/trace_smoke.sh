@@ -3,8 +3,10 @@
 # must produce loadable Chrome trace-event JSON (spans for every epoch
 # phase, fault events in the chaos trace) and a parseable Prometheus
 # text exposition, and tracing must not change what the run computes.
-# A traced daemon session must leave the same two files behind when it
-# shuts down.
+# A post-settle crash must show in the crash run's trace and in
+# forensics, and --flight or --segment-bytes without a store must be
+# refused.  A traced daemon session must leave the same two files
+# behind when it shuts down.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -139,6 +141,61 @@ for path in sys.argv[1:]:
             parent = by_id.get(parent["args"]["parent_id"])
 print("ok: no fleet epoch span nests under another epoch")
 EOF
+
+# A post-settle crash is its epoch's last act: the crash run exits 10,
+# its trace holds the crash instant, and forensics over the store names
+# the crash point from the flight box.
+status=0
+"$cli" chaos --epochs 6 --sites 8 --bps 3 --journal "$workdir/crash-store" \
+  --flight --crash 5:post_settle --trace "$workdir/crash.json" \
+  > "$workdir/crash.txt" 2>&1 || status=$?
+if [ "$status" -ne 10 ]; then
+  cat "$workdir/crash.txt" >&2
+  echo "FAIL: a post-settle crash run exited $status, not 10" >&2
+  exit 1
+fi
+python3 - "$workdir/crash.json" <<'EOF'
+import json, sys
+
+with open(sys.argv[1]) as f:
+    events = json.load(f)["traceEvents"]
+assert any(e["ph"] == "i" and e["name"] == "crash" for e in events), \
+    "crash trace holds no crash instant"
+print("ok: the crash run's trace holds its crash instant")
+EOF
+"$cli" forensics "$workdir/crash-store" > "$workdir/crash-forensics.txt"
+grep -q "^in-flight: epoch 5 phase post_settle$" \
+  "$workdir/crash-forensics.txt" || {
+  cat "$workdir/crash-forensics.txt" >&2
+  echo "FAIL: forensics does not name the post-settle crash" >&2
+  exit 1
+}
+echo "ok: forensics names the post-settle crash"
+
+# --flight and --segment-bytes need a store: without --journal, market
+# refuses them, names --journal, and writes nothing.
+repo=$(pwd)
+for opt in "--flight" "--segment-bytes 512"; do
+  nostore="$workdir/nostore"
+  mkdir "$nostore"
+  status=0
+  # shellcheck disable=SC2086  # $opt is a flag and its argument
+  (cd "$nostore" && "$repo/$cli" market --epochs 2 --sites 8 --bps 3 $opt) \
+    > "$workdir/nostore.txt" 2> "$workdir/nostore.err" || status=$?
+  if [ "$status" -ne 1 ] || ! grep -q -- "--journal" "$workdir/nostore.err"
+  then
+    cat "$workdir/nostore.err" >&2
+    echo "FAIL: market $opt without --journal exited $status" >&2
+    exit 1
+  fi
+  if [ -n "$(ls -A "$nostore")" ]; then
+    ls -A "$nostore" >&2
+    echo "FAIL: market $opt without --journal wrote files" >&2
+    exit 1
+  fi
+  rmdir "$nostore"
+done
+echo "ok: store options without a store are refused"
 
 # The daemon writes its trace and metrics files at shutdown: a traced
 # `serve` session (a BID, an EPOCH, then SHUTDOWN) exits 0 and leaves

@@ -582,7 +582,7 @@ let test_supervised_run_trace_coverage () =
   Alcotest.(check bool) "this schedule engages the ladder" true
     (report.Supervisor.ladder_activations > 0);
   Alcotest.(check bool) "ladder engagements appear as events" true
-    (List.mem "ladder_engaged" ev_names)
+    (List.mem "ladder" ev_names)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 

@@ -1341,17 +1341,15 @@ let test_journal_byte_identical_with_flight () =
           ~market ~schedule
       in
       with_tmp_store (fun on_dir ->
-          let box = Black_box.create (Filename.concat on_dir "FLIGHT") in
           let r_on =
             Supervisor.run plan ~journal:on_dir ~segment_bytes:segment_budget
-              ~market ~schedule ~flight:box
+              ~market ~schedule ~flight:true
           in
-          Black_box.close box;
           Alcotest.(check string) "reports identical" (render r_off) (render r_on);
           Alcotest.(check bool) "journal bytes identical with the recorder on"
             true
             (journal_files off_dir = journal_files on_dir);
-          match Black_box.load (Filename.concat on_dir "FLIGHT") with
+          match Black_box.load (Black_box.file_in on_dir) with
           | Error e -> Alcotest.failf "flight box unreadable: %s" e
           | Ok img ->
             Alcotest.(check bool) "box recorded the run" true
@@ -1365,6 +1363,7 @@ let test_flight_box_disk_fault_scrub () =
      keeps every byte). *)
   with_tmp_store (fun dir ->
       let disk = Disk.real () in
+      Disk.mkdir_p disk dir;
       let path = Filename.concat dir "FLIGHT" in
       let box = Black_box.create ~capacity:64 ~disk path in
       let ring = Black_box.ring box in
@@ -1420,6 +1419,7 @@ let test_flight_box_reopen_continues_in_place () =
   with_tmp_store (fun dir ->
       let path = Filename.concat dir "FLIGHT" in
       let disk = Disk.real () in
+      Disk.mkdir_p disk dir;
       let box = Black_box.create ~capacity:64 ~disk path in
       let tick box i =
         Flight.emit (Black_box.ring box) ~ts_us:(float_of_int i) ~epoch:1
@@ -1472,16 +1472,14 @@ let crash_plan_market () =
   in
   (plan, { Epochs.default_config with Epochs.epochs = 6; seed = 42 })
 
-(* The chaos schedule plus crashes at the given epochs, all pre-settle.
-   Crashes stay out of the journal digest, so every such schedule
-   resumes every other's journal. *)
-let crash_schedule plan epochs =
+(* The chaos schedule plus crashes at the given epochs, all at [phase]
+   (default pre-settle).  Crashes stay out of the journal digest, so
+   every such schedule resumes every other's journal. *)
+let crash_schedule ?(phase = Fault.Pre_settle) plan epochs =
   match
     Fault.compile plan.Planner.wan ~seed:2020
       (chaos_specs plan
-      @ List.map
-          (fun at_epoch -> Fault.Crash { at_epoch; phase = Fault.Pre_settle })
-          epochs)
+      @ List.map (fun at_epoch -> Fault.Crash { at_epoch; phase }) epochs)
   with
   | Ok s -> s
   | Error msg -> Alcotest.failf "crash schedule failed to compile: %s" msg
@@ -1507,10 +1505,9 @@ let test_flight_box_keeps_crash_across_resume () =
      the in-flight verdict names only the newest attempt's. *)
   let plan, market = crash_plan_market () in
   with_tmp_store (fun store ->
-      let path = Forensics.flight_path_for store in
       (match
-         Supervisor.run plan ~journal:store ~flight:(Black_box.create path)
-           ~market ~schedule:(crash_schedule plan [ 4 ])
+         Supervisor.run plan ~journal:store ~flight:true ~market
+           ~schedule:(crash_schedule plan [ 4 ])
        with
       | _ -> Alcotest.fail "expected an injected crash"
       | exception Supervisor.Injected_crash _ -> ());
@@ -1519,7 +1516,7 @@ let test_flight_box_keeps_crash_across_resume () =
         (Some (4, "pre_settle")) a.Forensics.a_in_flight;
       (* A resume the journal refuses starts no attempt. *)
       (match
-         Supervisor.resume ~journal:store ~flight:(Black_box.reopen path) plan
+         Supervisor.resume ~journal:store ~flight:true plan
            ~market:{ market with Epochs.epochs = 7 }
            ~schedule:(crash_schedule plan [ 4 ])
        with
@@ -1528,8 +1525,8 @@ let test_flight_box_keeps_crash_across_resume () =
       Alcotest.check in_flight "a refused resume leaves the verdict alone"
         (Some (4, "pre_settle")) (analyze store).Forensics.a_in_flight;
       (match
-         Supervisor.resume ~honor_crashes:true ~journal:store
-           ~flight:(Black_box.reopen path) plan ~market
+         Supervisor.resume ~honor_crashes:true ~journal:store ~flight:true
+           plan ~market
            ~schedule:(crash_schedule plan [ 6 ])
        with
       | _ -> Alcotest.fail "expected the second attempt to crash"
@@ -1538,14 +1535,12 @@ let test_flight_box_keeps_crash_across_resume () =
       Alcotest.check in_flight "the second attempt died at 6:pre_settle"
         (Some (6, "pre_settle")) a.Forensics.a_in_flight;
       Alcotest.(check int) "both crashes are in the timeline" 2 (crashes a);
-      let resumed = Black_box.reopen path in
       (match
-         Supervisor.resume ~journal:store ~flight:resumed plan ~market
+         Supervisor.resume ~journal:store ~flight:true plan ~market
            ~schedule:(crash_schedule plan [ 4 ])
        with
       | Error msg -> Alcotest.failf "resume failed: %s" msg
       | Ok _ -> ());
-      Black_box.close resumed;
       let a = analyze store in
       Alcotest.check in_flight "nothing is in flight after the last attempt"
         None a.Forensics.a_in_flight;
@@ -1566,19 +1561,16 @@ let test_flight_box_fresh_run_starts_empty () =
      header-only, so nothing of the first run's crash remains. *)
   let plan, market = crash_plan_market () in
   with_tmp_store (fun store ->
-      let path = Forensics.flight_path_for store in
       (match
-         Supervisor.run plan ~journal:store ~flight:(Black_box.create path)
-           ~market ~schedule:(crash_schedule plan [ 4 ])
+         Supervisor.run plan ~journal:store ~flight:true ~market
+           ~schedule:(crash_schedule plan [ 4 ])
        with
       | _ -> Alcotest.fail "expected an injected crash"
       | exception Supervisor.Injected_crash _ -> ());
-      let box = Black_box.create path in
       ignore
-        (Supervisor.run plan ~journal:store ~flight:box ~market
+        (Supervisor.run plan ~journal:store ~flight:true ~market
            ~schedule:(crash_schedule plan [])
           : Supervisor.report);
-      Black_box.close box;
       let a = analyze store in
       Alcotest.(check int) "no crash in the timeline" 0 (crashes a);
       Alcotest.check in_flight "nothing is in flight" None
@@ -1588,6 +1580,134 @@ let test_flight_box_fresh_run_starts_empty () =
         Alcotest.(check bool) "no resume marker either" false
           (List.exists Black_box.is_resume img.Flight.img_records)
       | _ -> Alcotest.fail "the second run's box must load")
+
+let test_flight_needs_a_journal () =
+  (* The box lives in the journal store: a run without one has nowhere
+     to keep it, and is refused before it starts. *)
+  let plan, market = crash_plan_market () in
+  match Supervisor.run plan ~flight:true ~market ~schedule:Fault.none with
+  | _ -> Alcotest.fail "~flight:true without ~journal must be refused"
+  | exception Invalid_argument _ -> ()
+
+module Trace = Poc_obs.Trace
+
+(* Run [f] under an in-memory trace sink; the spans it finished. *)
+let traced f =
+  let ring = Trace.Ring.create () in
+  Trace.set_sink (Some (Trace.Ring.sink ring));
+  Fun.protect
+    ~finally:(fun () -> Trace.set_sink None)
+    (fun () ->
+      f ();
+      Trace.Ring.records ring)
+
+let epoch_attr (r : Trace.record) =
+  match List.assoc_opt "epoch" r.Trace.attrs with
+  | Some (Trace.Int e) -> Some e
+  | _ -> None
+
+let load_box store =
+  match Black_box.load (Black_box.file_in store) with
+  | Ok img -> img
+  | Error e -> Alcotest.failf "flight box unreadable: %s" e
+
+let test_one_producer_names_each_event_once () =
+  (* Everything the epoch loop records goes through one producer: per
+     epoch, the event names on the epoch's span and the spans under it
+     are exactly the names of the box's events and incidents. *)
+  let plan = plan () in
+  with_tmp_store (fun store ->
+      let records =
+        traced (fun () ->
+            match
+              Supervisor.run plan ~journal:store ~flight:true ~market
+                ~schedule:(crash_schedule plan [ 6 ])
+            with
+            | _ -> Alcotest.fail "expected an injected crash"
+            | exception Supervisor.Injected_crash _ -> ())
+      in
+      let by_id = Hashtbl.create 64 in
+      List.iter
+        (fun (r : Trace.record) -> Hashtbl.replace by_id r.Trace.id r)
+        records;
+      let rec epoch_of (r : Trace.record) =
+        if r.Trace.name = "epoch" then epoch_attr r
+        else Option.bind (Hashtbl.find_opt by_id r.Trace.parent) epoch_of
+      in
+      let traced_names =
+        List.concat_map
+          (fun (r : Trace.record) ->
+            match epoch_of r with
+            | Some e ->
+              List.map (fun (ev : Trace.event) -> (e, ev.Trace.ev_name))
+                r.Trace.events
+            | None -> [])
+          records
+        |> List.sort compare
+      in
+      let boxed_names =
+        List.filter_map
+          (fun (r : Flight.record) ->
+            match r.Flight.kind with
+            | Flight.Event { name; _ } | Flight.Incident { incident = name; _ }
+              ->
+              Some (r.Flight.epoch, name)
+            | Flight.Span_open _ | Flight.Span_close _ | Flight.Metric _ ->
+              None)
+          (load_box store).Flight.img_records
+        |> List.sort compare
+      in
+      Alcotest.(check (list (pair int string)))
+        "per epoch, the trace and the box name the same events" boxed_names
+        traced_names;
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " recorded") true
+            (List.exists (fun (_, n) -> n = name) traced_names))
+        [ "fault"; "crash" ];
+      Alcotest.(check bool) "a response to the faults recorded" true
+        (List.exists
+           (fun (_, n) -> List.mem n [ "ladder"; "carry_forward"; "blackout" ])
+           traced_names))
+
+let test_post_settle_crash_is_the_epochs_last_act () =
+  (* A post-settle crash fires inside its epoch, after the journal
+     record: the crash event sits on the epoch's span, the crash
+     incident is the box's newest record, and forensics places the
+     death there. *)
+  let plan, market = crash_plan_market () in
+  with_tmp_store (fun store ->
+      let records =
+        traced (fun () ->
+            match
+              Supervisor.run plan ~journal:store ~flight:true ~market
+                ~schedule:(crash_schedule ~phase:Fault.Post_settle plan [ 5 ])
+            with
+            | _ -> Alcotest.fail "expected an injected crash"
+            | exception Supervisor.Injected_crash _ -> ())
+      in
+      (match
+         List.find_opt
+           (fun (r : Trace.record) ->
+             r.Trace.name = "epoch" && epoch_attr r = Some 5)
+           records
+       with
+      | None -> Alcotest.fail "no span for epoch 5"
+      | Some r ->
+        Alcotest.(check bool) "epoch 5's span carries the crash" true
+          (List.exists
+             (fun (ev : Trace.event) -> ev.Trace.ev_name = "crash")
+             r.Trace.events));
+      (match List.rev (load_box store).Flight.img_records with
+      | r :: _ ->
+        Alcotest.(check bool) "the box's newest record is the crash" true
+          (r.Flight.kind
+           = Flight.Incident { incident = "crash"; detail = "injected" }
+          && r.Flight.epoch = 5
+          && r.Flight.phase = "post_settle")
+      | [] -> Alcotest.fail "empty box");
+      Alcotest.check in_flight "forensics names the crash point"
+        (Some (5, "post_settle")) (analyze store).Forensics.a_in_flight)
 
 let test_disk_retry_schedule_resets_on_success () =
   (* Fail, succeed, fail: the second failure restarts the backoff at
@@ -1695,4 +1815,10 @@ let suite =
       test_flight_box_keeps_crash_across_resume;
     Alcotest.test_case "flight box of a fresh run over a store starts empty"
       `Quick test_flight_box_fresh_run_starts_empty;
+    Alcotest.test_case "flight without a journal is refused" `Quick
+      test_flight_needs_a_journal;
+    Alcotest.test_case "trace and flight box name each event once" `Slow
+      test_one_producer_names_each_event_once;
+    Alcotest.test_case "post-settle crash is its epoch's last act" `Quick
+      test_post_settle_crash_is_the_epochs_last_act;
   ]
